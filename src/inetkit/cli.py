@@ -52,7 +52,7 @@ def _load(path: str) -> Optional[SourceProgram]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
     program = parse_program(text)
@@ -69,6 +69,19 @@ def _analyze(program: SourceProgram, cap: int) -> Optional[Analysis]:
     if not analysis.ok:
         return None
     return analysis
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _strategy(spec: str) -> Strategy:
@@ -217,12 +230,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="path to a .inet program")
         p.add_argument(
             "--max-arity",
-            type=int,
+            type=_int_at_least(0),
             default=DEFAULT_ARITY_CAP,
             help="cap on the arity used for variadic expansion",
         )
         if with_run_flags:
-            p.add_argument("--max-steps", type=int, default=100_000)
+            p.add_argument("--max-steps", type=_int_at_least(1), default=100_000)
             p.add_argument(
                 "--strategy",
                 type=_strategy,
@@ -249,7 +262,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p_fuzz = sub.add_parser("fuzz", help="compare normal forms across strategies")
     common(p_fuzz)
-    p_fuzz.add_argument("--seeds", type=int, default=200, help="number of seeded strategies")
+    p_fuzz.add_argument(
+        "--seeds", type=_int_at_least(0), default=200, help="number of seeded strategies"
+    )
     p_fuzz.set_defaults(handler=cmd_fuzz)
 
     return parser

@@ -99,12 +99,25 @@ class NameSupply:
 
 
 def term_names(t: Term) -> Iterator[Name]:
-    """Yield every name occurrence in ``t``, depth first, left to right."""
-    if isinstance(t, Name):
-        yield t
-    else:
-        for a in t.args:
-            yield from term_names(a)
+    """Yield every name occurrence in ``t``, depth first, left to right.
+
+    One walk with an explicit stack, so term depth is not bounded by the
+    interpreter's recursion limit.
+    """
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        # Descend into the first argument directly and stack only the rest,
+        # so a chain of unary agents costs no stack traffic.
+        while isinstance(u, Agent):
+            args = u.args
+            if not args:
+                break
+            if len(args) > 1:
+                stack.extend(args[:0:-1])
+            u = args[0]
+        else:
+            yield u
 
 
 def config_names(config: Configuration) -> Iterator[Name]:
@@ -129,13 +142,30 @@ def substitute(t: Term, x: Name, s: Term) -> Term:
     """Replace the occurrence of ``x`` in ``t`` by ``s``.
 
     Callers guarantee ``x`` occurs at most once in ``t`` (configuration
-    linearity); if it does not occur, ``t`` is returned unchanged.
+    linearity); if it does not occur, ``t`` is returned unchanged.  One
+    depth-first pass finds the occurrence, keeping the agents above it on an
+    explicit stack, and rebuilds only those agents.
     """
     if isinstance(t, Name):
         return s if t == x else t
-    if not any(n == x for n in term_names(t)):
-        return t
-    return Agent(t.symbol, tuple(substitute(a, x, s) for a in t.args))
+    path: list[list] = [[t, 0]]  # [agent, index of the next argument to visit]
+    while path:
+        frame = path[-1]
+        agent, i = frame
+        if i == len(agent.args):
+            path.pop()
+            continue
+        frame[1] = i + 1
+        arg = agent.args[i]
+        if isinstance(arg, Agent):
+            path.append([arg, 0])
+        elif arg == x:
+            out = s
+            for agent, j in reversed(path):
+                args = agent.args
+                out = Agent(agent.symbol, args[: j - 1] + (out,) + args[j:])
+            return out
+    return t
 
 
 def agent_count(t: Term) -> int:

@@ -10,19 +10,37 @@ generic probes, in a fixed order.
 The calculus itself fixes no reduction order; strategies only choose which
 reducible equation fires next, and for a validated rule set every strategy
 reaches the same normal form in the same number of steps.
+
+All reduction goes through one :class:`Reducer`, which never scans the net
+to choose or fire a step.  It keeps these invariants:
+
+- Every name has at most two sites in its occurrence index.  A site is an
+  equation id and side, or an interface slot, plus whether the name is the
+  whole side.  The parser rejects nets with a third occurrence, and linear
+  rules (every parameter used once on the right) never create one.
+- Equation ids grow monotonically and follow storage order.  Interaction
+  and communication append equations under new ids; substitution keeps the
+  target's id.  Fifo fires the smallest reducible id and lifo the largest,
+  that is the first and the last reducible equation in storage order.
+- The reducible equations, each with how it reduces, are kept up to date
+  incrementally.  A step reclassifies only the equations it created or
+  changed, plus those whose whole side is the other occurrence of a name
+  the step moved.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .core import (
     Agent,
     CanonicalConfiguration,
     Configuration,
     Equation,
+    IllFormedError,
     Name,
     NameSupply,
     NetError,
@@ -94,16 +112,6 @@ def strategy_from_spec(spec: str) -> Strategy:
     raise ValueError(f"unknown strategy {spec!r}")
 
 
-def _candidate_order(strategy: Strategy, n: int, rng: Optional[random.Random]) -> list[int]:
-    if isinstance(strategy, Fifo):
-        return list(range(n))
-    if isinstance(strategy, Lifo):
-        return list(range(n - 1, -1, -1))
-    order = list(range(n))
-    (rng or random.Random(strategy.seed)).shuffle(order)
-    return order
-
-
 # ---------------------------------------------------------------------------
 # Step results
 # ---------------------------------------------------------------------------
@@ -124,135 +132,6 @@ class NormalizeOutcome:
     steps: int
     trace: Optional[list[StepResult]]
     stuck_equations: tuple[Equation, ...] = ()
-
-
-# ---------------------------------------------------------------------------
-# Classification
-# ---------------------------------------------------------------------------
-
-def _whole_side_match(eq: Equation, x: Name) -> Optional[Term]:
-    """The other side if ``x`` is a whole side of ``eq``."""
-    if eq.left == x:
-        return eq.right
-    if eq.right == x:
-        return eq.left
-    return None
-
-
-def _inside_nonname_side(eq: Equation, x: Name) -> bool:
-    for side in (eq.left, eq.right):
-        if isinstance(side, Agent) and any(n == x for n in term_names(side)):
-            return True
-    return False
-
-
-def _classify_at(config: Configuration, i: int, table: RuleTable) -> Optional[str]:
-    eq = config.equations[i]
-    if isinstance(eq.left, Agent) and isinstance(eq.right, Agent):
-        return KIND_INTERACTION
-    sides = [
-        (x, other)
-        for x, other in ((eq.left, eq.right), (eq.right, eq.left))
-        if isinstance(x, Name)
-    ]
-    # A name wired to its own equation (x=x or x inside the other side) has
-    # no applicable step; normalize reports it as stuck.
-    sides = [(x, other) for x, other in sides if not any(n == x for n in term_names(other))]
-    for x, _ in sides:
-        for j, other_eq in enumerate(config.equations):
-            if j != i and _whole_side_match(other_eq, x) is not None:
-                return KIND_COMMUNICATION
-    for x, _ in sides:
-        for j, other_eq in enumerate(config.equations):
-            if j != i and _inside_nonname_side(other_eq, x):
-                return KIND_SUBSTITUTION
-    for x, _ in sides:
-        if any(n == x for t in config.interface for n in term_names(t)):
-            return KIND_COLLECT
-    return None
-
-
-def classify(eq: Equation, config: Configuration, table: RuleTable) -> Optional[str]:
-    """Which step kind applies to ``eq`` within ``config``, if any.
-
-    Agent-agent equations classify as interaction whether or not the table
-    holds a matching rule; rule availability is the engine's concern.
-    """
-    for i, e in enumerate(config.equations):
-        if e is eq:
-            return _classify_at(config, i, table)
-    for i, e in enumerate(config.equations):
-        if e == eq:
-            return _classify_at(config, i, table)
-    raise NetError("equation does not belong to the configuration")
-
-
-def _is_stuck(eq: Equation, table: RuleTable) -> bool:
-    if isinstance(eq.left, Agent) and isinstance(eq.right, Agent):
-        return lookup(table, eq.left.symbol, eq.right.symbol) is None
-    for x, other in ((eq.left, eq.right), (eq.right, eq.left)):
-        if isinstance(x, Name) and any(n == x for n in term_names(other)):
-            return True  # closed loop, e.g. x=x
-    return False
-
-
-# ---------------------------------------------------------------------------
-# The three name-resolution steps (pure: inputs are left untouched)
-# ---------------------------------------------------------------------------
-
-def _find_equation(config: Configuration, x: Name, t: Term, exclude: int = -1) -> int:
-    for i, eq in enumerate(config.equations):
-        if i == exclude:
-            continue
-        if (eq.left == x and eq.right == t) or (eq.right == x and eq.left == t):
-            return i
-    raise NetError(f"no equation {x.display} = ... present")
-
-
-def step_communication(config: Configuration, x: Name, t: Term, u: Term) -> Configuration:
-    """Merge ``x=t`` and ``x=u`` into ``t=u``; both occurrences of x vanish."""
-    i = _find_equation(config, x, t)
-    j = _find_equation(config, x, u, exclude=i)
-    keep = [eq for k, eq in enumerate(config.equations) if k not in (i, j)]
-    keep.append(Equation(t, u))
-    return Configuration(list(config.interface), keep)
-
-
-def step_substitution(
-    config: Configuration, x: Name, t: Term, target: Equation
-) -> Configuration:
-    """Consume ``x=t`` by substituting ``t`` for ``x`` inside ``target``."""
-    i = _find_equation(config, x, t)
-    j = None
-    for k, eq in enumerate(config.equations):
-        if k != i and eq == target:
-            j = k
-            break
-    if j is None:
-        raise NetError("substitution target not present")
-    eq = config.equations[j]
-    if isinstance(eq.left, Agent) and any(n == x for n in term_names(eq.left)):
-        new_eq = Equation(substitute(eq.left, x, t), eq.right)
-    elif isinstance(eq.right, Agent) and any(n == x for n in term_names(eq.right)):
-        new_eq = Equation(eq.left, substitute(eq.right, x, t))
-    else:
-        raise NetError("substitution target does not contain the name inside an agent side")
-    keep = []
-    for k, eq2 in enumerate(config.equations):
-        if k == i:
-            continue
-        keep.append(new_eq if k == j else eq2)
-    return Configuration(list(config.interface), keep)
-
-
-def step_collect(config: Configuration, x: Name, t: Term) -> Configuration:
-    """Consume ``x=t`` by substituting ``t`` for ``x`` in the interface."""
-    i = _find_equation(config, x, t)
-    if not any(n == x for s in config.interface for n in term_names(s)):
-        raise NetError("collect requires the name to occur in the interface")
-    interface = [substitute(s, x, t) for s in config.interface]
-    keep = [eq for k, eq in enumerate(config.equations) if k != i]
-    return Configuration(interface, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -416,24 +295,321 @@ def instantiate_variadic(
 
 
 # ---------------------------------------------------------------------------
-# Single-step reduction and normalization
+# The reducer
 # ---------------------------------------------------------------------------
 
-def _names_of_equations(eqs: Iterable[Equation]) -> set[Name]:
-    out: set[Name] = set()
-    for eq in eqs:
-        out.update(term_names(eq.left))
-        out.update(term_names(eq.right))
-    return out
+# A site is (equation id, side, whole): side 0 is the left term and 1 the
+# right one; an interface site has id _IFACE, its slot as side, and is never
+# whole.
+Site = tuple[int, int, bool]
+_IFACE = -1
+
+_PRIORITY = {KIND_COMMUNICATION: 0, KIND_SUBSTITUTION: 1, KIND_COLLECT: 2}
+
+# How a reducible equation reduces: (interaction, rule match) or, for the
+# name steps, (kind, side holding the name).
+How = tuple[str, object]
+
+
+def _side(eq: Equation, side: int) -> Term:
+    return eq.left if side == 0 else eq.right
+
+
+class _Agenda:
+    """The reducible equation ids, how each reduces, and the strategy's pick."""
+
+    def __init__(self, strategy: Strategy):
+        self.how: dict[int, How] = {}
+        self._rng = random.Random(strategy.seed) if isinstance(strategy, Seeded) else None
+        self._sign = -1 if isinstance(strategy, Lifo) else 1
+        self._heap: list[int] = []  # fifo and lifo: signed ids; stale ones pop lazily
+        self._ids: list[int] = []  # seeded: the ids, for a uniform choice
+        self._slot: dict[int, int] = {}  # seeded: id -> its index in _ids
+
+    def put(self, eid: int, how: How) -> None:
+        if eid not in self.how:
+            if self._rng is None:
+                heapq.heappush(self._heap, self._sign * eid)
+            else:
+                self._slot[eid] = len(self._ids)
+                self._ids.append(eid)
+        self.how[eid] = how
+
+    def drop(self, eid: int) -> None:
+        if self.how.pop(eid, None) is not None and self._rng is not None:
+            slot = self._slot.pop(eid)
+            last = self._ids.pop()
+            if last != eid:
+                self._ids[slot] = last
+                self._slot[last] = slot
+
+    def pick(self) -> Optional[int]:
+        if not self.how:
+            return None
+        if self._rng is not None:
+            return self._ids[self._rng.randrange(len(self._ids))]
+        heap, sign = self._heap, self._sign
+        while sign * heap[0] not in self.how:
+            heapq.heappop(heap)
+        return sign * heap[0]
+
+
+class Reducer:
+    """A configuration under reduction, with its occurrence index, its
+    reducible equations, its name supply and its strategy's state.
+
+    The input configuration is read, never modified.  :meth:`step` fires the
+    step the strategy picks and :meth:`run` fires steps until none applies
+    or the budget is spent, so stepping a reducer one step at a time follows
+    exactly the schedule of :func:`normalize` with the same arguments.
+    Rule tables must be linear, as :func:`~inetkit.rules.validate_linearity`
+    ensures.
+    """
+
+    def __init__(
+        self,
+        config: Configuration,
+        table: RuleTable,
+        strategy: Strategy = Fifo(),
+        supply: Optional[NameSupply] = None,
+    ):
+        self.table = table
+        self._interface: list[Term] = list(config.interface)
+        self._eqs: dict[int, Equation] = {}
+        self._occ: dict[int, list[Site]] = {}  # name id -> its one or two sites
+        self._next_id = 0
+        self._agenda = _Agenda(strategy)
+        for slot, t in enumerate(self._interface):
+            self._place(t, _IFACE, slot, None, None, inside=True)
+        for eq in config.equations:
+            self._add(eq, None)
+        if supply is None:
+            supply = NameSupply(max(max(self._occ, default=-1), table.max_name_id) + 1)
+        self.supply = supply
+        for eid in self._eqs:
+            self._classify(eid)
+
+    @property
+    def configuration(self) -> Configuration:
+        """The current configuration, as a new object."""
+        return Configuration(list(self._interface), list(self._eqs.values()))
+
+    def step(self) -> Optional[StepResult]:
+        """Fire the step the strategy picks; ``None`` when none applies."""
+        eid = self._agenda.pick()
+        return None if eid is None else self._fire(eid, record=True)
+
+    def run(self, budget: int, trace: bool = False) -> NormalizeOutcome:
+        """Fire up to ``budget`` steps and report how reduction ended."""
+        recorded: Optional[list[StepResult]] = [] if trace else None
+        steps = 0
+        while steps < budget:
+            eid = self._agenda.pick()
+            if eid is None:
+                break
+            result = self._fire(eid, record=trace)
+            if recorded is not None:
+                recorded.append(result)
+            steps += 1
+        final = self.configuration
+        if self._agenda.how:
+            return NormalizeOutcome("budget_exhausted", final, steps, recorded)
+        stuck = tuple(eq for eid, eq in self._eqs.items() if self._is_stuck(eid, eq))
+        return NormalizeOutcome("stuck" if stuck else "normal_form", final, steps, recorded, stuck)
+
+    # -- the occurrence index ---------------------------------------------
+
+    def _add(self, eq: Equation, touched: Optional[set[int]],
+             old_left: Optional[int] = None, old_right: Optional[int] = None) -> None:
+        """Store ``eq`` under a new id; its sides' names move from the given
+        equations (or are new)."""
+        eid = self._next_id
+        self._next_id += 1
+        self._eqs[eid] = eq
+        self._place(eq.left, eid, 0, old_left, touched)
+        self._place(eq.right, eid, 1, old_right, touched)
+        if touched is not None:
+            touched.add(eid)
+
+    def _place(self, t: Term, eid: int, side: int, old: Optional[int],
+               touched: Optional[set[int]], inside: bool = False) -> None:
+        """Record that the names of ``t`` now sit at (``eid``, ``side``), having
+        moved from equation ``old``.  ``inside``: ``t`` is not the whole side.
+
+        Each name's other site is added to ``touched`` if it is a whole side,
+        since that equation's classification may have changed.
+        """
+        if isinstance(t, Name):
+            self._move(t, old, (eid, side, not inside), touched)
+        else:
+            site = (eid, side, False)
+            for n in term_names(t):
+                self._move(n, old, site, touched)
+
+    def _move(self, n: Name, old: Optional[int], site: Site,
+              touched: Optional[set[int]]) -> None:
+        sites = self._occ.get(n.id)
+        if sites is None:
+            self._occ[n.id] = [site]
+            return
+        if sites[0][0] == old:
+            sites[0] = site
+            other = sites[1] if len(sites) == 2 else None
+        elif len(sites) == 2 and sites[1][0] == old:
+            sites[1] = site
+            other = sites[0]
+        elif len(sites) == 1:
+            sites.append(site)
+            other = sites[0]
+        else:
+            raise IllFormedError(f"name {n.display} occurs more than twice")
+        if touched is not None and other is not None and other[2]:
+            touched.add(other[0])
+
+    def _partner(self, x: Name, eid: int, side: int) -> Optional[Site]:
+        """The other site of ``x``, which is the whole ``side`` of ``eid``."""
+        sites = self._occ[x.id]
+        if len(sites) == 1:
+            return None
+        a, b = sites
+        return b if a == (eid, side, True) else a
+
+    # -- classification ---------------------------------------------------
+
+    def _classify(self, eid: int) -> None:
+        eq = self._eqs[eid]
+        if isinstance(eq.left, Agent) and isinstance(eq.right, Agent):
+            match = lookup(self.table, eq.left.symbol, eq.right.symbol)
+            how = None if match is None else (KIND_INTERACTION, match)
+        else:
+            how = self._name_step(eid, eq)
+        if how is None:
+            self._agenda.drop(eid)
+        else:
+            self._agenda.put(eid, how)
+
+    def _name_step(self, eid: int, eq: Equation) -> Optional[How]:
+        """The name step for ``eq``: communication over substitution over
+        collect, the left side first when both sides qualify."""
+        best: Optional[How] = None
+        for side, x in ((0, eq.left), (1, eq.right)):
+            if not isinstance(x, Name):
+                continue
+            other = self._partner(x, eid, side)
+            # A free port has no step; nor has a name wired back into its
+            # own equation (x=x, or x inside the other side).
+            if other is None or other[0] == eid:
+                continue
+            if other[0] == _IFACE:
+                kind = KIND_COLLECT
+            else:
+                kind = KIND_COMMUNICATION if other[2] else KIND_SUBSTITUTION
+            if best is None or _PRIORITY[kind] < _PRIORITY[best[0]]:
+                best = (kind, side)
+        return best
+
+    def _is_stuck(self, eid: int, eq: Equation) -> bool:
+        """An agent pair without a rule, or a name wired into its own equation."""
+        if isinstance(eq.left, Agent) and isinstance(eq.right, Agent):
+            return eid not in self._agenda.how
+        for side, x in ((0, eq.left), (1, eq.right)):
+            if isinstance(x, Name):
+                other = self._partner(x, eid, side)
+                if other is not None and other[0] == eid:
+                    return True
+        return False
+
+    # -- the four steps ---------------------------------------------------
+
+    def _fire(self, eid: int, record: bool) -> Optional[StepResult]:
+        how = self._agenda.how[eid]
+        before, after = self._apply(eid, how)
+        if not record:
+            return None
+        kind, detail = how
+        if kind == KIND_INTERACTION:
+            return StepResult(kind, detail.rule.id, before, after, _fresh_in(after, before))
+        return StepResult(kind, None, before, after, ())
+
+    def _apply(self, eid: int, how: How) -> tuple[Equation, tuple[Equation, ...]]:
+        """Fire ``how`` at ``eid``; the equation before and the ones after."""
+        kind, detail = how
+        self._agenda.drop(eid)
+        eq = self._eqs.pop(eid)
+        touched: set[int] = set()
+        if kind == KIND_INTERACTION:
+            after = self._interact(eid, eq, detail, touched)
+        else:
+            x, t = (eq.left, eq.right) if detail == 0 else (eq.right, eq.left)
+            other = self._partner(x, eid, detail)
+            del self._occ[x.id]
+            after = _NAME_STEPS[kind](self, eid, x, t, other, touched)
+        for e in touched:
+            if e in self._eqs:
+                self._classify(e)
+        return eq, after
+
+    def _interact(self, eid: int, eq: Equation, match, touched: set[int]) -> tuple[Equation, ...]:
+        if isinstance(match, OrdinaryMatch):
+            produced = instantiate_ordinary(match.rule, eq, self.supply)
+        else:
+            produced = instantiate_fixed_generic(match.rule, eq, self.supply, match.generic_side)
+        for new in produced:
+            self._add(new, touched, eid, eid)
+        return tuple(produced)
+
+    def _communicate(self, eid: int, x: Name, t: Term, other: Site,
+                     touched: set[int]) -> tuple[Equation, ...]:
+        """``x=t`` and ``x=u`` become ``t=u``, appended."""
+        j, j_side, _ = other
+        self._agenda.drop(j)
+        u = _side(self._eqs.pop(j), 1 - j_side)
+        new = Equation(t, u)
+        self._add(new, touched, eid, j)
+        return (new,)
+
+    def _substitute(self, eid: int, x: Name, t: Term, other: Site,
+                    touched: set[int]) -> tuple[Equation, ...]:
+        """``t`` replaces ``x`` inside the target, which keeps its id."""
+        j, j_side, _ = other
+        target = self._eqs[j]
+        if j_side == 0:
+            new = Equation(substitute(target.left, x, t), target.right)
+        else:
+            new = Equation(target.left, substitute(target.right, x, t))
+        self._eqs[j] = new
+        self._place(t, j, j_side, eid, touched, inside=True)
+        # An agent pair keeps its symbols, so its classification and match hold.
+        if isinstance(_side(new, 1 - j_side), Name):
+            touched.add(j)
+        return (new,)
+
+    def _collect(self, eid: int, x: Name, t: Term, other: Site,
+                 touched: set[int]) -> tuple[Equation, ...]:
+        """``t`` replaces ``x`` in the interface."""
+        slot = other[1]
+        self._interface[slot] = substitute(self._interface[slot], x, t)
+        self._place(t, _IFACE, slot, eid, touched, inside=True)
+        return ()
+
+
+_NAME_STEPS = {
+    KIND_COMMUNICATION: Reducer._communicate,
+    KIND_SUBSTITUTION: Reducer._substitute,
+    KIND_COLLECT: Reducer._collect,
+}
 
 
 def _fresh_in(after: Sequence[Equation], before: Equation) -> tuple[Name, ...]:
-    known = _names_of_equations([before])
-    seen: list[Name] = []
+    """Names in ``after`` that do not occur in ``before``, in order of appearance."""
+    known = set(term_names(before.left))
+    known.update(term_names(before.right))
+    seen: dict[Name, None] = {}
     for eq in after:
-        for n in list(term_names(eq.left)) + list(term_names(eq.right)):
-            if n not in known and n not in seen:
-                seen.append(n)
+        for side in (eq.left, eq.right):
+            for n in term_names(side):
+                if n not in known:
+                    seen.setdefault(n)
     return tuple(seen)
 
 
@@ -444,95 +620,6 @@ def _default_supply(config: Configuration, table: RuleTable) -> NameSupply:
     return NameSupply(max(top, table.max_name_id) + 1)
 
 
-def _apply_at(
-    config: Configuration, i: int, kind: str, table: RuleTable, supply: NameSupply
-) -> StepResult:
-    eq = config.equations[i]
-    if kind == KIND_INTERACTION:
-        assert isinstance(eq.left, Agent) and isinstance(eq.right, Agent)
-        match = lookup(table, eq.left.symbol, eq.right.symbol)
-        assert match is not None
-        if isinstance(match, OrdinaryMatch):
-            produced = instantiate_ordinary(match.rule, eq, supply)
-        else:
-            produced = instantiate_fixed_generic(match.rule, eq, supply, match.generic_side)
-        config.equations.pop(i)
-        config.equations.extend(produced)
-        return StepResult(
-            kind,
-            match.rule.id,
-            eq,
-            tuple(produced),
-            _fresh_in(produced, eq),
-        )
-
-    # Name-driven steps: locate the side and partner that classified it.
-    sides = [
-        (x, other)
-        for x, other in ((eq.left, eq.right), (eq.right, eq.left))
-        if isinstance(x, Name) and not any(n == x for n in term_names(other))
-    ]
-    if kind == KIND_COMMUNICATION:
-        for x, t in sides:
-            for j, other_eq in enumerate(config.equations):
-                if j == i:
-                    continue
-                u = _whole_side_match(other_eq, x)
-                if u is not None:
-                    new = step_communication(config, x, t, u)
-                    config.interface, config.equations = new.interface, new.equations
-                    return StepResult(kind, None, eq, (Equation(t, u),), ())
-    elif kind == KIND_SUBSTITUTION:
-        for x, t in sides:
-            for j, other_eq in enumerate(config.equations):
-                if j != i and _inside_nonname_side(other_eq, x):
-                    new = step_substitution(config, x, t, other_eq)
-                    after = new.equations[j if j < i else j - 1]
-                    config.interface, config.equations = new.interface, new.equations
-                    return StepResult(kind, None, eq, (after,), ())
-    elif kind == KIND_COLLECT:
-        for x, t in sides:
-            if any(n == x for s in config.interface for n in term_names(s)):
-                new = step_collect(config, x, t)
-                config.interface, config.equations = new.interface, new.equations
-                return StepResult(kind, None, eq, (), ())
-    raise NetError(f"cannot apply {kind} at equation {i}")
-
-
-def _reduce_step(
-    config: Configuration,
-    table: RuleTable,
-    strategy: Strategy,
-    supply: NameSupply,
-    rng: Optional[random.Random],
-) -> Optional[StepResult]:
-    order = _candidate_order(strategy, len(config.equations), rng)
-    for i in order:
-        kind = _classify_at(config, i, table)
-        if kind is None:
-            continue
-        if kind == KIND_INTERACTION:
-            eq = config.equations[i]
-            assert isinstance(eq.left, Agent) and isinstance(eq.right, Agent)
-            if lookup(table, eq.left.symbol, eq.right.symbol) is None:
-                continue  # stuck pair; keep looking for reducible work
-        return _apply_at(config, i, kind, table, supply)
-    return None
-
-
-def _has_reducible(config: Configuration, table: RuleTable) -> bool:
-    for i, eq in enumerate(config.equations):
-        kind = _classify_at(config, i, table)
-        if kind is None:
-            continue
-        if kind == KIND_INTERACTION:
-            assert isinstance(eq.left, Agent) and isinstance(eq.right, Agent)
-            if lookup(table, eq.left.symbol, eq.right.symbol) is None:
-                continue
-        return True
-    return False
-
-
 def reduce_once(
     config: Configuration,
     table: RuleTable,
@@ -541,13 +628,18 @@ def reduce_once(
 ) -> Optional[StepResult]:
     """Apply exactly one reduction in place; ``None`` when none applies.
 
-    The strategy picks among reducible equations only; agent pairs without a
-    matching rule are skipped (they are stuck, not reducible).
+    A one-shot wrapper: it builds a :class:`Reducer` over ``config``, fires
+    one step and writes the result back.  The strategy starts afresh on each
+    call, so a loop of ``reduce_once`` under :class:`Seeded` does not follow
+    :func:`normalize`'s schedule; step one :class:`Reducer` for that.  Agent
+    pairs without a matching rule are stuck, not reducible, and are skipped.
     """
-    if supply is None:
-        supply = _default_supply(config, table)
-    rng = random.Random(strategy.seed) if isinstance(strategy, Seeded) else None
-    return _reduce_step(config, table, strategy, supply, rng)
+    reducer = Reducer(config, table, strategy, supply)
+    result = reducer.step()
+    if result is not None:
+        config.interface[:] = reducer._interface
+        config.equations[:] = reducer._eqs.values()
+    return result
 
 
 def normalize(
@@ -566,24 +658,79 @@ def normalize(
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    work = config.copy()
-    if supply is None:
-        supply = _default_supply(work, table)
-    rng = random.Random(strategy.seed) if isinstance(strategy, Seeded) else None
-    steps = 0
-    recorded: Optional[list[StepResult]] = [] if trace else None
-    while steps < budget:
-        result = _reduce_step(work, table, strategy, supply, rng)
-        if result is None:
+    return Reducer(config, table, strategy, supply).run(budget, trace)
+
+
+# ---------------------------------------------------------------------------
+# Single steps on a configuration (pure: inputs are left untouched)
+# ---------------------------------------------------------------------------
+
+_NO_RULES = RuleTable({}, {})
+
+
+def classify(eq: Equation, config: Configuration, table: RuleTable) -> Optional[str]:
+    """Which step kind applies to ``eq`` within ``config``, if any.
+
+    Agent-agent equations classify as interaction whether or not the table
+    holds a matching rule; rule availability is the engine's concern.
+    """
+    for index, e in enumerate(config.equations):
+        if e is eq:
             break
-        steps += 1
-        if recorded is not None:
-            recorded.append(result)
-    if steps >= budget and _has_reducible(work, table):
-        return NormalizeOutcome("budget_exhausted", work, steps, recorded)
-    stuck = tuple(eq for eq in work.equations if _is_stuck(eq, table))
-    status = "stuck" if stuck else "normal_form"
-    return NormalizeOutcome(status, work, steps, recorded, stuck)
+    else:
+        for index, e in enumerate(config.equations):
+            if e == eq:
+                break
+        else:
+            raise NetError("equation does not belong to the configuration")
+    if isinstance(eq.left, Agent) and isinstance(eq.right, Agent):
+        return KIND_INTERACTION
+    how = Reducer(config, table)._name_step(index, eq)  # ids start at storage positions
+    return None if how is None else how[0]
+
+
+def _locate(config: Configuration, x: Name, t: Term) -> tuple[Reducer, int, int, Optional[Site]]:
+    """A reducer over ``config``, the id and side of the first equation
+    ``x=t`` (either way round), and the other site of ``x``."""
+    reducer = Reducer(config, _NO_RULES)
+    for eid, side, whole in sorted(reducer._occ.get(x.id, ())):
+        if whole and _side(reducer._eqs[eid], 1 - side) == t:
+            return reducer, eid, side, reducer._partner(x, eid, side)
+    raise NetError(f"no equation {x.display} = ... present")
+
+
+def step_communication(config: Configuration, x: Name, t: Term, u: Term) -> Configuration:
+    """Merge ``x=t`` and ``x=u`` into ``t=u``; both occurrences of x vanish."""
+    reducer, eid, side, other = _locate(config, x, t)
+    if (
+        other is None
+        or not other[2]
+        or other[0] == eid
+        or _side(reducer._eqs[other[0]], 1 - other[1]) != u
+    ):
+        raise NetError(f"no equation {x.display} = ... present")
+    reducer._apply(eid, (KIND_COMMUNICATION, side))
+    return reducer.configuration
+
+
+def step_substitution(
+    config: Configuration, x: Name, t: Term, target: Equation
+) -> Configuration:
+    """Consume ``x=t`` by substituting ``t`` for ``x`` inside ``target``."""
+    reducer, eid, side, other = _locate(config, x, t)
+    if other is None or other[2] or other[0] in (eid, _IFACE) or reducer._eqs[other[0]] != target:
+        raise NetError("substitution target not present, or without the name inside an agent side")
+    reducer._apply(eid, (KIND_SUBSTITUTION, side))
+    return reducer.configuration
+
+
+def step_collect(config: Configuration, x: Name, t: Term) -> Configuration:
+    """Consume ``x=t`` by substituting ``t`` for ``x`` in the interface."""
+    reducer, eid, side, other = _locate(config, x, t)
+    if other is None or other[0] != _IFACE:
+        raise NetError("collect requires the name to occur in the interface")
+    reducer._apply(eid, (KIND_COLLECT, side))
+    return reducer.configuration
 
 
 # ---------------------------------------------------------------------------

@@ -513,8 +513,12 @@ def expand_variadic(
     parameters, right-hand-only ranges become that many fresh names (shared
     across a range's two occurrences), and every equation holding a variadic
     name is replicated once per covered port.  Non-variadic rules are
-    returned unchanged.
+    returned unchanged whatever ``max_arity`` is; the cap bounds expansion
+    only.
     """
+    g = rule.generic
+    if g is None or not g.is_variadic:
+        return [rule]
     if max_arity > cap:
         raise ExpansionLimitError(
             Diagnostic(
@@ -523,9 +527,6 @@ def expand_variadic(
                 f"maximum arity {max_arity} exceeds the expansion cap {cap}",
             )
         )
-    g = rule.generic
-    if g is None or not g.is_variadic:
-        return [rule]
     f = len(g.fixed_params)
     return [_expand_at(rule, g, f, k) for k in range(f, max_arity + 1)]
 

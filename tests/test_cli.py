@@ -65,6 +65,38 @@ def test_check_missing_file_exits_2(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_check_non_utf8_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "program.inet"
+    path.write_bytes(b"agent Z/0;\xff\xfe net (Z) | ;")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ") and "Traceback" not in err
+
+
+def test_check_non_variadic_rules_ignore_the_arity_cap(tmp_program, capsys):
+    # Nothing here is variadic, so an agent above the cap has nothing to expand.
+    assert main(["check", tmp_program("agent Big/65; agent Z/0; Z >< Z => ();")]) == 0
+    assert "E_EXPAND_OVERFLOW" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--max-steps", "0"],
+        ["check", "--max-arity", "-1"],
+        ["fuzz", "--seeds", "-1"],
+    ],
+    ids=["max-steps-0", "max-arity-negative", "seeds-negative"],
+)
+def test_out_of_range_flags_are_usage_errors(argv, capsys):
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, corpus_path("addition"), *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flags[0]}: must be at least" in err
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------

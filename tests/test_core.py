@@ -85,6 +85,19 @@ def test_substitute_preserves_agent_count_and_drops_occurrence():
     assert sum(1 for n in term_names(out) if n == x) == 0
 
 
+def test_walks_do_not_recurse_on_deep_terms():
+    x, y = nm(0, "x"), nm(1, "y")
+    t = Agent(ADD, (y, x))
+    for _ in range(5000):
+        t = Agent(S, (t,))
+    assert list(term_names(t)) == [y, x]
+    out = substitute(t, x, Agent(S, (Agent(Z),)))
+    assert list(term_names(out)) == [y]
+    for _ in range(5000):
+        out = out.args[0]
+    assert out.args[1] == Agent(S, (Agent(Z),))
+
+
 def test_fresh_names_distinct():
     supply = NameSupply()
     a = supply.fresh("w")

@@ -5,9 +5,11 @@ from inetkit import (
     Configuration,
     Equation,
     Fifo,
+    IllFormedError,
     Lifo,
     Name,
     NameSupply,
+    Reducer,
     Seeded,
     Symbol,
     build_rule_table,
@@ -274,6 +276,28 @@ def test_reduce_once_skips_stuck_pairs():
     step = reduce_once(config, EMPTY_TABLE)
     assert step is not None and step.kind == "collect"
     assert reduce_once(config, EMPTY_TABLE) is None  # only the stuck pair remains
+
+
+@pytest.mark.parametrize("name", ["addition", "dup_erase", "maybe_pick", "map"])
+def test_stepping_a_reducer_follows_normalize(name):
+    program, analysis = compile_corpus(name)
+    before = program.net.copy()
+    for strategy in [Fifo(), Lifo()] + [Seeded(i) for i in range(10)]:
+        expected = normalize(program.net, analysis.table, strategy, trace=True)
+        reducer = Reducer(program.net, analysis.table, strategy)
+        steps = []
+        while (step := reducer.step()) is not None:
+            steps.append(step)
+        assert steps == expected.trace, strategy
+        assert reducer.configuration == expected.final
+    assert program.net == before
+
+
+def test_reducer_rejects_a_third_occurrence():
+    x = nm(0, "x")
+    config = Configuration([x], [Equation(x, Agent(S, (x,)))])
+    with pytest.raises(IllFormedError):
+        Reducer(config, EMPTY_TABLE)
 
 
 def test_normalize_addition():

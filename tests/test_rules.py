@@ -207,6 +207,11 @@ def test_expand_respects_arity_cap():
     assert len(expand_variadic(rule, 64)) == 65
 
 
+def test_expand_leaves_non_variadic_rules_alone_above_the_cap():
+    (rule,) = rules_of("agent Big/65; agent Z/0; Z >< Z => ();")
+    assert expand_variadic(rule, 65) == [rule]
+
+
 def test_expansion_preserves_linearity():
     program, analysis = compile_corpus("map")
     for rule in analysis.expanded_rules:
