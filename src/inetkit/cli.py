@@ -166,13 +166,17 @@ def cmd_expand(args) -> int:
     if program is None:
         return EXIT_INPUT
     analysis = analyze_rules(
-        program.rules, program.symbols.values(), arity_cap=args.max_arity
+        program.rules,
+        program.symbols.values(),
+        arity_cap=args.max_arity,
+        all_arities=True,
     )
     _print_diagnostics(program.diagnostics)
     _print_diagnostics(analysis.diagnostics)
-    # The expansion is printed whenever the pre-expansion checks pass, even
-    # if the expanded set then fails the overlap check; seeing the expanded
-    # rules is exactly what helps diagnose that failure.
+    # The expansion covers every arity up to the program's maximum, not just
+    # those that occur, and is printed whenever the pre-expansion checks
+    # pass, even if the expanded set then fails the overlap check; seeing the
+    # expanded rules is exactly what helps diagnose that failure.
     for rule in analysis.expanded_rules:
         origin = rule.origin if rule.origin.startswith("expanded-from") else "source"
         print(f"{render_rule(rule)}  # {rule.id}: {origin}")

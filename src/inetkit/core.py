@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
 
@@ -197,32 +198,76 @@ def max_name_id(items: Iterable[Term]) -> int:
 _BRANCH_LIMIT = 20_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalConfiguration:
-    """A configuration renumbered and reordered into a comparable value."""
+    """A configuration renumbered and reordered into a comparable value.
+
+    Equality and hashing go through the flat :attr:`sort_key`, computed
+    once, so comparing canonical forms does not recurse into deep terms.
+    """
 
     interface: tuple[Term, ...]
     equations: tuple[Equation, ...]
 
-    def sort_key(self):
+    @cached_property
+    def sort_key(self) -> tuple:
         return (
-            tuple(_ground_key(t) for t in self.interface),
-            tuple((_ground_key(e.left), _ground_key(e.right)) for e in self.equations),
+            tuple(_term_key(t) for t in self.interface),
+            tuple((_term_key(e.left), _term_key(e.right)) for e in self.equations),
         )
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CanonicalConfiguration):
+            return NotImplemented
+        return self.sort_key == other.sort_key
 
-def _ground_key(t: Term):
+    def __hash__(self) -> int:
+        return hash(self.sort_key)
+
+
+def _term_key(t: Term, colors: Optional[dict[int, int]] = None) -> tuple:
+    """Flat preorder key of ``t``: ``"A", name, arity`` per agent and
+    ``"N", c`` per name, ``c`` being the name's colour or, without
+    ``colors``, its id.
+
+    Keys order terms as the nested tuples ``("A", name, (child keys))`` and
+    ``("N", c)`` would, given one arity per symbol name, and equal keys mean
+    equal terms.  Being flat, they compare and hash without recursion, so
+    term depth is not bounded by the interpreter's recursion limit.
+    """
     if isinstance(t, Name):
-        return ("N", t.id)
-    return ("A", t.symbol.name, tuple(_ground_key(a) for a in t.args))
+        return ("N", colors[t.id] if colors is not None else t.id)
+    out: list = ["A", t.symbol.name, t.symbol.arity]
+    frames = [iter(t.args)]  # the arguments still to visit, per open agent
+    while frames:
+        for u in frames[-1]:
+            if isinstance(u, Name):
+                out += ("N", colors[u.id] if colors is not None else u.id)
+            else:
+                out += ("A", u.symbol.name, u.symbol.arity)
+                frames.append(iter(u.args))
+                break
+        else:
+            frames.pop()
+    return tuple(out)
 
 
-def _name_paths(t: Term, prefix: tuple = ()) -> Iterator[tuple[Name, tuple]]:
+def _name_paths(t: Term) -> Iterator[tuple[Name, tuple]]:
+    """Yield every name in ``t`` with its argument-index path, left to right."""
     if isinstance(t, Name):
-        yield t, prefix
-    else:
-        for i, a in enumerate(t.args):
-            yield from _name_paths(a, prefix + (i,))
+        yield t, ()
+        return
+    frames = [((), enumerate(t.args))]  # per open agent: its path, args left
+    while frames:
+        path, todo = frames[-1]
+        for i, u in todo:
+            if isinstance(u, Name):
+                yield u, path + (i,)
+            else:
+                frames.append((path + (i,), enumerate(u.args)))
+                break
+        else:
+            frames.pop()
 
 
 def canonicalize(config: Configuration) -> CanonicalConfiguration:
@@ -244,11 +289,6 @@ def canonicalize(config: Configuration) -> CanonicalConfiguration:
             seen.add(n.id)
             name_ids.append(n.id)
 
-    def tkey(t: Term, colors):
-        if isinstance(t, Name):
-            return ("N", colors[t.id])
-        return ("A", t.symbol.name, tuple(tkey(a, colors) for a in t.args))
-
     def refine(colors):
         while True:
             occ = {nid: [] for nid in colors}
@@ -256,8 +296,8 @@ def canonicalize(config: Configuration) -> CanonicalConfiguration:
                 for n, p in _name_paths(t):
                     occ[n.id].append(("I", slot, p))
             for eq in config.equations:
-                ka = tkey(eq.left, colors)
-                kb = tkey(eq.right, colors)
+                ka = _term_key(eq.left, colors)
+                kb = _term_key(eq.right, colors)
                 ek = (ka, kb) if ka <= kb else (kb, ka)
                 if ka == kb:
                     tags = (2, 2)
@@ -278,24 +318,42 @@ def canonicalize(config: Configuration) -> CanonicalConfiguration:
     def build(colors) -> CanonicalConfiguration:
         oriented = []
         for eq in config.equations:
-            ka = tkey(eq.left, colors)
-            kb = tkey(eq.right, colors)
+            ka = _term_key(eq.left, colors)
+            kb = _term_key(eq.right, colors)
             oriented.append(eq if ka <= kb else Equation(eq.right, eq.left))
-        oriented.sort(key=lambda e: (tkey(e.left, colors), tkey(e.right, colors)))
+        oriented.sort(
+            key=lambda e: (_term_key(e.left, colors), _term_key(e.right, colors))
+        )
         index: dict[int, int] = {}
         for t in config.interface:
-            for n, _ in _name_paths(t):
+            for n in term_names(t):
                 index.setdefault(n.id, len(index))
         for e in oriented:
             for side in (e.left, e.right):
-                for n, _ in _name_paths(side):
+                for n in term_names(side):
                     index.setdefault(n.id, len(index))
+        renamed = {nid: Name(i, f"n{i}") for nid, i in index.items()}
 
         def rebuild(t: Term) -> Term:
             if isinstance(t, Name):
-                i = index[t.id]
-                return Name(i, f"n{i}")
-            return Agent(t.symbol, tuple(rebuild(a) for a in t.args))
+                return renamed[t.id]
+            # Per open agent: the agent, its arguments left to visit and its
+            # rebuilt arguments so far.
+            frames = [(t, iter(t.args), [])]
+            while True:
+                agent, todo, done = frames[-1]
+                for u in todo:
+                    if isinstance(u, Name):
+                        done.append(renamed[u.id])
+                    else:
+                        frames.append((u, iter(u.args), []))
+                        break
+                else:
+                    frames.pop()
+                    out = Agent(agent.symbol, tuple(done))
+                    if not frames:
+                        return out
+                    frames[-1][2].append(out)
 
         return CanonicalConfiguration(
             tuple(rebuild(t) for t in config.interface),
@@ -319,7 +377,7 @@ def canonicalize(config: Configuration) -> CanonicalConfiguration:
             sig = {m: (colors[m], 0 if m == nid else 1) for m in colors}
             rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
             cand = solve(refine({m: rank[sig[m]] for m in colors}))
-            if best is None or cand.sort_key() < best.sort_key():
+            if best is None or cand.sort_key < best.sort_key:
                 best = cand
         assert best is not None
         return best

@@ -9,8 +9,8 @@ multiset of right-hand-side equations.  Three kinds exist:
                   remainder of its ports covered by a range ``[x]``.
 
 Variadic rules never reach the reduction engine directly: they are expanded
-into one fixed generic rule per partner arity, which also makes the static
-overlap checks finite.
+into one fixed generic rule per arity that occurs in the program, which also
+makes the static overlap checks finite.
 """
 
 from __future__ import annotations
@@ -504,9 +504,17 @@ def _rule_max_name_id(rule: Rule) -> int:
 
 
 def expand_variadic(
-    rule: Rule, max_arity: int, *, cap: int = DEFAULT_ARITY_CAP
+    rule: Rule,
+    max_arity: int,
+    *,
+    cap: int = DEFAULT_ARITY_CAP,
+    arities: Optional[Iterable[int]] = None,
 ) -> list[Rule]:
     """Translate a variadic rule into fixed generic rules, one per arity.
+
+    The instances cover every arity from the rule's fixed-port count ``f`` up
+    to ``max_arity`` or, when ``arities`` is given, only its members in that
+    range; either way in ascending order.
 
     The arity-``k`` instance is the rule instantiated against an abstract
     partner with ``k`` ports: the left-hand range becomes ``k - f`` explicit
@@ -528,7 +536,11 @@ def expand_variadic(
             )
         )
     f = len(g.fixed_params)
-    return [_expand_at(rule, g, f, k) for k in range(f, max_arity + 1)]
+    if arities is None:
+        ks: Iterable[int] = range(f, max_arity + 1)
+    else:
+        ks = sorted(k for k in set(arities) if f <= k <= max_arity)
+    return [_expand_at(rule, g, f, k) for k in ks]
 
 
 def _expand_at(rule: Rule, g: GenericPattern, f: int, k: int) -> Rule:
@@ -750,12 +762,23 @@ def analyze_rules(
     symbols: Iterable[Symbol],
     *,
     arity_cap: int = DEFAULT_ARITY_CAP,
+    all_arities: bool = False,
 ) -> Analysis:
     """Run every static check in order and build the table if all pass.
 
     Order: per-rule linearity, ambiguity over the written rules, variadic
-    expansion up to the program's maximum arity, generic-overlap check over
-    the expanded set.
+    expansion, generic-overlap check over the expanded set.
+
+    Each variadic rule is expanded at exactly the arities of the given
+    ``symbols`` (those at or above its fixed-port count), so the table
+    covers exactly those arities.  That covers every active pair a net over
+    these symbols can form, since right-hand sides only build agents of
+    these symbols and a wildcard copy takes its partner's symbol.  The
+    diagnostics equal those of a full expansion: an overlap between
+    ``A >< phi_m`` and ``B >< phi_n`` needs ``n = arity(A)`` and
+    ``m = arity(B)``.  ``all_arities`` expands at every arity from 0 to the
+    maximum instead, as ``inet expand`` prints it.  The expansion cap
+    applies to the maximum arity either way.
     """
     diags: list[Diagnostic] = []
     for r in rules:
@@ -764,11 +787,13 @@ def analyze_rules(
     if errors_in(diags):
         return Analysis(diags, [], None, 0)
 
-    top = max_arity(symbols)
+    arities = {s.arity for s in symbols}
+    top = max(arities, default=0)
+    only = None if all_arities else arities
     expanded: list[Rule] = []
     try:
         for r in rules:
-            expanded.extend(expand_variadic(r, top, cap=arity_cap))
+            expanded.extend(expand_variadic(r, top, cap=arity_cap, arities=only))
     except ExpansionLimitError as exc:
         diags.append(exc.diagnostic)
         return Analysis(diags, [], None, top)

@@ -678,11 +678,30 @@ def _config_display(config: AnyConfiguration) -> dict[Name, str]:
 
 
 def render_term(t: Term, disp: Optional[dict[Name, str]] = None) -> str:
+    """``S(x, Z)`` form of a term; iterative, so depth is unbounded."""
     if isinstance(t, Name):
         return disp[t] if disp else t.display
     if not t.args:
         return t.symbol.name
-    return f"{t.symbol.name}({', '.join(render_term(a, disp) for a in t.args)})"
+    out: list[str] = []
+    stack: list[Union[Term, str]] = [t]  # a str is literal punctuation
+    while stack:
+        u = stack.pop()
+        if isinstance(u, str):
+            out.append(u)
+        elif isinstance(u, Name):
+            out.append(disp[u] if disp else u.display)
+        elif not u.args:
+            out.append(u.symbol.name)
+        else:
+            out.append(u.symbol.name + "(")
+            args = u.args
+            stack.append(")")
+            stack.append(args[-1])
+            for a in args[-2::-1]:
+                stack.append(", ")
+                stack.append(a)
+    return "".join(out)
 
 
 def render_equation(eq: Equation, disp: Optional[dict[Name, str]] = None) -> str:

@@ -27,3 +27,18 @@ def compile_text(text: str):
 
 def compile_corpus(name: str):
     return compile_text(corpus_text(name))
+
+
+def eps_dup_text(wide: int) -> str:
+    """Variadic Eps/Dup duplicating one agent of arity ``wide``.
+
+    Its symbols have the arities 0, 2 and ``wide``.
+    """
+    zeros = ", ".join(["Z"] * wide)
+    return f"""
+agent Eps/0; agent Dup/2; agent Z/0; agent W/{wide};
+Eps >< ANY([x]) => Eps~x';
+Dup(a, b) >< ANY([x]) => a~ANY([y]), b~ANY([z]), x'~Dup(y', z');
+Eps >< Dup(a, b) => Eps~a, Eps~b;
+net (p, q) | Dup(p, q)~W({zeros});
+"""

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -262,3 +263,41 @@ def test_check_warnings_do_not_fail(capsys):
     assert main(["check", corpus_path("dup_erase")]) == 0
     err = capsys.readouterr().err
     assert "W_SELF_GENERIC" in err and "error" not in err
+
+
+# ---------------------------------------------------------------------------
+# deep terms
+# ---------------------------------------------------------------------------
+
+def unary(n: int) -> str:
+    return "S(" * n + "Z" + ")" * n
+
+
+DEEP_ADD = f"""
+agent Add/2; agent S/1; agent Z/0;
+Add(y, r) >< S(x) => Add(y, w)~x, r~S(w);
+Add(y, r) >< Z => r~y;
+net (r) | Add({unary(300)}, r)~{unary(300)};
+"""
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Python's default limit, which ``S^600(Z)`` is deeper than."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(saved)
+
+
+def test_run_prints_a_deep_normal_form(tmp_program, capsys, default_recursion_limit):
+    assert main(["run", tmp_program(DEEP_ADD)]) == 0
+    assert capsys.readouterr().out == f"< {unary(600)} | >\n"
+
+
+def test_fuzz_compares_deep_normal_forms(tmp_program, capsys, default_recursion_limit):
+    assert main(["fuzz", tmp_program(DEEP_ADD), "--seeds", "2"]) == 0
+    assert capsys.readouterr().out == (
+        f"confluence: 4 strategies, 4 terminating, all agree on < {unary(600)} | > "
+        "in 602 step(s)\n"
+    )

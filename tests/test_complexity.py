@@ -1,5 +1,8 @@
 """Complexity tests that count work, not seconds.
 
+The rule analysis must expand variadic rules once per arity that occurs in
+the program, however wide its widest agent.
+
 Two counters are taken by wrapping names inside the library: calls to
 ``Reducer._classify`` (equations classified) and calls to ``term_names``
 (term walks; ``term_names`` is iterative, so one call is one walk).  The
@@ -14,7 +17,7 @@ import inetkit.core
 import inetkit.engine
 from inetkit import Fifo, Lifo, Reducer, Seeded, normalize
 
-from conftest import compile_text
+from conftest import compile_text, eps_dup_text
 
 ADD_RULES = """
 agent Add/2; agent S/1; agent Z/0;
@@ -110,3 +113,13 @@ def test_term_walks_per_step_are_flat_in_net_width(strategy, counts):
     steps_small, _, walks_small = normalize_counts(wide_net(10), strategy, counts)
     steps_large, _, walks_large = normalize_counts(wide_net(160), strategy, counts)
     assert walks_large / steps_large == walks_small / steps_small
+
+
+@pytest.mark.parametrize("wide", [64, 8])
+def test_expanded_rules_follow_the_arities_that_occur(wide):
+    program, analysis = compile_text(eps_dup_text(wide))
+    arities = {s.arity for s in program.symbols.values()}
+    assert arities == {0, 2, wide}
+    # Eps and Dup once per distinct arity, plus the ordinary Eps/Dup rule;
+    # expanding 0..max would give 2 * (wide + 1) + 1.
+    assert len(analysis.expanded_rules) == 2 * len(arities) + 1 == 7

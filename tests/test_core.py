@@ -16,7 +16,9 @@ from inetkit import (
     occurrences,
     substitute,
 )
-from inetkit.core import agent_count, term_names
+from inetkit.core import _term_key, agent_count, term_names
+
+from conftest import compile_corpus
 
 S = Symbol("S", 1)
 Z = Symbol("Z", 0)
@@ -287,3 +289,92 @@ def test_canonical_equality_matches_brute_force_oracle(config, other, rng):
     for candidate in (other, scrambled):
         claimed = canonicalize(config) == canonicalize(candidate)
         assert claimed == _alpha_equivalent(config, candidate)
+
+
+# -- deep terms and the canonical order --------------------------------------
+
+def _nested_key(t):
+    """The nested sort key canonicalization used before keys were flattened."""
+    if isinstance(t, Name):
+        return ("N", t.id)
+    return ("A", t.symbol.name, tuple(_nested_key(a) for a in t.args))
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+@settings(max_examples=120, deadline=None)
+@given(well_formed_configurations(), well_formed_configurations())
+def test_flat_term_keys_order_terms_like_nested_keys(config, other):
+    terms = list(config.interface) + list(other.interface)
+    for c in (config, other):
+        for e in c.equations:
+            terms += [e.left, e.right]
+    for a in terms:
+        for b in terms:
+            assert _sign(_term_key(a), _term_key(b)) == _sign(_nested_key(a), _nested_key(b))
+            assert (_term_key(a) == _term_key(b)) == (a == b)
+
+
+def test_canonicalize_does_not_recurse_on_deep_terms():
+    x, y, w = nm(0, "x"), nm(1, "y"), nm(2, "w")
+
+    def deep(n, t):
+        for _ in range(n):
+            t = Agent(S, (t,))
+        return t
+
+    first = Configuration(
+        [x],
+        [
+            Equation(deep(5000, x), Agent(ADD, (deep(3000, Agent(Z)), y))),
+            Equation(y, deep(4000, w)),
+            Equation(w, Agent(Z)),
+        ],
+    )
+    second = Configuration(
+        [x],
+        [
+            Equation(Agent(Z), w),
+            Equation(deep(4000, w), y),
+            Equation(Agent(ADD, (deep(3000, Agent(Z)), y)), deep(5000, x)),
+        ],
+    )
+    form = canonicalize(first)
+    assert form == canonicalize(second)
+    assert hash(form) == hash(canonicalize(second))
+    other = Configuration([x], first.equations[:2] + [Equation(w, Agent(S, (Agent(Z),)))])
+    assert form != canonicalize(other)
+
+
+# Digest of the rendered canonical form of every configuration passed through
+# while stepping each corpus program under fifo, lifo and seeds 0-4, recorded
+# with the recursive canonicalization this one replaced.
+CANONICAL_DIGESTS = {
+    "addition": (35, "21777e09a262b13aed95921b386682980f87839b09a90f3a8647fb7e037d0e31"),
+    "dup_erase": (63, "4057593bff069c7e5260af1ae0660107ea6f4ec7181fbefebc6d5812451cddcf"),
+    "map": (112, "c85ef461ec4ea165f67e9add05e8fc7dbf84b4dbc428d5d0f8812a5d2c3de301"),
+    "maybe_pick": (42, "7b7962a30b913e63cec4f8c6bfa5d52d672100194cd1673cd6d38d395c281e6b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_DIGESTS))
+def test_canonical_forms_unchanged_on_corpus(name):
+    import hashlib
+
+    from inetkit import Fifo, Lifo, Reducer, Seeded
+    from inetkit.surface import render_configuration
+
+    program, analysis = compile_corpus(name)
+    digest = hashlib.sha256()
+    count = 0
+    for strategy in [Fifo(), Lifo()] + [Seeded(s) for s in range(5)]:
+        reducer = Reducer(program.net, analysis.table, strategy)
+        while True:
+            form = canonicalize(reducer.configuration)
+            digest.update(render_configuration(form).encode() + b"\n")
+            count += 1
+            if reducer.step() is None:
+                break
+    assert (count, digest.hexdigest()) == CANONICAL_DIGESTS[name]

@@ -23,7 +23,7 @@ from inetkit.rules import (
 )
 from inetkit.surface import render_rule
 
-from conftest import compile_corpus, corpus_text
+from conftest import compile_corpus, corpus_text, eps_dup_text
 
 ADDITION_RULES = """
 agent Add/2; agent S/1; agent Z/0;
@@ -245,6 +245,81 @@ def grc_of(text):
     assert not program.has_errors
     analysis = analyze_rules(program.rules, program.symbols.values())
     return analysis
+
+
+def full_expansion_oracle(program):
+    """Diagnostics and expanded rules of a full 0..max expansion."""
+    rules = program.rules
+    diags = [d for r in rules for d in validate_linearity(r)]
+    diags += check_no_ambiguity(rules)
+    top = max_arity(program.symbols.values())
+    full = [x for r in rules for x in expand_variadic(r, top)]
+    return diags + check_grc(full), full
+
+
+def pruned_maybe_pick():
+    return "\n".join(
+        line for line in corpus_text("maybe_pick").splitlines()
+        if not line.startswith("Aux >< Ret")
+    )
+
+
+EQUIVALENCE_PROGRAMS = {
+    **{name: corpus_text(name) for name in ["addition", "dup_erase", "maybe_pick", "map"]},
+    "pruned_maybe_pick": pruned_maybe_pick(),
+    "self_generic": """
+        agent K/1; agent Eps/0; agent T/3; agent F/2;
+        K(a) >< ANY(p, [x]) => a~p, Eps~x';
+        Eps >< ANY([x]) => Eps~x';
+        F(a, b) >< ANY(x, y) => a~x, b~y;
+        """,
+    # Every symbol but P has fewer ports than K's rule fixes.
+    "fixed_ports_above_arities": """
+        agent K/2; agent Z/0; agent S/1; agent Eps/0; agent P/5;
+        Eps >< ANY([x]) => Eps~x';
+        K(a, b) >< ANY(p, q, r, [x]) => a~p, b~q, Eps~r, Eps~x';
+        net (u, v) | K(u, v)~P(Z, S(Z), Z, Z, Z);
+        """,
+    "eps_dup_0_2_64": eps_dup_text(64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_PROGRAMS))
+def test_expanding_at_occurring_arities_matches_full_expansion(name):
+    program = parse_program(EQUIVALENCE_PROGRAMS[name])
+    assert not program.has_errors
+    symbols = list(program.symbols.values())
+    analysis = analyze_rules(program.rules, symbols)
+    diags, full = full_expansion_oracle(program)
+    assert analysis.diagnostics == diags
+    arities = {s.arity for s in symbols}
+    assert analysis.expanded_rules == [
+        r for r in full
+        if not r.origin.startswith("expanded-from")
+        or len(r.generic.fixed_params) in arities
+    ]
+    if errors_in(diags):
+        assert not analysis.ok
+        return
+    table = build_rule_table(full, validate=False)
+    for a in symbols:
+        for b in symbols:
+            assert lookup(analysis.table, a, b) == lookup(table, a, b), (a, b)
+
+
+def test_equivalence_programs_exercise_the_diagnostics():
+    codes = {
+        name: {d.code for d in full_expansion_oracle(parse_program(text))[0]}
+        for name, text in EQUIVALENCE_PROGRAMS.items()
+    }
+    assert "E_GRC_OVERLAP" in codes["pruned_maybe_pick"]
+    assert {"W_SELF_GENERIC"} == codes["self_generic"]
+    program = parse_program(EQUIVALENCE_PROGRAMS["self_generic"])
+    warned = {d.message.split()[1] for d in full_expansion_oracle(program)[0]}
+    assert warned == {"r1@1", "r2@0", "r3"}
+    program = parse_program(EQUIVALENCE_PROGRAMS["fixed_ports_above_arities"])
+    analysis = analyze_rules(program.rules, program.symbols.values())
+    assert [r.id for r in analysis.expanded_rules if r.id.startswith("r2@")] == ["r2@5"]
 
 
 def test_grc_flags_unresolved_overlap():
