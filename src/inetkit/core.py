@@ -56,6 +56,31 @@ class Agent:
                 f"{len(self.args)} argument(s)"
             )
 
+    # Equality walks both terms with one explicit stack and hashing goes
+    # through the flat key of _term_key, so term depth is not bounded by the
+    # interpreter's recursion limit.  Two agents are equal when their symbols
+    # and their arguments are, position by position.
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.symbol != b.symbol:
+                return False
+            for x, y in zip(a.args, b.args):
+                if x is y:
+                    continue
+                if x.__class__ is Agent and y.__class__ is Agent:
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash(_term_key(self))
+
 
 Term = Union[Name, Agent]
 
@@ -167,12 +192,6 @@ def substitute(t: Term, x: Name, s: Term) -> Term:
                 out = Agent(agent.symbol, args[: j - 1] + (out,) + args[j:])
             return out
     return t
-
-
-def agent_count(t: Term) -> int:
-    if isinstance(t, Name):
-        return 0
-    return 1 + sum(agent_count(a) for a in t.args)
 
 
 def max_name_id(items: Iterable[Term]) -> int:

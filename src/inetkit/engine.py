@@ -5,7 +5,9 @@ equations sharing a top-level name, substitution pushes a name's binding
 into another equation, collect resolves a name into the interface, and
 interaction replaces an agent-agent equation by a rule's right-hand side.
 Interaction dispatch is two-phase: ordinary rules first, then the two
-generic probes, in a fixed order.
+generic probes, in a fixed order.  The engine deals in rule matches only:
+it orients the active pair against the matched rule and leaves the
+right-hand side to :func:`~inetkit.rules.instantiate_rhs`.
 
 The calculus itself fixes no reduction order; strategies only choose which
 reducible equation fires next, and for a validated rule set every strategy
@@ -51,14 +53,11 @@ from .core import (
     term_names,
 )
 from .rules import (
-    GenericRef,
     OrdinaryMatch,
     OrdinaryPattern,
-    RAgent,
-    RhsTerm,
     Rule,
     RuleTable,
-    VarName,
+    instantiate_rhs,
     lookup,
 )
 
@@ -66,12 +65,6 @@ KIND_COMMUNICATION = "communication"
 KIND_SUBSTITUTION = "substitution"
 KIND_COLLECT = "collect"
 KIND_INTERACTION = "interaction"
-
-
-class ArityUnderflowError(NetError):
-    """Variadic rule applied to a partner with fewer ports than fixed ones."""
-
-    code = "E_ARITY_UNDER"
 
 
 # ---------------------------------------------------------------------------
@@ -138,160 +131,43 @@ class NormalizeOutcome:
 # Rule instantiation
 # ---------------------------------------------------------------------------
 
-def _bindings_ordinary(rule: Rule, eq: Equation, swapped: bool) -> dict[Name, Term]:
-    assert isinstance(rule.right, OrdinaryPattern)
-    assert isinstance(eq.left, Agent) and isinstance(eq.right, Agent)
-    left_actual, right_actual = (eq.right, eq.left) if swapped else (eq.left, eq.right)
-    env: dict[Name, Term] = {}
-    env.update(zip(rule.left.params, left_actual.args))
-    env.update(zip(rule.right.params, right_actual.args))
-    return env
-
-
-def _resolve_generic_side(rule: Rule, eq: Equation, generic_side: Optional[str]) -> str:
-    if generic_side is not None:
-        return generic_side
-    assert isinstance(eq.left, Agent) and isinstance(eq.right, Agent)
-    # Prefer binding the wildcard to the left term, mirroring the first probe.
-    if eq.right.symbol == rule.left.symbol:
-        return "left"
-    if eq.left.symbol == rule.left.symbol:
-        return "right"
-    raise NetError(f"equation does not match rule {rule.id}")
-
-
-def _instantiate_generic(
-    rule: Rule,
-    eq: Equation,
-    supply: NameSupply,
-    generic_side: Optional[str],
-    *,
-    variadic: bool,
-) -> list[Equation]:
-    g = rule.generic
-    assert g is not None and g.is_variadic == variadic
-    side = _resolve_generic_side(rule, eq, generic_side)
-    assert isinstance(eq.left, Agent) and isinstance(eq.right, Agent)
-    generic_actual = eq.left if side == "left" else eq.right
-    ordinary_actual = eq.right if side == "left" else eq.left
-    beta = generic_actual.symbol
-
-    f = len(g.fixed_params)
-    if variadic:
-        if beta.arity < f:
-            raise ArityUnderflowError(
-                f"rule {rule.id}: partner {beta.name}/{beta.arity} has fewer than "
-                f"{f} port(s)"
-            )
-        ports: tuple[Term, ...] = generic_actual.args[f:]
-    else:
-        if beta.arity != f:
-            raise NetError(f"rule {rule.id}: arity mismatch against {beta.name}/{beta.arity}")
-        ports = ()
-    m = len(ports)
-
-    env: dict[Name, Term] = {}
-    env.update(zip(rule.left.params, ordinary_actual.args))
-    env.update(zip(g.fixed_params, generic_actual.args[:f]))
-
-    rhs_vectors: dict[str, tuple[Name, ...]] = {}
-
-    def vector(rng: str) -> tuple[Term, ...]:
-        if rng == g.range_name:
-            return ports
-        if rng not in rhs_vectors:
-            rhs_vectors[rng] = tuple(supply.fresh(f"{rng}{i + 1}") for i in range(m))
-        return rhs_vectors[rng]
-
-    fresh_map: dict[Name, Name] = {}
-
-    def conv(t: RhsTerm, vn_map: dict[str, Term], fresh: dict[Name, Name]) -> Term:
-        if isinstance(t, Name):
-            if t in env:
-                return env[t]
-            if t not in fresh:
-                fresh[t] = supply.fresh(t.display)
-            return fresh[t]
-        if isinstance(t, VarName):
-            return vn_map[t.range_name]
-        head = beta if isinstance(t.head, GenericRef) else t.head
-        args: tuple[Term, ...] = tuple(conv(a, vn_map, fresh) for a in t.args)
-        if t.range_tail is not None:
-            args = args + tuple(vector(t.range_tail))
-        return Agent(head, args)
-
-    out: list[Equation] = []
-    for req in rule.rhs:
-        vns = set()
-        stack: list[RhsTerm] = [req.left, req.right]
-        while stack:
-            part = stack.pop()
-            if isinstance(part, VarName):
-                vns.add(part.range_name)
-            elif isinstance(part, RAgent):
-                stack.extend(part.args)
-        if vns:
-            for i in range(m):
-                vn_map = {r: vector(r)[i] for r in vns}
-                copy_fresh: dict[Name, Name] = {}
-                out.append(
-                    Equation(conv(req.left, vn_map, copy_fresh), conv(req.right, vn_map, copy_fresh))
-                )
-        else:
-            out.append(Equation(conv(req.left, {}, fresh_map), conv(req.right, {}, fresh_map)))
-    return out
-
-
 def instantiate_ordinary(rule: Rule, eq: Equation, supply: NameSupply) -> list[Equation]:
     """Right-hand side of an ordinary rule, with parameters bound to the
     equation's argument terms and internal names freshened."""
     assert isinstance(eq.left, Agent) and isinstance(eq.right, Agent)
     assert isinstance(rule.right, OrdinaryPattern)
-    if eq.left.symbol == rule.left.symbol and eq.right.symbol == rule.right.symbol:
-        swapped = False
-    elif eq.left.symbol == rule.right.symbol and eq.right.symbol == rule.left.symbol:
-        swapped = True
-    else:
-        raise NetError(f"equation does not match rule {rule.id}")
-    env = _bindings_ordinary(rule, eq, swapped)
-    fresh: dict[Name, Name] = {}
-
-    def conv(t: RhsTerm) -> Term:
-        if isinstance(t, Name):
-            if t in env:
-                return env[t]
-            if t not in fresh:
-                fresh[t] = supply.fresh(t.display)
-            return fresh[t]
-        if isinstance(t, VarName):
-            raise NetError("ordinary rule with a variadic name in its RHS")
-        if isinstance(t.head, GenericRef) or t.range_tail is not None:
-            raise NetError("ordinary rule with generic or variadic constructs in its RHS")
-        return Agent(t.head, tuple(conv(a) for a in t.args))
-
-    return [Equation(conv(r.left), conv(r.right)) for r in rule.rhs]
+    a, b = eq.left, eq.right
+    if a.symbol != rule.left.symbol or b.symbol != rule.right.symbol:
+        if a.symbol != rule.right.symbol or b.symbol != rule.left.symbol:
+            raise NetError(f"equation does not match rule {rule.id}")
+        a, b = b, a
+    return instantiate_rhs(rule, a.args + b.args, None, supply)
 
 
 def instantiate_fixed_generic(
     rule: Rule, eq: Equation, supply: NameSupply, generic_side: Optional[str] = None
 ) -> list[Equation]:
     """Like :func:`instantiate_ordinary`, with every occurrence of the
-    wildcard agent in the right-hand side rewritten to the matched symbol."""
-    return _instantiate_generic(rule, eq, supply, generic_side, variadic=False)
+    wildcard agent in the right-hand side rewritten to the matched symbol.
 
-
-def instantiate_variadic(
-    rule: Rule, eq: Equation, supply: NameSupply, generic_side: Optional[str] = None
-) -> list[Equation]:
-    """Direct variadic instantiation against a concrete partner.
-
-    The partner's first ``f`` arguments bind the fixed parameters; the range
-    covers the rest.  A left-hand range maps to those remaining argument
-    terms, right-hand-only ranges map to fresh name vectors of matching
-    length, and each equation holding variadic names is emitted once per
-    covered port with that port's images substituted.
+    ``generic_side`` names the equation side the wildcard binds; by default
+    the left one if the right one holds the rule's concrete symbol, as the
+    first lookup probe would bind it.
     """
-    return _instantiate_generic(rule, eq, supply, generic_side, variadic=True)
+    g = rule.generic
+    assert g is not None and not g.is_variadic
+    assert isinstance(eq.left, Agent) and isinstance(eq.right, Agent)
+    a, b = eq.left, eq.right  # a: the concrete side, b: the wildcard's
+    if generic_side is None:
+        if b.symbol == rule.left.symbol:
+            generic_side = "left"
+        elif a.symbol != rule.left.symbol:
+            raise NetError(f"equation does not match rule {rule.id}")
+    if generic_side == "left":
+        a, b = b, a
+    if b.symbol.arity != len(g.fixed_params):
+        raise NetError(f"rule {rule.id}: arity mismatch against {b.symbol.name}/{b.symbol.arity}")
+    return instantiate_rhs(rule, a.args + b.args, b.symbol, supply)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ multiset of right-hand-side equations.  Three kinds exist:
 
 Variadic rules never reach the reduction engine directly: they are expanded
 into one fixed generic rule per arity that occurs in the program, which also
-makes the static overlap checks finite.
+makes the static overlap checks finite.  :func:`instantiate_rhs` is the one
+walk that turns a (non-variadic) right-hand side into net equations, for
+the engine's interactions and for the self-rule swap check alike.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     Agent,
+    CanonicalConfiguration,
     Configuration,
     Equation,
     Name,
@@ -219,6 +222,47 @@ def _eq_ranges(eq: RuleEquation) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
+# Instantiation
+# ---------------------------------------------------------------------------
+
+def instantiate_rhs(
+    rule: Rule, args: Sequence[Term], partner: Optional[Symbol], supply: NameSupply
+) -> list[Equation]:
+    """The right-hand side of a non-variadic ``rule`` as net equations.
+
+    ``args`` are the argument terms of the two matched agents in the order of
+    ``rule.params``, the rule's left pattern first; each is inserted where
+    its parameter occurs and never walked, so the walk is as deep as the rule
+    text, not the net.  Every other name is freshened from ``supply`` on
+    first sight, the left side of each equation before the right, depth
+    first, with its own display hint.  The wildcard agent becomes
+    ``partner``, the matched symbol.
+
+    Raises :class:`NetError` on a range or variadic name (expand variadic
+    rules first), on a wildcard when ``partner`` is ``None``, and on an agent
+    applied at the wrong arity.
+    """
+    env: dict[Name, Term] = dict(zip(rule.params, args))
+
+    def conv(t: RhsTerm) -> Term:
+        if isinstance(t, Name):
+            u = env.get(t)
+            if u is None:
+                u = env[t] = supply.fresh(t.display)
+            return u
+        if isinstance(t, VarName) or t.range_tail is not None:
+            raise NetError(f"rule {rule.id}: range or variadic name in an unexpanded RHS")
+        head = t.head
+        if isinstance(head, GenericRef):
+            if partner is None:
+                raise NetError(f"rule {rule.id}: wildcard agent without a matched partner")
+            head = partner
+        return Agent(head, tuple([conv(a) for a in t.args]))
+
+    return [Equation(conv(e.left), conv(e.right)) for e in rule.rhs]
+
+
+# ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
 
@@ -342,31 +386,24 @@ def validate_linearity(rule: Rule) -> list[Diagnostic]:
     return diags
 
 
-def _plain_term(t: RhsTerm, rename: dict[Name, Name]) -> Term:
-    if isinstance(t, Name):
-        return rename.get(t, t)
-    if isinstance(t, RAgent) and isinstance(t.head, Symbol) and t.range_tail is None:
-        return Agent(t.head, tuple(_plain_term(a, rename) for a in t.args))
-    raise NetError("ordinary rule RHS contains generic or variadic constructs")
-
-
 def _self_rule_symmetric(rule: Rule) -> bool:
     """Does swapping the two parameter vectors leave the RHS net unchanged?
 
-    Compared canonically: the parameter names are anchored in an interface so
-    only internal names may be renamed.  Alpha-equivalent right-hand sides
-    instantiate to literally identical nets, so accepting them is sound.
+    The rule is instantiated against its own parameters, as ``(xs, ys)`` and
+    as ``(ys, xs)``, and the two nets are compared canonically: the
+    parameter names are anchored in an interface so only internal names may
+    be renamed.  Alpha-equivalent right-hand sides instantiate to literally
+    identical nets, so accepting them is sound.
     """
     assert isinstance(rule.right, OrdinaryPattern)
     xs, ys = rule.left.params, rule.right.params
-    swap = dict(zip(xs, ys)) | dict(zip(ys, xs))
-    ident: dict[Name, Name] = {}
-    original = [Equation(_plain_term(e.left, ident), _plain_term(e.right, ident)) for e in rule.rhs]
-    swapped = [Equation(_plain_term(e.left, swap), _plain_term(e.right, swap)) for e in rule.rhs]
     anchor = list(xs + ys)
-    return canonicalize(Configuration(anchor, original)) == canonicalize(
-        Configuration(anchor, swapped)
-    )
+
+    def form(args: tuple[Name, ...]) -> CanonicalConfiguration:
+        supply = NameSupply(_rule_max_name_id(rule) + 1)
+        return canonicalize(Configuration(anchor, instantiate_rhs(rule, args, None, supply)))
+
+    return form(xs + ys) == form(ys + xs)
 
 
 def _generic_slot_kind(rule: Rule) -> Optional[tuple[str, str, int]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .core import (
     Agent,
@@ -335,55 +335,82 @@ class _Parser:
         return (left, right)
 
     def parse_term(self, allow_variadic: bool) -> tuple:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.fail("expected a term")
-        self.take()
-        if not _is_agent_ident(tok.text):
-            if self.at_op("'"):
-                prime = self.take()
-                if not allow_variadic:
-                    self.diags.append(
-                        Diagnostic(
-                            "error",
-                            "E_PARSE",
-                            "variadic names are not allowed here",
-                            prime.span,
-                        )
-                    )
-                return ("vname", tok.text, tok.span)
-            return ("name", tok.text, tok.span)
-        is_any = tok.text == GENERIC_KEYWORD
-        args: list[tuple] = []
-        range_tail: Optional[str] = None
-        if self.at_op("("):
+        # Agents whose argument lists are open wait on a stack, each as
+        # [head token, arguments so far, range tail], so term depth is not
+        # bounded by the interpreter's recursion limit.
+        open_agents: list[list] = []
+        while True:
+            tok = self.peek()
+            if tok.kind != "ident":
+                self.fail("expected a term")
             self.take()
-            while not self.at_op(")"):
-                if self.at_op("["):
-                    lb = self.take()
-                    rng = self.peek()
-                    if rng.kind != "ident" or _is_agent_ident(rng.text):
-                        self.fail("expected a range name")
+            term: Optional[tuple] = None
+            if not _is_agent_ident(tok.text):
+                term = self._name_term(tok, allow_variadic)
+            elif self.at_op("("):
+                self.take()
+                open_agents.append([tok, [], None])
+            else:
+                term = self._agent_term(tok, [], None, allow_variadic)
+            # Hand finished terms to their agents until an argument is due.
+            while True:
+                if term is not None:
+                    if not open_agents:
+                        return term
+                    open_agents[-1][1].append(term)
+                    if not self.at_op(","):
+                        term = self._close_agent(open_agents.pop(), allow_variadic)
+                        continue
                     self.take()
-                    self.expect_op("]")
-                    if not allow_variadic:
-                        self.diags.append(
-                            Diagnostic(
-                                "error",
-                                "E_PARSE",
-                                "ranges are not allowed here",
-                                lb.span,
-                            )
-                        )
-                    range_tail = rng.text
-                    break
-                args.append(self.parse_term(allow_variadic))
-                if self.at_op(","):
-                    self.take()
+                if self.at_op(")"):
+                    term = self._close_agent(open_agents.pop(), allow_variadic)
+                elif self.at_op("["):
+                    open_agents[-1][2] = self._range_tail(allow_variadic)
+                    term = self._close_agent(open_agents.pop(), allow_variadic)
                 else:
                     break
-            self.expect_op(")")
-        if is_any:
+
+    def _name_term(self, tok: Token, allow_variadic: bool) -> tuple:
+        if self.at_op("'"):
+            prime = self.take()
+            if not allow_variadic:
+                self.diags.append(
+                    Diagnostic(
+                        "error",
+                        "E_PARSE",
+                        "variadic names are not allowed here",
+                        prime.span,
+                    )
+                )
+            return ("vname", tok.text, tok.span)
+        return ("name", tok.text, tok.span)
+
+    def _range_tail(self, allow_variadic: bool) -> str:
+        lb = self.take()
+        rng = self.peek()
+        if rng.kind != "ident" or _is_agent_ident(rng.text):
+            self.fail("expected a range name")
+        self.take()
+        self.expect_op("]")
+        if not allow_variadic:
+            self.diags.append(
+                Diagnostic(
+                    "error",
+                    "E_PARSE",
+                    "ranges are not allowed here",
+                    lb.span,
+                )
+            )
+        return rng.text
+
+    def _close_agent(self, frame: list, allow_variadic: bool) -> tuple:
+        self.expect_op(")")
+        tok, args, range_tail = frame
+        return self._agent_term(tok, args, range_tail, allow_variadic)
+
+    def _agent_term(self, tok: Token, args: list[tuple], range_tail: Optional[str],
+                    allow_variadic: bool) -> tuple:
+        if tok.text == GENERIC_KEYWORD:
             if not allow_variadic:
                 self.diags.append(
                     Diagnostic(
@@ -415,16 +442,19 @@ class SourceProgram:
 
 
 def _term_constraints(term: tuple, out: list[tuple[str, int, Span]]) -> None:
-    kind = term[0]
-    if kind == "agent":
-        _, ident, args, range_tail, span = term
-        if range_tail is None:
-            out.append((ident, len(args), span))
-        for a in args:
-            _term_constraints(a, out)
-    elif kind == "any":
-        for a in term[1]:
-            _term_constraints(a, out)
+    """Append the (symbol, arity, span) use of every agent in ``term``, in
+    preorder; iterative, so depth is unbounded."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        kind = t[0]
+        if kind == "agent":
+            _, ident, args, range_tail, span = t
+            if range_tail is None:
+                out.append((ident, len(args), span))
+            stack.extend(reversed(args))
+        elif kind == "any":
+            stack.extend(reversed(t[1]))
 
 
 def parse_program(text: str) -> SourceProgram:
@@ -597,18 +627,33 @@ class _Builder:
         )
 
     def _plain_term(self, raw: tuple, scope: dict[str, Name]) -> Term:
-        kind = raw[0]
-        if kind == "name":
-            return self._name(scope, raw[1])
-        if kind == "agent":
-            _, ident, args, range_tail, span = raw
-            if range_tail is not None:
-                raise _BuildFail()  # parser already rejected ranges here
-            return Agent(
-                self._symbol(ident, span),
-                tuple(self._plain_term(a, scope) for a in args),
-            )
-        raise _BuildFail()  # parser already rejected variadic constructs here
+        # Per open agent: its symbol, its raw arguments left to build and its
+        # built arguments so far; iterative, so depth is unbounded.
+        frames: list[tuple[Symbol, Iterator[tuple], list[Term]]] = []
+        while True:
+            kind = raw[0]
+            if kind == "name":
+                term: Optional[Term] = self._name(scope, raw[1])
+            elif kind == "agent":
+                _, ident, args, range_tail, span = raw
+                if range_tail is not None:
+                    raise _BuildFail()  # parser already rejected ranges here
+                frames.append((self._symbol(ident, span), iter(args), []))
+                term = None
+            else:
+                raise _BuildFail()  # parser already rejected variadic constructs here
+            while True:
+                if term is not None:
+                    if not frames:
+                        return term
+                    frames[-1][2].append(term)
+                symbol, todo, done = frames[-1]
+                nxt = next(todo, None)
+                if nxt is not None:
+                    raw = nxt
+                    break
+                frames.pop()
+                term = Agent(symbol, tuple(done))
 
     def build_net(self, raw: _RawNet) -> Optional[Configuration]:
         scope: dict[str, Name] = {}

@@ -24,17 +24,17 @@ from inetkit import (
     confluence_probe,
     expand_variadic,
     instantiate_fixed_generic,
-    instantiate_variadic,
     normalize,
     occurrence_violations,
     parse_configuration,
     parse_program,
     reduce_once,
 )
-from inetkit.engine import ArityUnderflowError, _default_supply
+from inetkit.engine import _default_supply
 from inetkit.rules import errors_in
 
 from conftest import compile_corpus, compile_text, corpus_text
+from variadic_oracle import ArityUnderflowError, instantiate_variadic
 
 CORPUS_NAMES = ["addition", "dup_erase", "maybe_pick", "map"]
 
@@ -104,14 +104,19 @@ def test_criterion_03_variadic_erase_instantiation():
     sup = program.supply
     u, v, t = sup.fresh("u"), sup.fresh("v"), sup.fresh("t")
     eq = Equation(Agent(Symbol("Eps", 0)), Agent(Symbol("A", 3), (u, v, t)))
-    out = instantiate_variadic(rule, eq, NameSupply(sup.next_id))
     eps = Agent(Symbol("Eps", 0))
-    assert sorted(out, key=lambda e: e.right.id) == sorted(
+    expected = sorted(
         [Equation(eps, u), Equation(eps, v), Equation(eps, t)],
         key=lambda e: e.right.id,
     )
+    out = instantiate_variadic(rule, eq, NameSupply(sup.next_id))
+    assert sorted(out, key=lambda e: e.right.id) == expected
+    # The shipped path: expand at arity 3, then instantiate the fixed rule.
+    (at3,) = expand_variadic(rule, 3, arities=[3])
+    shipped = instantiate_fixed_generic(at3, eq, NameSupply(sup.next_id))
+    assert sorted(shipped, key=lambda e: e.right.id) == expected
     print("criterion 3: erase rule against a 3-port partner yields one "
-          "equation per port: PASS")
+          "equation per port, directly and via expansion: PASS")
 
 
 def test_criterion_04_variadic_duplicate_instantiation():
@@ -141,8 +146,15 @@ def test_criterion_04_variadic_duplicate_instantiation():
     assert canonicalize(Configuration(anchor, out)) == canonicalize(
         Configuration(anchor, expected)
     )
+    # The shipped path: expand at arity 3, then instantiate the fixed rule.
+    (at3,) = expand_variadic(rule, 3, arities=[3])
+    shipped = instantiate_fixed_generic(at3, eq, NameSupply(sup.next_id))
+    assert len(shipped) == 5
+    assert canonicalize(Configuration(anchor, shipped)) == canonicalize(
+        Configuration(anchor, expected)
+    )
     print("criterion 4: duplicate rule against a 3-port partner yields the "
-          "5-equation net up to fresh renaming: PASS")
+          "5-equation net up to fresh renaming, directly and via expansion: PASS")
 
 
 def test_criterion_05_grc_gate():

@@ -301,3 +301,15 @@ def test_fuzz_compares_deep_normal_forms(tmp_program, capsys, default_recursion_
         f"confluence: 4 strategies, 4 terminating, all agree on < {unary(600)} | > "
         "in 602 step(s)\n"
     )
+
+
+def test_check_accepts_a_deep_net_literal(tmp_program, capsys, default_recursion_limit):
+    text = f"agent S/1; agent Z/0; agent G/0; net () | G~{unary(10_000)};"
+    assert main(["check", tmp_program(text)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_run_adds_deep_literals(tmp_program, capsys, default_recursion_limit):
+    text = DEEP_ADD.replace(unary(300), unary(600))
+    assert main(["run", tmp_program(text)]) == 0
+    assert capsys.readouterr().out == f"< {unary(1200)} | >\n"

@@ -16,7 +16,7 @@ from inetkit import (
     occurrences,
     substitute,
 )
-from inetkit.core import _term_key, agent_count, term_names
+from inetkit.core import _term_key, term_names
 
 from conftest import compile_corpus
 
@@ -27,6 +27,12 @@ ADD = Symbol("Add", 2)
 
 def nm(i, d="x"):
     return Name(i, d)
+
+
+def agent_count(t) -> int:
+    if isinstance(t, Name):
+        return 0
+    return 1 + sum(agent_count(a) for a in t.args)
 
 
 def test_agent_arity_checked_on_construction():
@@ -85,6 +91,40 @@ def test_substitute_preserves_agent_count_and_drops_occurrence():
     out = substitute(t, x, s)
     assert agent_count(out) == agent_count(t) + agent_count(s)
     assert sum(1 for n in term_names(out) if n == x) == 0
+
+
+def deep(n, t):
+    for _ in range(n):
+        t = Agent(S, (t,))
+    return t
+
+
+def test_deep_agents_compare_and_hash_without_recursion():
+    x, y = nm(0, "x"), nm(1, "y")
+    a = deep(5000, Agent(ADD, (x, Agent(Z))))
+    b = deep(5000, Agent(ADD, (x, Agent(Z))))
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    # Unequal only at the bottom: a name, an agent, the argument order.
+    for other in (
+        deep(5000, Agent(ADD, (y, Agent(Z)))),
+        deep(5000, Agent(ADD, (x, Agent(S, (Agent(Z),))))),
+        deep(5000, Agent(ADD, (Agent(Z), x))),
+    ):
+        assert a != other and not a == other
+    assert a != deep(4999, Agent(ADD, (x, Agent(Z))))
+    assert Equation(a, x) == Equation(b, x)
+
+
+def test_agent_equality_semantics():
+    x = nm(0, "x")
+    assert Agent(S, (x,)) == Agent(S, (nm(0, "other display"),))
+    assert Agent(S, (x,)) != Agent(Symbol("T", 1), (x,))
+    assert Agent(Z) != x and x != Agent(Z)
+    assert Agent(S, (Agent(Z),)) != Agent(S, (x,))
+    assert Agent(Z).__eq__("Z") is NotImplemented
+    assert hash(Agent(S, (x,))) == hash(Agent(S, (nm(0, "y"),)))
 
 
 def test_walks_do_not_recurse_on_deep_terms():
@@ -319,11 +359,6 @@ def test_flat_term_keys_order_terms_like_nested_keys(config, other):
 
 def test_canonicalize_does_not_recurse_on_deep_terms():
     x, y, w = nm(0, "x"), nm(1, "y"), nm(2, "w")
-
-    def deep(n, t):
-        for _ in range(n):
-            t = Agent(S, (t,))
-        return t
 
     first = Configuration(
         [x],

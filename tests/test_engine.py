@@ -18,7 +18,6 @@ from inetkit import (
     confluence_probe,
     instantiate_fixed_generic,
     instantiate_ordinary,
-    instantiate_variadic,
     normalize,
     occurrence_violations,
     parse_program,
@@ -28,9 +27,11 @@ from inetkit import (
     step_substitution,
     strategy_from_spec,
 )
-from inetkit.engine import ArityUnderflowError, _default_supply
+from inetkit.core import term_names
+from inetkit.engine import _default_supply
 
 from conftest import compile_corpus, compile_text
+from variadic_oracle import ArityUnderflowError, instantiate_variadic
 
 S = Symbol("S", 1)
 Z = Symbol("Z", 0)
@@ -248,6 +249,53 @@ def test_instantiate_variadic_underflow():
     eq = Equation(Agent(Symbol("Aux", 0)), Agent(Z))  # arity 0 < 1 fixed port
     with pytest.raises(ArityUnderflowError):
         instantiate_variadic(rule, eq, NameSupply(100))
+
+
+def test_instantiation_freshens_names_in_preorder_with_their_hints():
+    program = parse_program("A(p) >< B(q) => C(u, v)~C(w, z), p~D(u, w), q~D(v, z);")
+    assert not program.has_errors
+    rule = program.rules[0]
+    a, b = program.supply.fresh("a"), program.supply.fresh("b")
+    start = program.supply.next_id
+    eq = Equation(Agent(Symbol("A", 1), (a,)), Agent(Symbol("B", 1), (b,)))
+    out = instantiate_ordinary(rule, eq, NameSupply(start))
+    names = [n for e in out for side in (e.left, e.right) for n in term_names(side)]
+    fresh = list(dict.fromkeys(n for n in names if n not in (a, b)))
+    assert [(n.id, n.display) for n in fresh] == [
+        (start, "u"), (start + 1, "v"), (start + 2, "w"), (start + 3, "z")
+    ]
+
+
+def test_instantiation_inserts_bound_terms_without_walking_them():
+    program = parse_program(ADDITION)
+    deep = sz(5000)
+    r = program.supply.fresh("r")
+    out = instantiate_ordinary(
+        program.rules[1], Equation(Agent(ADD, (deep, r)), Agent(Z)), NameSupply(100)
+    )
+    assert out[0].right is deep
+
+
+@pytest.mark.parametrize("name", ["addition", "dup_erase", "maybe_pick", "map"])
+def test_instantiation_is_independent_of_equation_orientation(name):
+    program, analysis = compile_corpus(name)
+    assert analysis.expanded_rules
+    for rule in analysis.expanded_rules:
+        supply = NameSupply(10_000)
+        left = Agent(rule.left.symbol, tuple(supply.fresh() for _ in rule.left.params))
+        if rule.generic is None:
+            right_symbol = rule.right.symbol
+            instantiate = instantiate_ordinary
+        else:
+            right_symbol = Symbol("Prt", len(rule.generic.fixed_params))
+            instantiate = instantiate_fixed_generic
+        right = Agent(right_symbol, tuple(supply.fresh() for _ in range(right_symbol.arity)))
+        anchor = list(left.args + right.args)
+        forward = instantiate(rule, Equation(left, right), NameSupply(supply.next_id))
+        backward = instantiate(rule, Equation(right, left), NameSupply(supply.next_id))
+        assert canonicalize(Configuration(anchor, forward)) == canonicalize(
+            Configuration(anchor, backward)
+        ), rule.id
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,22 @@ def test_no_ambiguity_tolerates_nonlinear_self_rule():
     check_no_ambiguity(rules)  # must not raise
 
 
+def test_no_ambiguity_skips_self_rule_with_stray_wildcard():
+    # Read as G(c, d), the stray ANY would make the rule asymmetric; the swap
+    # check leaves the rule to validate_linearity instead.
+    (rule,) = rules_of("G(a, b) >< G(c, d) => a~ANY(c, d), b~Z;")
+    assert [d.code for d in validate_linearity(rule)] == ["E_STRAY_GENERIC"]
+    assert check_no_ambiguity([rule]) == []
+
+
+def test_no_ambiguity_skips_self_rule_applying_an_agent_at_the_wrong_arity():
+    # H is used at arities 1 and 2, so H(c, d) applies H/1 to two arguments.
+    program = parse_program("G(a, b) >< G(c, d) => a~H(c, d), b~H(Z);")
+    assert [d.code for d in program.diagnostics] == ["E_ARITY_CONFLICT"]
+    (rule,) = program.rules
+    assert check_no_ambiguity([rule]) == []
+
+
 def test_no_ambiguity_rejects_duplicate_generic_slot():
     rules = rules_of(
         """
