@@ -42,19 +42,33 @@ class Name:
         return f"Name({self.id}:{self.display})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Agent:
-    """An agent symbol applied to exactly ``symbol.arity`` argument terms."""
+    """An agent symbol applied to exactly ``symbol.arity`` argument terms.
+
+    ``holds_names`` says whether a name occurs anywhere below the agent.  It
+    is set once, from the arguments' own flags, so walks that look for names
+    skip name-free subterms in O(1).
+    """
 
     symbol: Symbol
     args: tuple["Term", ...] = ()
 
-    def __post_init__(self) -> None:
-        if len(self.args) != self.symbol.arity:
+    def __init__(self, symbol: Symbol, args: tuple["Term", ...] = ()) -> None:
+        if len(args) != symbol.arity:
             raise NetError(
-                f"agent {self.symbol.name}/{self.symbol.arity} applied to "
-                f"{len(self.args)} argument(s)"
+                f"agent {symbol.name}/{symbol.arity} applied to {len(args)} argument(s)"
             )
+        # Frozen: the fields go straight into the instance dict.
+        fields = self.__dict__
+        fields["symbol"] = symbol
+        fields["args"] = args
+        for a in args:
+            if a.__class__ is Name or a.holds_names:
+                fields["holds_names"] = True
+                break
+        else:
+            fields["holds_names"] = False
 
     # Equality walks both terms with one explicit stack and hashing goes
     # through the flat key of _term_key, so term depth is not bounded by the
@@ -128,7 +142,8 @@ def term_names(t: Term) -> Iterator[Name]:
     """Yield every name occurrence in ``t``, depth first, left to right.
 
     One walk with an explicit stack, so term depth is not bounded by the
-    interpreter's recursion limit.
+    interpreter's recursion limit.  Subterms that hold no name are skipped
+    without being entered.
     """
     stack = [t]
     while stack:
@@ -136,9 +151,9 @@ def term_names(t: Term) -> Iterator[Name]:
         # Descend into the first argument directly and stack only the rest,
         # so a chain of unary agents costs no stack traffic.
         while isinstance(u, Agent):
-            args = u.args
-            if not args:
+            if not u.holds_names:
                 break
+            args = u.args
             if len(args) > 1:
                 stack.extend(args[:0:-1])
             u = args[0]

@@ -28,6 +28,16 @@ to choose or fire a step.  It keeps these invariants:
   incrementally.  A step reclassifies only the equations it created or
   changed, plus those whose whole side is the other occurrence of a name
   the step moved.
+- A collect step binds its name to the term instead of rebuilding the
+  interface term around it.  The name's other occurrence is in the
+  interface, and no step moves a term out of the interface, so a bound
+  name occurs only in the interface: equations, step results,
+  classification and stuck detection never see one.  The interface is
+  resolved through the bindings, once, whenever the configuration is read.
+- Moving a term re-sites only the names it holds: subterms that hold no
+  name (``Agent.holds_names``) are skipped.  So the cost of every step but
+  one is independent of term depth.  That one is substitution into an
+  equation term, which rebuilds the term down to the name.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ from .core import (
     Name,
     NameSupply,
     NetError,
+    Symbol,
     Term,
     canonicalize,
     max_name_id,
@@ -251,6 +262,7 @@ class Reducer:
     ):
         self.table = table
         self._interface: list[Term] = list(config.interface)
+        self._bound: dict[int, Term] = {}  # collected name id -> its term
         self._eqs: dict[int, Equation] = {}
         self._occ: dict[int, list[Site]] = {}  # name id -> its one or two sites
         self._next_id = 0
@@ -267,7 +279,13 @@ class Reducer:
 
     @property
     def configuration(self) -> Configuration:
-        """The current configuration, as a new object."""
+        """The current configuration, as a new object, its interface
+        resolved through the bindings of collect steps."""
+        if self._bound:
+            # Every bound name sits in exactly one interface term, so one
+            # pass over the interface consumes every binding.
+            self._interface = [_resolve(t, self._bound) for t in self._interface]
+            self._bound.clear()
         return Configuration(list(self._interface), list(self._eqs.values()))
 
     def step(self) -> Optional[StepResult]:
@@ -311,6 +329,7 @@ class Reducer:
                touched: Optional[set[int]], inside: bool = False) -> None:
         """Record that the names of ``t`` now sit at (``eid``, ``side``), having
         moved from equation ``old``.  ``inside``: ``t`` is not the whole side.
+        Subterms of ``t`` that hold no name are not entered.
 
         Each name's other site is added to ``touched`` if it is a whole side,
         since that equation's classification may have changed.
@@ -462,10 +481,9 @@ class Reducer:
 
     def _collect(self, eid: int, x: Name, t: Term, other: Site,
                  touched: set[int]) -> tuple[Equation, ...]:
-        """``t`` replaces ``x`` in the interface."""
-        slot = other[1]
-        self._interface[slot] = substitute(self._interface[slot], x, t)
-        self._place(t, _IFACE, slot, eid, touched, inside=True)
+        """``x`` is bound to ``t``; the interface is resolved when read."""
+        self._bound[x.id] = t
+        self._place(t, _IFACE, other[1], eid, touched, inside=True)
         return ()
 
 
@@ -474,6 +492,36 @@ _NAME_STEPS = {
     KIND_SUBSTITUTION: Reducer._substitute,
     KIND_COLLECT: Reducer._collect,
 }
+
+
+def _resolve(t: Term, bound: dict[int, Term]) -> Term:
+    """``t`` with every bound name replaced by its term, transitively.
+
+    One walk with an explicit stack; it enters only agents that hold names
+    and rebuilds those.
+    """
+    done: list[Term] = []  # resolved terms, in order
+    todo: list[Union[Term, Symbol]] = [t]  # a symbol: build its agent from done
+    while todo:
+        u = todo.pop()
+        if u.__class__ is Name:
+            v = bound.get(u.id)
+            if v is None:
+                done.append(u)
+            else:
+                todo.append(v)
+        elif u.__class__ is Agent:
+            if u.holds_names:
+                todo.append(u.symbol)
+                todo.extend(u.args[::-1])
+            else:
+                done.append(u)
+        else:
+            first = len(done) - u.arity
+            args = tuple(done[first:])
+            del done[first:]
+            done.append(Agent(u, args))
+    return done[0]
 
 
 def _fresh_in(after: Sequence[Equation], before: Equation) -> tuple[Name, ...]:
@@ -513,8 +561,9 @@ def reduce_once(
     reducer = Reducer(config, table, strategy, supply)
     result = reducer.step()
     if result is not None:
-        config.interface[:] = reducer._interface
-        config.equations[:] = reducer._eqs.values()
+        current = reducer.configuration
+        config.interface[:] = current.interface
+        config.equations[:] = current.equations
     return result
 
 
@@ -647,13 +696,20 @@ def confluence_probe(
     """
     base = _default_supply(config, table)
     runs: list[RunSummary] = []
+    # Canonical forms by literal final configuration (name ids included):
+    # runs that end in the same configuration share one canonicalization.
+    forms: dict[tuple, CanonicalConfiguration] = {}
     for strategy in strategies:
         outcome = normalize(
             config, table, strategy, budget, supply=NameSupply(base.next_id)
         )
-        canonical = (
-            canonicalize(outcome.final) if outcome.status != "budget_exhausted" else None
-        )
+        canonical = None
+        if outcome.status != "budget_exhausted":
+            final = outcome.final
+            key = (tuple(final.interface), tuple(final.equations))
+            canonical = forms.get(key)
+            if canonical is None:
+                canonical = forms[key] = canonicalize(final)
         runs.append(RunSummary(strategy, outcome.status, outcome.steps, canonical))
 
     finished = [r for r in runs if r.status != "budget_exhausted"]

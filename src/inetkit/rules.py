@@ -191,16 +191,15 @@ class Rule:
         return f"{self.left.symbol.name} >< {self.right.symbol.name}"
 
 
-def rhs_walk(t: RhsTerm) -> Iterator[RhsTerm]:
-    yield t
-    if isinstance(t, RAgent):
-        for a in t.args:
-            yield from rhs_walk(a)
-
-
 def _eq_parts(eq: RuleEquation) -> Iterator[RhsTerm]:
-    yield from rhs_walk(eq.left)
-    yield from rhs_walk(eq.right)
+    """Both sides of ``eq`` and all their subterms, in preorder, the left
+    side first; iterative, so the rule text's depth is unbounded."""
+    stack = [eq.right, eq.left]
+    while stack:
+        u = stack.pop()
+        yield u
+        if isinstance(u, RAgent) and u.args:
+            stack.extend(u.args[::-1])
 
 
 def _eq_names(eq: RuleEquation) -> Iterator[Name]:
@@ -243,21 +242,43 @@ def instantiate_rhs(
     applied at the wrong arity.
     """
     env: dict[Name, Term] = dict(zip(rule.params, args))
+    fresh = supply.fresh
 
-    def conv(t: RhsTerm) -> Term:
-        if isinstance(t, Name):
-            u = env.get(t)
-            if u is None:
-                u = env[t] = supply.fresh(t.display)
-            return u
-        if isinstance(t, VarName) or t.range_tail is not None:
+    def head(t: RhsTerm) -> Symbol:
+        if t.__class__ is VarName or t.range_tail is not None:
             raise NetError(f"rule {rule.id}: range or variadic name in an unexpanded RHS")
-        head = t.head
-        if isinstance(head, GenericRef):
+        if t.head.__class__ is GenericRef:
             if partner is None:
                 raise NetError(f"rule {rule.id}: wildcard agent without a matched partner")
-            head = partner
-        return Agent(head, tuple([conv(a) for a in t.args]))
+            return partner
+        return t.head
+
+    def conv(t: RhsTerm) -> Term:
+        if t.__class__ is Name:
+            u = env.get(t)
+            if u is None:
+                u = env[t] = fresh(t.display)
+            return u
+        # Per open agent: its symbol, its arguments left to visit and its
+        # instantiated arguments so far.
+        frames = [(head(t), iter(t.args), [])]
+        while True:
+            symbol, todo, done = frames[-1]
+            for a in todo:
+                if a.__class__ is Name:
+                    u = env.get(a)
+                    if u is None:
+                        u = env[a] = fresh(a.display)
+                    done.append(u)
+                else:
+                    frames.append((head(a), iter(a.args), []))
+                    break
+            else:
+                frames.pop()
+                out = Agent(symbol, tuple(done))
+                if not frames:
+                    return out
+                frames[-1][2].append(out)
 
     return [Equation(conv(e.left), conv(e.right)) for e in rule.rhs]
 
@@ -595,14 +616,29 @@ def _expand_at(rule: Rule, g: GenericPattern, f: int, k: int) -> Rule:
         return rhs_vectors[rng]
 
     def conv(t: RhsTerm, vn_map: dict[str, Name], names: dict[Name, Name]) -> RhsTerm:
-        if isinstance(t, Name):
-            return names.get(t, t)
-        if isinstance(t, VarName):
-            return vn_map[t.range_name]
-        args = tuple(conv(a, vn_map, names) for a in t.args)
-        if t.range_tail is not None:
-            args = args + vector(t.range_tail)
-        return RAgent(t.head, args, None)
+        if not isinstance(t, RAgent):
+            return names.get(t, t) if isinstance(t, Name) else vn_map[t.range_name]
+        # Per open agent: the agent, its arguments left to visit and its
+        # converted arguments so far.
+        frames = [(t, iter(t.args), [])]
+        while True:
+            agent, todo, done = frames[-1]
+            for a in todo:
+                if isinstance(a, RAgent):
+                    frames.append((a, iter(a.args), []))
+                    break
+                done.append(names.get(a, a) if isinstance(a, Name) else vn_map[a.range_name])
+            else:
+                frames.pop()
+                args = tuple(done)
+                if agent.range_tail is not None:
+                    # Only now, so that a range's fresh names follow those
+                    # of the explicit arguments.
+                    args += vector(agent.range_tail)
+                out = RAgent(agent.head, args, None)
+                if not frames:
+                    return out
+                frames[-1][2].append(out)
 
     new_rhs: list[RuleEquation] = []
     for eq in rule.rhs:

@@ -595,7 +595,7 @@ class _Builder:
                 )
                 kind = RuleKind.ORDINARY
             rhs = tuple(
-                RuleEquation(self._rhs_term(l, scope), self._rhs_term(r, scope))
+                RuleEquation(self._term(l, scope, rhs=True), self._term(r, scope, rhs=True))
                 for l, r in raw.rhs
             )
         except _BuildFail:
@@ -606,61 +606,47 @@ class _Builder:
             return None
         return Rule(rule_id, left, right, rhs, kind, origin=str(raw.span))
 
-    def _rhs_term(self, raw: tuple, scope: dict[str, Name]) -> RhsTerm:
-        kind = raw[0]
-        if kind == "name":
-            return self._name(scope, raw[1])
-        if kind == "vname":
-            return VarName(raw[1])
-        if kind == "any":
-            _, args, range_tail, _ = raw
-            return RAgent(
-                GenericRef(GENERIC_KEYWORD),
-                tuple(self._rhs_term(a, scope) for a in args),
-                range_tail,
-            )
-        _, ident, args, range_tail, span = raw
-        return RAgent(
-            self._symbol(ident, span),
-            tuple(self._rhs_term(a, scope) for a in args),
-            range_tail,
-        )
-
-    def _plain_term(self, raw: tuple, scope: dict[str, Name]) -> Term:
-        # Per open agent: its symbol, its raw arguments left to build and its
-        # built arguments so far; iterative, so depth is unbounded.
-        frames: list[tuple[Symbol, Iterator[tuple], list[Term]]] = []
+    def _term(self, raw: tuple, scope: dict[str, Name], rhs: bool = False) -> Union[Term, RhsTerm]:
+        """Build a net term or, with ``rhs``, a right-hand-side term from a
+        raw parse tree.  Names and symbols resolve in preorder."""
+        # Per open agent: its head, its range tail, its raw arguments left to
+        # build and its built arguments so far; iterative, so depth is
+        # unbounded.
+        frames: list[tuple[Union[Symbol, GenericRef], Optional[str], Iterator[tuple], list]] = []
         while True:
             kind = raw[0]
+            term = None
             if kind == "name":
-                term: Optional[Term] = self._name(scope, raw[1])
-            elif kind == "agent":
+                term = self._name(scope, raw[1])
+            elif kind == "agent" and (rhs or raw[3] is None):
                 _, ident, args, range_tail, span = raw
-                if range_tail is not None:
-                    raise _BuildFail()  # parser already rejected ranges here
-                frames.append((self._symbol(ident, span), iter(args), []))
-                term = None
+                frames.append((self._symbol(ident, span), range_tail, iter(args), []))
+            elif kind == "any" and rhs:
+                _, args, range_tail, _ = raw
+                frames.append((GenericRef(GENERIC_KEYWORD), range_tail, iter(args), []))
+            elif kind == "vname" and rhs:
+                term = VarName(raw[1])
             else:
                 raise _BuildFail()  # parser already rejected variadic constructs here
             while True:
                 if term is not None:
                     if not frames:
                         return term
-                    frames[-1][2].append(term)
-                symbol, todo, done = frames[-1]
+                    frames[-1][3].append(term)
+                head, range_tail, todo, done = frames[-1]
                 nxt = next(todo, None)
                 if nxt is not None:
                     raw = nxt
                     break
                 frames.pop()
-                term = Agent(symbol, tuple(done))
+                term = RAgent(head, tuple(done), range_tail) if rhs else Agent(head, tuple(done))
 
     def build_net(self, raw: _RawNet) -> Optional[Configuration]:
         scope: dict[str, Name] = {}
         try:
-            interface = [self._plain_term(t, scope) for t in raw.terms]
+            interface = [self._term(t, scope) for t in raw.terms]
             equations = [
-                Equation(self._plain_term(l, scope), self._plain_term(r, scope))
+                Equation(self._term(l, scope), self._term(r, scope))
                 for l, r in raw.eqs
             ]
         except _BuildFail:
@@ -805,23 +791,38 @@ def parse_configuration(text: str) -> Configuration:
     builder = _Builder(symbols, NameSupply(), diags)
     scope: dict[str, Name] = {}
     return Configuration(
-        [builder._plain_term(t, scope) for t in terms],
-        [Equation(builder._plain_term(l, scope), builder._plain_term(r, scope)) for l, r in eqs],
+        [builder._term(t, scope) for t in terms],
+        [Equation(builder._term(l, scope), builder._term(r, scope)) for l, r in eqs],
     )
 
 
 def render_rhs_term(t: RhsTerm, disp: dict[Name, str]) -> str:
-    if isinstance(t, Name):
-        return disp.get(t, t.display)
-    if isinstance(t, VarName):
-        return f"{t.range_name}'"
-    head = GENERIC_KEYWORD if isinstance(t.head, GenericRef) else t.head.name
-    inner = [render_rhs_term(a, disp) for a in t.args]
-    if t.range_tail is not None:
-        inner.append(f"[{t.range_tail}]")
-    if not inner:
-        return head
-    return f"{head}({', '.join(inner)})"
+    """Surface form of a right-hand-side term; iterative, so depth is unbounded."""
+    out: list[str] = []
+    stack: list[Union[RhsTerm, str]] = [t]  # a str is literal text
+    while stack:
+        u = stack.pop()
+        if isinstance(u, str):
+            out.append(u)
+        elif isinstance(u, Name):
+            out.append(disp.get(u, u.display))
+        elif isinstance(u, VarName):
+            out.append(f"{u.range_name}'")
+        else:
+            head = GENERIC_KEYWORD if isinstance(u.head, GenericRef) else u.head.name
+            inner: list[Union[RhsTerm, str]] = list(u.args)
+            if u.range_tail is not None:
+                inner.append(f"[{u.range_tail}]")
+            if not inner:
+                out.append(head)
+                continue
+            out.append(head + "(")
+            stack.append(")")
+            stack.append(inner[-1])
+            for a in inner[-2::-1]:
+                stack.append(", ")
+                stack.append(a)
+    return "".join(out)
 
 
 def _pattern_display(p: Union[OrdinaryPattern, GenericPattern], disp: dict[Name, str]) -> str:

@@ -313,3 +313,49 @@ def test_run_adds_deep_literals(tmp_program, capsys, default_recursion_limit):
     text = DEEP_ADD.replace(unary(300), unary(600))
     assert main(["run", tmp_program(text)]) == 0
     assert capsys.readouterr().out == f"< {unary(1200)} | >\n"
+
+
+DEEP_RHS = f"""
+agent S/1; agent Z/0; agent A/1;
+A(r) >< Z => r~{unary(5_000)};
+net (q) | A(q)~Z;
+"""
+
+
+@pytest.mark.parametrize("command", ["check", "expand"])
+def test_deep_rule_right_hand_sides_check_and_expand(
+    command, tmp_program, capsys, default_recursion_limit
+):
+    assert main([command, tmp_program(DEEP_RHS)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command == "expand":
+        assert captured.out == f"A(r) >< Z => r~{unary(5_000)};  # r1: source\n"
+
+
+def test_deep_rule_right_hand_side_runs(tmp_program, capsys, default_recursion_limit):
+    assert main(["run", tmp_program(DEEP_RHS)]) == 0
+    assert capsys.readouterr().out == f"< {unary(5_000)} | >\n"
+
+
+def test_deep_rule_right_hand_side_fuzzes(tmp_program, capsys, default_recursion_limit):
+    assert main(["fuzz", tmp_program(DEEP_RHS), "--seeds", "2"]) == 0
+    assert capsys.readouterr().out == (
+        f"confluence: 4 strategies, 4 terminating, all agree on < {unary(5_000)} | > "
+        "in 2 step(s)\n"
+    )
+
+
+def test_deep_variadic_right_hand_side_expands(tmp_program, capsys, default_recursion_limit):
+    deep = "S(" * 5_000 + "ANY([y])" + ")" * 5_000
+    text = f"""
+    agent Eps/0; agent S/1; agent Z/0; agent W/2; agent D/1;
+    D(r) >< ANY([x]) => r~{deep}, x'~y';
+    Eps >< ANY([x]) => Eps~x';
+    Eps >< D(r) => Eps~r;
+    net (q) | D(q)~W(Z, S(Z));
+    """
+    assert main(["expand", tmp_program(text)]) == 0
+    out = capsys.readouterr().out
+    wide = "S(" * 5_000 + "ANY(y1, y2)" + ")" * 5_000
+    assert f"D(r) >< ANY(x1, x2) => r~{wide}, x1~y1, x2~y2;  # r1@2: expanded-from(r1, 2)" in out

@@ -9,13 +9,17 @@ Two counters are taken by wrapping names inside the library: calls to
 number of equations classified per step must not depend on how many
 equations the net holds, and the number of walks per step must not depend
 on how deep its terms are.
+
+A third counter counts ``Agent`` nodes: each one built and each read of an
+agent's arguments.  The most nodes one step builds or visits must not
+depend on how deep the net's terms are either.
 """
 
 import pytest
 
 import inetkit.core
 import inetkit.engine
-from inetkit import Fifo, Lifo, Reducer, Seeded, normalize
+from inetkit import Agent, Fifo, Lifo, Name, Reducer, Seeded, normalize
 
 from conftest import compile_text, eps_dup_text
 
@@ -123,3 +127,97 @@ def test_expanded_rules_follow_the_arities_that_occur(wide):
     # Eps and Dup once per distinct arity, plus the ordinary Eps/Dup rule;
     # expanding 0..max would give 2 * (wide + 1) + 1.
     assert len(analysis.expanded_rules) == 2 * len(arities) + 1 == 7
+
+
+@pytest.fixture
+def agent_nodes(monkeypatch):
+    """Counts ``Agent`` nodes built and visited (reads of ``args``), and
+    separately those of them inside ``substitute``."""
+    tally = {"nodes": 0, "substitute": 0}
+    init = Agent.__init__
+    substitute = inetkit.engine.substitute
+
+    def counting_substitute(*args):
+        before = tally["nodes"]
+        out = substitute(*args)
+        tally["substitute"] += tally["nodes"] - before
+        return out
+
+    def counting_init(self, *args, **kwargs):
+        tally["nodes"] += 1
+        init(self, *args, **kwargs)
+
+    def read_args(self):
+        tally["nodes"] += 1
+        return self.__dict__["args"]
+
+    def write_args(self, value):  # for construction through object.__setattr__
+        self.__dict__["args"] = value
+
+    monkeypatch.setattr(Agent, "__init__", counting_init)
+    monkeypatch.setattr(Agent, "args", property(read_args, write_args))
+    monkeypatch.setattr(inetkit.engine, "substitute", counting_substitute)
+    return tally
+
+
+def agents_holding_names(t) -> int:
+    """Agents of ``t`` with a name somewhere below them."""
+    holds: dict[int, bool] = {}
+    stack = [(t, False)]
+    while stack:
+        u, done = stack.pop()
+        if not isinstance(u, Agent):
+            continue
+        args = u.__dict__["args"]  # not counted
+        if done:
+            holds[id(u)] = any(isinstance(a, Name) or holds[id(a)] for a in args)
+        else:
+            stack.append((u, True))
+            stack.extend((a, False) for a in args)
+    return sum(holds.values())
+
+
+def most_agent_nodes_in_one_step(n, strategy, tally) -> tuple[int, int]:
+    """The most ``Agent`` nodes one step of ``Add n+n`` builds or visits:
+    as counted, and leaving out those inside ``substitute`` and one per
+    agent holding a name in the equations the step reads or writes.
+
+    Reading the final configuration is not a step and is not counted.
+    """
+    program, analysis = compile_text(deep_net(n))
+    reducer = Reducer(program.net, analysis.table, strategy)
+    worst = charged = 0
+    while True:
+        tally["nodes"] = tally["substitute"] = 0
+        step = reducer.step()
+        if step is None:
+            break
+        named = sum(
+            agents_holding_names(t)
+            for eq in (step.equation_before, *step.equations_after)
+            for t in (eq.left, eq.right)
+        )
+        worst = max(worst, tally["nodes"])
+        charged = max(charged, tally["nodes"] - tally["substitute"] - named)
+    [result] = reducer.configuration.interface
+    expected = program.net.equations[0].right  # S^n(Z), to be S^2n(Z)
+    for _ in range(n):
+        expected = Agent(expected.symbol, (expected,))
+    assert result == expected
+    return worst, charged
+
+
+@pytest.mark.parametrize("strategy", [Fifo(), Lifo(), Seeded(0)], ids=str)
+def test_agent_nodes_per_step_are_flat_in_term_depth(strategy, agent_nodes):
+    worst_small, charged_small = most_agent_nodes_in_one_step(50, strategy, agent_nodes)
+    worst_large, charged_large = most_agent_nodes_in_one_step(400, strategy, agent_nodes)
+    if isinstance(strategy, Seeded):
+        # A seeded schedule may fire several interactions before collecting
+        # their results, substituting each into the last: r~S(w) and w~S(v)
+        # give r~S(S(v)).  Such chains grow with the length of the run.
+        # Substitution into an equation term rebuilds it down to the name,
+        # and finding a chain's names costs one node per agent, so those
+        # nodes are left out.
+        assert charged_small == charged_large
+    else:
+        assert worst_small == worst_large

@@ -127,6 +127,17 @@ def test_agent_equality_semantics():
     assert hash(Agent(S, (x,))) == hash(Agent(S, (nm(0, "y"),)))
 
 
+def test_agents_know_whether_they_hold_names():
+    x = nm(0, "x")
+    assert not Agent(Z).holds_names
+    assert not Agent(S, (Agent(Z),)).holds_names
+    assert Agent(S, (x,)).holds_names
+    assert Agent(ADD, (Agent(Z), Agent(S, (x,)))).holds_names
+    assert Agent(ADD, (Agent(S, (x,)), Agent(Z))).holds_names
+    # The flag is no field: it takes no part in equality, hashing or repr.
+    assert "holds_names" not in repr(Agent(S, (x,)))
+
+
 def test_walks_do_not_recurse_on_deep_terms():
     x, y = nm(0, "x"), nm(1, "y")
     t = Agent(ADD, (y, x))
@@ -239,6 +250,25 @@ def well_formed_configurations(draw):
         Equation(term(2), term(2)) for _ in range(draw(st.integers(0, 4)))
     ]
     return Configuration(interface, equations)
+
+
+@settings(max_examples=120, deadline=None)
+@given(well_formed_configurations())
+def test_holds_names_flags_every_agent_with_a_name_below(config):
+    terms = list(config.interface) + [t for eq in config.equations for t in (eq.left, eq.right)]
+    while terms:
+        t = terms.pop()
+        if isinstance(t, Agent):
+            has_name = False
+            below = list(t.args)
+            while below:
+                u = below.pop()
+                if isinstance(u, Name):
+                    has_name = True
+                else:
+                    below.extend(u.args)
+            assert t.holds_names == has_name
+            terms.extend(t.args)
 
 
 @settings(max_examples=120, deadline=None)

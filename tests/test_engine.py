@@ -341,6 +341,84 @@ def test_stepping_a_reducer_follows_normalize(name):
     assert program.net == before
 
 
+def _raw(t) -> str:
+    """``t`` in flat preorder, with name ids and display hints."""
+    out, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Name):
+            out.append(f"{u.id}:{u.display}")
+        else:
+            out.append(f"{u.symbol.name}/{u.symbol.arity}")
+            stack.extend(reversed(u.args))
+    return " ".join(out)
+
+
+def _raw_equations(eqs) -> str:
+    return "; ".join(f"{_raw(eq.left)} = {_raw(eq.right)}" for eq in eqs)
+
+
+def _raw_configuration(config) -> str:
+    return " | ".join(_raw(t) for t in config.interface) + " || " + _raw_equations(config.equations)
+
+
+# Digest of every step and every configuration passed through while stepping
+# one Reducer over each corpus program under fifo, lifo and seeds 0-4, raw
+# name ids included; then of a reduce_once loop under fifo and lifo.
+# Recorded with a reducer that substituted collected terms straight into
+# the interface.  Beside the corpus, a net whose interface nests names that
+# are collected in turn.
+NESTED_INTERFACE = """
+agent Add/2; agent S/1; agent Z/0; agent P/2;
+Add(y, r) >< S(x) => Add(y, w)~x, r~S(w);
+Add(y, r) >< Z => r~y;
+net (P(a, S(b)), c, S(d)) | Add(S(Z), a)~S(S(Z)), Add(c, b)~S(Z), d~e, Add(Z, e)~S(S(Z));
+"""
+
+STEP_DIGESTS = {
+    "addition": (71, "df02c7ba4e23f08c239ab9e09588b980750d34c90f6433d055ad95085dfd7dc4"),
+    "dup_erase": (135, "fe5aab74709a848ee4eb6092767dc2ce2c6745cf853873c2a508ea876ed4e951"),
+    "map": (247, "e509d18e7e33caeec1096786a51dae53cd275072976fed0881eff3d3e6322ebc"),
+    "maybe_pick": (87, "e1d3402952e595a7ffc29589b5713e9d159744f56c27c3597e9273982579269c"),
+    "nested_interface": (279, "6889ef97e4d8fbaa5b334d16084833cee3bb24bf700b8f2cf5774841f021c334"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_DIGESTS))
+def test_steps_and_configurations_are_pinned_with_name_ids(name):
+    import hashlib
+
+    if name == "nested_interface":
+        program, analysis = compile_text(NESTED_INTERFACE)
+    else:
+        program, analysis = compile_corpus(name)
+    digest = hashlib.sha256()
+    count = 0
+
+    def record(line: str) -> None:
+        nonlocal count
+        digest.update(line.encode() + b"\n")
+        count += 1
+
+    for strategy in [Fifo(), Lifo()] + [Seeded(s) for s in range(5)]:
+        reducer = Reducer(program.net, analysis.table, strategy)
+        record(_raw_configuration(reducer.configuration))
+        while (step := reducer.step()) is not None:
+            record(" # ".join([
+                step.kind,
+                str(step.rule_id),
+                _raw_equations([step.equation_before]),
+                _raw_equations(step.equations_after),
+                " ".join(f"{n.id}:{n.display}" for n in step.fresh_names),
+            ]))
+            record(_raw_configuration(reducer.configuration))
+    for strategy in [Fifo(), Lifo()]:
+        config = program.net.copy()
+        while reduce_once(config, analysis.table, strategy) is not None:
+            record(_raw_configuration(config))
+    assert (count, digest.hexdigest()) == STEP_DIGESTS[name]
+
+
 def test_reducer_rejects_a_third_occurrence():
     x = nm(0, "x")
     config = Configuration([x], [Equation(x, Agent(S, (x,)))])
@@ -551,3 +629,45 @@ def test_confluence_probe_detects_divergence():
     assert not report.consistent
     assert report.divergence is not None
     assert report.traces is not None and all(report.traces)
+
+
+def test_confluence_probe_detects_divergence_behind_an_equal_interface():
+    # The same asymmetric self rule, with every port ending in a stuck pair:
+    # both finals have the empty interface and differ only in equations.
+    program = parse_program(
+        """
+        agent G/2; agent Z/0; agent K1/0; agent K2/0; agent K3/0; agent K4/0;
+        G(a, b) >< G(c, d) => a~Z, b~c, d~Z;
+        net () | x~G(a, b), x~G(c, d), a~K1, b~K2, c~K3, d~K4;
+        """
+    )
+    table = build_rule_table(program.rules, validate=False)
+    report = confluence_probe(program.net, table, [Fifo(), Lifo()])
+    assert [run.status for run in report.runs] == ["stuck", "stuck"]
+    assert not report.consistent
+
+
+@pytest.mark.parametrize(
+    "text, distinct",
+    [
+        (ADDITION + "net (r) | Add(S(Z), r)~S(S(Z));", 1),
+        # Each strategy issues the two fresh wires in its own order, so the
+        # finals differ in name ids but not canonically.
+        ("agent A/1; agent Z/0; agent P/2; A(r) >< Z => r~P(w, w);"
+         "net (p, q) | A(p)~Z, A(q)~Z;", 2),
+    ],
+)
+def test_confluence_probe_canonicalizes_each_distinct_final_once(text, distinct, monkeypatch):
+    import inetkit.engine
+
+    program, analysis = compile_text(text)
+    strategies = [Fifo(), Lifo()] + [Seeded(i) for i in range(10)]
+    finals = [normalize(program.net, analysis.table, s).final for s in strategies]
+    calls = []
+    monkeypatch.setattr(
+        inetkit.engine, "canonicalize", lambda config: calls.append(config) or canonicalize(config)
+    )
+    report = confluence_probe(program.net, analysis.table, strategies)
+    assert report.consistent
+    assert len(calls) == distinct
+    assert [run.canonical for run in report.runs] == [canonicalize(f) for f in finals]
