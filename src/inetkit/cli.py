@@ -2,16 +2,19 @@
 
 Exit codes are a stable contract: 0 success, 1 validation error, 2 parse or
 I/O failure, 3 stuck configuration, 4 budget exhausted, 5 confluence
-divergence.
+divergence.  A ``NetError`` that escapes a command is reported as
+``error: <message>`` with exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
 
+from .core import NetError
 from .engine import (
     Fifo,
     Lifo,
@@ -274,9 +277,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing keeps no state in the parser, and usage
+    # errors and help go to the sys.stderr and sys.stdout of the moment.
+    return build_arg_parser()
+
+
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
-    return args.handler(args)
+    args = _arg_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except NetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

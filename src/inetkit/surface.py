@@ -10,9 +10,11 @@ initial configuration.
 
 from __future__ import annotations
 
+import bisect
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .core import (
     Agent,
@@ -48,81 +50,82 @@ GENERIC_KEYWORD = "ANY"
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
+#
+# Identifiers start with an isalpha() character or "_" and go on with
+# isalnum() characters or "_": exactly the characters of \w, so a run of \w
+# that does not start with a decimal digit is one identifier, unless its
+# first character is numeric but not decimal (such as "²").  Arities are runs
+# of decimal digits (\d), which are what int() accepts.
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "nat" | "op" | "eof"
-    text: str
-    line: int
-    col: int
-
-    @property
-    def span(self) -> Span:
-        return Span(self.line, self.col)
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"  # whitespace and comments
+    r"(?:(><|=>|[()\[\],;~|'/<>])|([A-Za-z_]\w*)|(\d+)|(\w+|.)|\Z)",
+    re.S,
+)
+_KIND = (None, "op", "ident", "nat")  # by group; group 4 goes through _scan
 
 
-_SINGLE_OPS = set("()[],;~|'/<>")
+class _Tokens:
+    """``text`` cut into tokens, as parallel lists of ``kinds`` ("ident",
+    "nat", "op" or "eof"), ``texts`` and start offsets; characters that
+    start no token are reported in ``diags``."""
 
+    def __init__(self, text: str):
+        self.text = text
+        self.kinds: list[str] = []
+        self.texts: list[str] = []
+        self.starts: list[int] = []
+        self.diags: list[Diagnostic] = []
+        self._newlines: Optional[list[int]] = None
+        kinds, texts, starts = self.kinds, self.texts, self.starts
+        for m in _TOKEN.finditer(text):
+            group = m.lastindex
+            if group is None:  # end of input
+                break
+            if group < 4:
+                kinds.append(_KIND[group])
+                texts.append(m[group])
+                starts.append(m.start(group))
+            else:
+                self._scan(m[group], m.start(group))
+        # A comment does not advance the column, so input ending in a comment
+        # ends where that comment starts.
+        comment = text.find("#", text.rfind("\n") + 1)
+        kinds.append("eof")
+        texts.append("")
+        starts.append(len(text) if comment < 0 else comment)
 
-def _tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
-    tokens: list[Token] = []
-    diags: list[Diagnostic] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, start_col))
-            col += j - i
+    def _scan(self, chunk: str, start: int) -> None:
+        """Tokens of a run of word characters whose first is not ASCII, or of
+        one character that starts no token, taken a character at a time."""
+        i = 0
+        while i < len(chunk) and not (chunk[i].isalpha() or chunk[i] == "_"):
+            j = i + 1
+            if chunk[i].isdecimal():
+                while j < len(chunk) and chunk[j].isdecimal():
+                    j += 1
+                self.kinds.append("nat")
+                self.texts.append(chunk[i:j])
+                self.starts.append(start + i)
+            else:
+                self.diags.append(
+                    Diagnostic(
+                        "error", "E_PARSE", f"unexpected character {chunk[i]!r}", self.span(start + i)
+                    )
+                )
             i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("nat", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if text.startswith("><", i) or text.startswith("=>", i):
-            tokens.append(Token("op", text[i : i + 2], line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in _SINGLE_OPS:
-            tokens.append(Token("op", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        diags.append(
-            Diagnostic("error", "E_PARSE", f"unexpected character {c!r}", Span(line, start_col))
-        )
-        i += 1
-        col += 1
-    tokens.append(Token("eof", "", line, col))
-    return tokens, diags
+        if i < len(chunk):
+            self.kinds.append("ident")
+            self.texts.append(chunk[i:])
+            self.starts.append(start + i)
 
-
-def _is_agent_ident(text: str) -> bool:
-    return text[0].isupper()
+    def span(self, offset: int) -> Span:
+        """Line and column of ``offset``; both count from 1."""
+        if self._newlines is None:
+            self._newlines = [m.start() for m in re.finditer("\n", self.text)]
+        line = bisect.bisect_left(self._newlines, offset)
+        line_start = self._newlines[line - 1] + 1 if line else 0
+        return Span(line + 1, offset - line_start + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +134,11 @@ def _is_agent_ident(text: str) -> bool:
 #
 # Terms are parsed into light tuples first so that symbol arities can be
 # inferred over the whole program before typed rules are built:
-#   ("name", ident, span) | ("vname", ident, span)
-#   ("agent", ident, [args], range_tail, span)   range_tail: str | None
-#   ("any", [args], range_tail, span)
+#   ("name", ident) | ("vname", ident)
+#   ("agent", ident, [args], range_tail, at)   range_tail: str | None
+#   ("any", [args], range_tail, at)
+# ``at`` is the index of the head's token.  While parsing, every agent used
+# without a range tail is recorded in preorder as (symbol, arity, at).
 
 class _ParseFail(Exception):
     pass
@@ -155,88 +160,97 @@ class _RawNet:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], diags: list[Diagnostic]):
+    def __init__(self, tokens: _Tokens):
         self.tokens = tokens
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
         self.pos = 0
-        self.diags = diags
-        self.decls: list[tuple[str, int, Span]] = []
+        self.diags = tokens.diags
+        self.decls: list[tuple[str, int, int]] = []
         self.rules: list[_RawRule] = []
         self.nets: list[_RawNet] = []
+        # Agent uses (symbol, arity, at): of the item being parsed, with None
+        # for agents that turned out to have a range tail, and of the rules
+        # and nets parsed so far.
+        self.uses: list[Optional[tuple[str, int, int]]] = []
+        self.rule_uses: list[tuple[str, int, int]] = []
+        self.net_uses: list[tuple[str, int, int]] = []
 
     # -- token helpers ------------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def span(self, at: int) -> Span:
+        return self.tokens.span(self.tokens.starts[at])
 
-    def take(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def take(self) -> int:
+        at = self.pos
+        if self.kinds[at] != "eof":
             self.pos += 1
-        return tok
+        return at
 
     def at_op(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text == text
+        return self.texts[self.pos] == text
 
-    def expect_op(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == text:
+    def at_name(self) -> bool:
+        """At a lowercase-initial identifier."""
+        return self.kinds[self.pos] == "ident" and not self.texts[self.pos][0].isupper()
+
+    def expect_op(self, text: str) -> int:
+        if self.texts[self.pos] == text:
             return self.take()
-        self.fail(f"expected {text!r}", tok)
+        self.fail(f"expected {text!r}")
 
-    def fail(self, message: str, tok: Optional[Token] = None) -> None:
-        tok = tok or self.peek()
-        shown = tok.text or "end of input"
+    def fail(self, message: str) -> None:
+        shown = self.texts[self.pos] or "end of input"
         self.diags.append(
-            Diagnostic("error", "E_PARSE", f"{message}, found {shown!r}", tok.span)
+            Diagnostic("error", "E_PARSE", f"{message}, found {shown!r}", self.span(self.pos))
         )
         raise _ParseFail()
 
     def recover(self) -> None:
         while True:
-            tok = self.peek()
-            if tok.kind == "eof":
+            if self.kinds[self.pos] == "eof":
                 return
-            self.take()
-            if tok.kind == "op" and tok.text == ";":
+            if self.texts[self.take()] == ";":
                 return
+
+    def item_uses(self) -> list[tuple[str, int, int]]:
+        return [u for u in self.uses if u is not None]
 
     # -- grammar ------------------------------------------------------------
 
     def parse_program(self) -> None:
-        while self.peek().kind != "eof":
+        while self.kinds[self.pos] != "eof":
+            self.uses = []
             try:
                 self.parse_item()
             except _ParseFail:
                 self.recover()
 
     def parse_item(self) -> None:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "agent":
+        text = self.texts[self.pos]
+        if text == "agent":
             self.parse_agent_decl()
-        elif tok.kind == "ident" and tok.text == "net":
+        elif text == "net":
             self.parse_net_decl()
         else:
             self.parse_rule_decl()
 
     def parse_agent_decl(self) -> None:
         self.take()  # agent
-        tok = self.peek()
-        if tok.kind != "ident" or not _is_agent_ident(tok.text):
+        if self.kinds[self.pos] != "ident" or self.at_name():
             self.fail("expected an agent symbol (uppercase-initial)")
-        if tok.text == GENERIC_KEYWORD:
+        if self.texts[self.pos] == GENERIC_KEYWORD:
             self.fail(f"{GENERIC_KEYWORD} is reserved for the wildcard agent")
         name = self.take()
         self.expect_op("/")
-        arity_tok = self.peek()
-        if arity_tok.kind != "nat":
+        if self.kinds[self.pos] != "nat":
             self.fail("expected an arity")
-        self.take()
+        arity = self.take()
         self.expect_op(";")
-        self.decls.append((name.text, int(arity_tok.text), name.span))
+        self.decls.append((self.texts[name], int(self.texts[arity]), name))
 
     def parse_rule_decl(self) -> None:
-        span = self.peek().span
+        span = self.span(self.pos)
         left = self.parse_pattern()
         self.expect_op("><")
         right = self.parse_pattern()
@@ -244,10 +258,10 @@ class _Parser:
         eqs = self.parse_eq_list(allow_variadic=True)
         self.expect_op(";")
         self.rules.append(_RawRule(left, right, eqs, span))
+        self.rule_uses += self.item_uses()
 
     def parse_net_decl(self) -> None:
-        span = self.peek().span
-        self.take()  # net
+        span = self.span(self.take())  # net
         self.expect_op("(")
         terms: list[tuple] = []
         if not self.at_op(")"):
@@ -262,26 +276,24 @@ class _Parser:
             eqs = self.parse_eq_list(allow_variadic=False)
         self.expect_op(";")
         self.nets.append(_RawNet(terms, eqs, span))
+        self.net_uses += self.item_uses()
 
     def parse_pattern(self) -> tuple:
-        tok = self.peek()
-        if tok.kind != "ident" or not _is_agent_ident(tok.text):
+        if self.kinds[self.pos] != "ident" or self.at_name():
             self.fail("expected an agent symbol or ANY in a rule pattern")
         head = self.take()
-        if head.text == GENERIC_KEYWORD:
-            fixed: list[tuple[str, Span]] = []
+        if self.texts[head] == GENERIC_KEYWORD:
+            fixed: list[str] = []
             range_name: Optional[str] = None
             if self.at_op("("):
                 self.take()
                 while not self.at_op(")"):
                     if self.at_op("["):
                         self.take()
-                        rng = self.peek()
-                        if rng.kind != "ident" or _is_agent_ident(rng.text):
+                        if not self.at_name():
                             self.fail("expected a range name")
-                        self.take()
+                        range_name = self.texts[self.take()]
                         self.expect_op("]")
-                        range_name = rng.text
                         break
                     fixed.append(self.parse_pattern_name())
                     if self.at_op(","):
@@ -289,8 +301,8 @@ class _Parser:
                     else:
                         break
                 self.expect_op(")")
-            return ("anypat", fixed, range_name, head.span)
-        params: list[tuple[str, Span]] = []
+            return ("anypat", fixed, range_name, head)
+        params: list[str] = []
         if self.at_op("("):
             self.take()
             params.append(self.parse_pattern_name())
@@ -298,24 +310,23 @@ class _Parser:
                 self.take()
                 params.append(self.parse_pattern_name())
             self.expect_op(")")
-        return ("pat", head.text, params, head.span)
+        self.uses.append((self.texts[head], len(params), head))
+        return ("pat", self.texts[head], params, head)
 
-    def parse_pattern_name(self) -> tuple[str, Span]:
-        tok = self.peek()
-        if tok.kind != "ident" or _is_agent_ident(tok.text):
+    def parse_pattern_name(self) -> str:
+        if not self.at_name():
             self.fail("expected a name (lowercase-initial) as a pattern parameter")
-        self.take()
+        name = self.texts[self.take()]
         if self.at_op("'"):
             self.diags.append(
                 Diagnostic(
                     "error",
                     "E_VN_IN_LHS",
                     "variadic names may only appear in a rule right-hand side",
-                    self.peek().span,
+                    self.span(self.take()),
                 )
             )
-            self.take()
-        return tok.text, tok.span
+        return name
 
     def parse_eq_list(self, allow_variadic: bool) -> list[tuple]:
         if self.at_op("("):  # "()" denotes an empty right-hand side
@@ -336,92 +347,87 @@ class _Parser:
 
     def parse_term(self, allow_variadic: bool) -> tuple:
         # Agents whose argument lists are open wait on a stack, each as
-        # [head token, arguments so far, range tail], so term depth is not
-        # bounded by the interpreter's recursion limit.
+        # [head, arguments so far, slot in self.uses], so term depth is not
+        # bounded by the interpreter's recursion limit.  The position lives
+        # in a local and is stored back before any call that reads it.
+        kinds, texts, uses = self.kinds, self.texts, self.uses
+        pos = self.pos
         open_agents: list[list] = []
         while True:
-            tok = self.peek()
-            if tok.kind != "ident":
+            if kinds[pos] != "ident":
+                self.pos = pos
                 self.fail("expected a term")
-            self.take()
+            head = pos
+            text = texts[pos]
+            pos += 1
             term: Optional[tuple] = None
-            if not _is_agent_ident(tok.text):
-                term = self._name_term(tok, allow_variadic)
-            elif self.at_op("("):
-                self.take()
-                open_agents.append([tok, [], None])
+            if not text[0].isupper():
+                if texts[pos] == "'":
+                    if not allow_variadic:
+                        self._not_allowed("variadic names are not allowed here", pos)
+                    pos += 1
+                    term = ("vname", text)
+                else:
+                    term = ("name", text)
+            elif texts[pos] == "(":
+                pos += 1
+                open_agents.append([head, [], len(uses)])
+                uses.append(None)
+            elif text == GENERIC_KEYWORD:
+                if not allow_variadic:
+                    self._not_allowed(f"{GENERIC_KEYWORD} is not allowed here", head)
+                term = ("any", [], None, head)
             else:
-                term = self._agent_term(tok, [], None, allow_variadic)
+                term = ("agent", text, [], None, head)
+                uses.append((text, 0, head))
             # Hand finished terms to their agents until an argument is due.
             while True:
                 if term is not None:
                     if not open_agents:
+                        self.pos = pos
                         return term
                     open_agents[-1][1].append(term)
-                    if not self.at_op(","):
-                        term = self._close_agent(open_agents.pop(), allow_variadic)
-                        continue
-                    self.take()
-                if self.at_op(")"):
-                    term = self._close_agent(open_agents.pop(), allow_variadic)
-                elif self.at_op("["):
-                    open_agents[-1][2] = self._range_tail(allow_variadic)
-                    term = self._close_agent(open_agents.pop(), allow_variadic)
-                else:
+                    if texts[pos] == ",":
+                        pos += 1
+                        if texts[pos] != ")" and texts[pos] != "[":
+                            break
+                    elif texts[pos] != ")":
+                        self.pos = pos
+                        self.fail("expected ')'")
+                elif texts[pos] != ")" and texts[pos] != "[":
                     break
+                # Close the innermost agent, after its range tail if it has one.
+                head, args, slot = open_agents.pop()
+                range_tail = None
+                if texts[pos] == "[":
+                    self.pos = pos
+                    range_tail = self._range_tail(allow_variadic)
+                    pos = self.pos
+                    if texts[pos] != ")":
+                        self.fail("expected ')'")
+                pos += 1
+                text = texts[head]
+                if text == GENERIC_KEYWORD:
+                    if not allow_variadic:
+                        self._not_allowed(f"{GENERIC_KEYWORD} is not allowed here", head)
+                    term = ("any", args, range_tail, head)
+                else:
+                    term = ("agent", text, args, range_tail, head)
+                    if range_tail is None:
+                        uses[slot] = (text, len(args), head)
 
-    def _name_term(self, tok: Token, allow_variadic: bool) -> tuple:
-        if self.at_op("'"):
-            prime = self.take()
-            if not allow_variadic:
-                self.diags.append(
-                    Diagnostic(
-                        "error",
-                        "E_PARSE",
-                        "variadic names are not allowed here",
-                        prime.span,
-                    )
-                )
-            return ("vname", tok.text, tok.span)
-        return ("name", tok.text, tok.span)
+    def _not_allowed(self, message: str, at: int) -> None:
+        self.diags.append(Diagnostic("error", "E_PARSE", message, self.span(at)))
 
     def _range_tail(self, allow_variadic: bool) -> str:
         lb = self.take()
-        rng = self.peek()
-        if rng.kind != "ident" or _is_agent_ident(rng.text):
+        if not self.at_name():
             self.fail("expected a range name")
-        self.take()
+        name = self.texts[self.take()]
         self.expect_op("]")
         if not allow_variadic:
-            self.diags.append(
-                Diagnostic(
-                    "error",
-                    "E_PARSE",
-                    "ranges are not allowed here",
-                    lb.span,
-                )
-            )
-        return rng.text
-
-    def _close_agent(self, frame: list, allow_variadic: bool) -> tuple:
-        self.expect_op(")")
-        tok, args, range_tail = frame
-        return self._agent_term(tok, args, range_tail, allow_variadic)
-
-    def _agent_term(self, tok: Token, args: list[tuple], range_tail: Optional[str],
-                    allow_variadic: bool) -> tuple:
-        if tok.text == GENERIC_KEYWORD:
-            if not allow_variadic:
-                self.diags.append(
-                    Diagnostic(
-                        "error",
-                        "E_PARSE",
-                        f"{GENERIC_KEYWORD} is not allowed here",
-                        tok.span,
-                    )
-                )
-            return ("any", args, range_tail, tok.span)
-        return ("agent", tok.text, args, range_tail, tok.span)
+            self._not_allowed("ranges are not allowed here", lb)
+        return name
 
 
 # ---------------------------------------------------------------------------
@@ -441,22 +447,6 @@ class SourceProgram:
         return bool(errors_in(self.diagnostics))
 
 
-def _term_constraints(term: tuple, out: list[tuple[str, int, Span]]) -> None:
-    """Append the (symbol, arity, span) use of every agent in ``term``, in
-    preorder; iterative, so depth is unbounded."""
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        kind = t[0]
-        if kind == "agent":
-            _, ident, args, range_tail, span = t
-            if range_tail is None:
-                out.append((ident, len(args), span))
-            stack.extend(reversed(args))
-        elif kind == "any":
-            stack.extend(reversed(t[1]))
-
-
 def parse_program(text: str) -> SourceProgram:
     """Parse a whole program; diagnostics collect instead of raising.
 
@@ -464,29 +454,14 @@ def parse_program(text: str) -> SourceProgram:
     consistent use; conflicting uses are errors.  A program with error
     diagnostics should not be run.
     """
-    tokens, diags = _tokenize(text)
-    parser = _Parser(tokens, diags)
+    parser = _Parser(_Tokens(text))
     parser.parse_program()
-
-    constraints: list[tuple[str, int, Span]] = list(parser.decls)
-    for raw in parser.rules:
-        for pat in (raw.left, raw.right):
-            if pat[0] == "pat":
-                constraints.append((pat[1], len(pat[2]), pat[3]))
-        for left, right in raw.rhs:
-            _term_constraints(left, constraints)
-            _term_constraints(right, constraints)
-    for net in parser.nets:
-        for t in net.terms:
-            _term_constraints(t, constraints)
-        for left, right in net.eqs:
-            _term_constraints(left, constraints)
-            _term_constraints(right, constraints)
+    diags = parser.diags
 
     symbols: dict[str, Symbol] = {}
-    by_symbol: dict[str, dict[int, Span]] = {}
-    for ident, arity, span in constraints:
-        by_symbol.setdefault(ident, {}).setdefault(arity, span)
+    by_symbol: dict[str, dict[int, int]] = {}
+    for ident, arity, at in parser.decls + parser.rule_uses + parser.net_uses:
+        by_symbol.setdefault(ident, {}).setdefault(arity, at)
     for ident in sorted(by_symbol):
         arities = sorted(by_symbol[ident])
         if len(arities) > 1:
@@ -496,13 +471,13 @@ def parse_program(text: str) -> SourceProgram:
                     "error",
                     "E_ARITY_CONFLICT",
                     f"symbol {ident} used with conflicting arities: {listed}",
-                    by_symbol[ident][arities[-1]],
+                    parser.span(by_symbol[ident][arities[-1]]),
                 )
             )
         symbols[ident] = Symbol(ident, arities[0])
 
     supply = NameSupply()
-    builder = _Builder(symbols, supply, diags)
+    builder = _Builder(symbols, supply, diags, parser.span)
 
     rules: list[Rule] = []
     for idx, raw in enumerate(parser.rules, start=1):
@@ -531,17 +506,19 @@ class _BuildFail(Exception):
 
 
 class _Builder:
-    def __init__(self, symbols: dict[str, Symbol], supply: NameSupply, diags: list[Diagnostic]):
+    def __init__(self, symbols: dict[str, Symbol], supply: NameSupply, diags: list[Diagnostic],
+                 span: Callable[[int], Span]):
         self.symbols = symbols
         self.supply = supply
         self.diags = diags
+        self.span = span  # of a token index
 
     def _name(self, scope: dict[str, Name], ident: str) -> Name:
         if ident not in scope:
             scope[ident] = self.supply.fresh(ident)
         return scope[ident]
 
-    def _symbol(self, ident: str, span: Span) -> Symbol:
+    def _symbol(self, ident: str, at: int) -> Symbol:
         sym = self.symbols.get(ident)
         if sym is None:
             # Only reachable for agents used exclusively with a range tail.
@@ -550,7 +527,7 @@ class _Builder:
                     "error",
                     "E_ARITY_CONFLICT",
                     f"arity of {ident} cannot be inferred",
-                    span,
+                    self.span(at),
                 )
             )
             raise _BuildFail()
@@ -574,24 +551,24 @@ class _Builder:
         scope: dict[str, Name] = {}
         try:
             assert left_raw[0] == "pat"
-            _, ident, params, span = left_raw
+            _, ident, params, at = left_raw
             left = OrdinaryPattern(
-                self._symbol(ident, span), tuple(self._name(scope, p) for p, _ in params)
+                self._symbol(ident, at), tuple(self._name(scope, p) for p in params)
             )
             right: Union[OrdinaryPattern, GenericPattern]
             if right_raw[0] == "anypat":
                 _, fixed, range_name, _ = right_raw
                 right = GenericPattern(
                     GENERIC_KEYWORD,
-                    tuple(self._name(scope, p) for p, _ in fixed),
+                    tuple(self._name(scope, p) for p in fixed),
                     range_name,
                 )
                 kind = RuleKind.VARIADIC if range_name else RuleKind.FIXED_GENERIC
             else:
-                _, ident2, params2, span2 = right_raw
+                _, ident2, params2, at2 = right_raw
                 right = OrdinaryPattern(
-                    self._symbol(ident2, span2),
-                    tuple(self._name(scope, p) for p, _ in params2),
+                    self._symbol(ident2, at2),
+                    tuple(self._name(scope, p) for p in params2),
                 )
                 kind = RuleKind.ORDINARY
             rhs = tuple(
@@ -615,31 +592,37 @@ class _Builder:
         frames: list[tuple[Union[Symbol, GenericRef], Optional[str], Iterator[tuple], list]] = []
         while True:
             kind = raw[0]
-            term = None
             if kind == "name":
                 term = self._name(scope, raw[1])
-            elif kind == "agent" and (rhs or raw[3] is None):
-                _, ident, args, range_tail, span = raw
-                frames.append((self._symbol(ident, span), range_tail, iter(args), []))
-            elif kind == "any" and rhs:
-                _, args, range_tail, _ = raw
-                frames.append((GenericRef(GENERIC_KEYWORD), range_tail, iter(args), []))
             elif kind == "vname" and rhs:
                 term = VarName(raw[1])
             else:
-                raise _BuildFail()  # parser already rejected variadic constructs here
-            while True:
-                if term is not None:
-                    if not frames:
-                        return term
-                    frames[-1][3].append(term)
-                head, range_tail, todo, done = frames[-1]
-                nxt = next(todo, None)
-                if nxt is not None:
-                    raw = nxt
+                if kind == "agent" and (rhs or raw[3] is None):
+                    _, ident, args, range_tail, at = raw
+                    head = self._symbol(ident, at)
+                elif kind == "any" and rhs:
+                    _, args, range_tail, _ = raw
+                    head = GenericRef(GENERIC_KEYWORD)
+                else:
+                    raise _BuildFail()  # parser already rejected variadic constructs here
+                if args:
+                    todo = iter(args)
+                    raw = next(todo)
+                    frames.append((head, range_tail, todo, []))
+                    continue
+                term = RAgent(head, (), range_tail) if rhs else Agent(head)
+            # Hand the finished term to its agent until an argument is due.
+            while frames:
+                frame = frames[-1]
+                frame[3].append(term)
+                raw = next(frame[2], None)
+                if raw is not None:
                     break
                 frames.pop()
+                head, range_tail, _, done = frame
                 term = RAgent(head, tuple(done), range_tail) if rhs else Agent(head, tuple(done))
+            else:
+                return term
 
     def build_net(self, raw: _RawNet) -> Optional[Configuration]:
         scope: dict[str, Name] = {}
@@ -754,8 +737,8 @@ def render_configuration(config: AnyConfiguration) -> str:
 
 def parse_configuration(text: str) -> Configuration:
     """Parse the ``< ... | ... >`` form produced by render_configuration."""
-    tokens, diags = _tokenize(text)
-    parser = _Parser(tokens, diags)
+    parser = _Parser(_Tokens(text))
+    diags = parser.diags
     try:
         parser.expect_op("<")
         terms: list[tuple] = []
@@ -777,18 +760,12 @@ def parse_configuration(text: str) -> Configuration:
     if errors_in(diags):
         raise ValueError("; ".join(str(d) for d in errors_in(diags)))
 
-    constraints: list[tuple[str, int, Span]] = []
-    for t in terms:
-        _term_constraints(t, constraints)
-    for l, r in eqs:
-        _term_constraints(l, constraints)
-        _term_constraints(r, constraints)
     symbols: dict[str, Symbol] = {}
-    for ident, arity, _ in constraints:
+    for ident, arity, _ in parser.item_uses():
         if ident in symbols and symbols[ident].arity != arity:
             raise ValueError(f"symbol {ident} used with conflicting arities")
         symbols.setdefault(ident, Symbol(ident, arity))
-    builder = _Builder(symbols, NameSupply(), diags)
+    builder = _Builder(symbols, NameSupply(), diags, parser.span)
     scope: dict[str, Name] = {}
     return Configuration(
         [builder._term(t, scope) for t in terms],

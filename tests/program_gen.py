@@ -11,6 +11,10 @@ rules may overlap, so the static checks fire too.
 non-ASCII letters: either tokens drawn at random or a generated program with
 tokens spliced in, dropped and swapped.
 
+``sprinkle(rng, text)`` inserts characters that sit at the edges of the
+lexer's classes: digits that are not decimal, numerals that are not letters,
+line separators that are not whitespace, a titlecase letter.
+
 ``symmetric_net(k)`` and ``wide_net(k)`` are the two fixed shapes that stress
 canonical forms and net width.
 """
@@ -216,6 +220,17 @@ def soup(rng: random.Random) -> str:
         elif i + 1 < len(tokens):
             tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
     return "".join(tokens)
+
+
+EXOTIC = ["²", "½", "Ⅻ", "٣", "\x0b", "\u2028", "ǅ", "e\u0301"]
+
+
+def sprinkle(rng: random.Random, text: str) -> str:
+    """``text`` with up to three characters of ``EXOTIC`` inserted."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        chars.insert(rng.randint(0, len(chars)), rng.choice(EXOTIC))
+    return "".join(chars)
 
 
 def symmetric_net(k: int) -> str:

@@ -1,10 +1,13 @@
+import contextlib
+import io
 import json
 import sys
 
 import pytest
 
-from inetkit.cli import main
+from inetkit.cli import build_arg_parser, main
 
+import program_gen
 from conftest import CORPUS, corpus_text
 
 CORPUS_NAMES = ["addition", "dup_erase", "maybe_pick", "map"]
@@ -78,6 +81,53 @@ def test_check_non_variadic_rules_ignore_the_arity_cap(tmp_program, capsys):
     # Nothing here is variadic, so an agent above the cap has nothing to expand.
     assert main(["check", tmp_program("agent Big/65; agent Z/0; Z >< Z => ();")]) == 0
     assert "E_EXPAND_OVERFLOW" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        (
+            "agent A/²;",
+            "error: E_PARSE: unexpected character '²' (1:9)\n"
+            "error: E_PARSE: expected an arity, found ';' (1:10)\n",
+        ),
+        ("agent A/2²;", "error: E_PARSE: unexpected character '²' (1:10)\n"),
+    ],
+)
+def test_non_decimal_digits_are_unexpected_characters(text, err, tmp_program, capsys):
+    # Arities are decimal digits; "²" is a digit to str.isdigit, not to int().
+    assert main(["check", tmp_program(text)]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_escaped_net_error_is_one_error_line(tmp_program, capsys):
+    # canonicalize gives up on 8 interchangeable components (8! labellings).
+    path = tmp_program(program_gen.symmetric_net(8))
+    assert main(["fuzz", path, "--seeds", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: canonicalization branch limit exceeded\n")
+
+
+@pytest.mark.parametrize(
+    "argv, stream, code",
+    [
+        (["check"], "stderr", 2),
+        (["run", "x.inet", "--max-steps", "0"], "stderr", 2),
+        (["bogus"], "stderr", 2),
+        (["fuzz", "--help"], "stdout", 0),
+    ],
+)
+def test_usage_and_help_reach_the_current_streams_on_every_call(argv, stream, code):
+    # main reuses one argument parser across calls.
+    redirect = getattr(contextlib, f"redirect_{stream}")
+    expected = io.StringIO()
+    with redirect(expected), pytest.raises(SystemExit):
+        build_arg_parser().parse_args(argv)
+    for _ in range(2):
+        got = io.StringIO()
+        with redirect(got), pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        assert got.getvalue() == expected.getvalue()
 
 
 @pytest.mark.parametrize(
