@@ -6,8 +6,9 @@ into another equation, collect resolves a name into the interface, and
 interaction replaces an agent-agent equation by a rule's right-hand side.
 Interaction dispatch is two-phase: ordinary rules first, then the two
 generic probes, in a fixed order.  The engine deals in rule matches only:
-it orients the active pair against the matched rule and leaves the
-right-hand side to :func:`~inetkit.rules.instantiate_rhs`.
+it orients the active pair against the matched rule and runs the rule's
+compiled right-hand side (:class:`~inetkit.rules.RhsProgram`), which the
+rule table builds the first time the rule fires.
 
 The calculus itself fixes no reduction order; strategies only choose which
 reducible equation fires next, and for a validated rule set every strategy
@@ -34,6 +35,10 @@ to choose or fire a step.  It keeps these invariants:
   name occurs only in the interface: equations, step results,
   classification and stuck detection never see one.  The interface is
   resolved through the bindings, once, whenever the configuration is read.
+- An interaction sites its fresh names directly, from where the rule's
+  program says they land, and re-sites only the names its parameters'
+  argument terms hold.  Classifying an agent pair reads the table's
+  memoized lookup for its two symbols.
 - Moving a term re-sites only the names it holds: subterms that hold no
   name (``Agent.holds_names``) are skipped.  So the cost of every step but
   one is independent of term depth.  That one is substitution into an
@@ -66,9 +71,9 @@ from .core import (
 from .rules import (
     OrdinaryMatch,
     OrdinaryPattern,
+    RhsProgram,
     Rule,
     RuleTable,
-    instantiate_rhs,
     lookup,
 )
 
@@ -106,13 +111,17 @@ Strategy = Union[Fifo, Lifo, Seeded]
 
 
 def strategy_from_spec(spec: str) -> Strategy:
-    """Parse ``fifo``, ``lifo`` or ``seed:<u64>``."""
+    """Parse ``fifo``, ``lifo`` or ``seed:<u64>``, the seed in ASCII decimal
+    digits and below 2**64; anything else raises :class:`ValueError`."""
     if spec == "fifo":
         return Fifo()
     if spec == "lifo":
         return Lifo()
     if spec.startswith("seed:"):
-        return Seeded(int(spec.split(":", 1)[1]))
+        digits = spec[5:]
+        if digits.isascii() and digits.isdigit() and int(digits) < 2**64:
+            return Seeded(int(digits))
+        raise ValueError(f"invalid seed {digits!r}: expected a decimal u64")
     raise ValueError(f"unknown strategy {spec!r}")
 
 
@@ -142,9 +151,14 @@ class NormalizeOutcome:
 # Rule instantiation
 # ---------------------------------------------------------------------------
 
-def instantiate_ordinary(rule: Rule, eq: Equation, supply: NameSupply) -> list[Equation]:
+def instantiate_ordinary(
+    rule: Rule, eq: Equation, supply: NameSupply, program: Optional[RhsProgram] = None
+) -> list[Equation]:
     """Right-hand side of an ordinary rule, with parameters bound to the
-    equation's argument terms and internal names freshened."""
+    equation's argument terms and internal names freshened.
+
+    ``program`` is the rule's compiled right-hand side; by default it is
+    compiled for this call."""
     assert isinstance(eq.left, Agent) and isinstance(eq.right, Agent)
     assert isinstance(rule.right, OrdinaryPattern)
     a, b = eq.left, eq.right
@@ -152,11 +166,17 @@ def instantiate_ordinary(rule: Rule, eq: Equation, supply: NameSupply) -> list[E
         if a.symbol != rule.right.symbol or b.symbol != rule.left.symbol:
             raise NetError(f"equation does not match rule {rule.id}")
         a, b = b, a
-    return instantiate_rhs(rule, a.args + b.args, None, supply)
+    if program is None:
+        program = RhsProgram(rule)
+    return program.run(a.args + b.args, None, supply)
 
 
 def instantiate_fixed_generic(
-    rule: Rule, eq: Equation, supply: NameSupply, generic_side: Optional[str] = None
+    rule: Rule,
+    eq: Equation,
+    supply: NameSupply,
+    generic_side: Optional[str] = None,
+    program: Optional[RhsProgram] = None,
 ) -> list[Equation]:
     """Like :func:`instantiate_ordinary`, with every occurrence of the
     wildcard agent in the right-hand side rewritten to the matched symbol.
@@ -178,7 +198,9 @@ def instantiate_fixed_generic(
         a, b = b, a
     if b.symbol.arity != len(g.fixed_params):
         raise NetError(f"rule {rule.id}: arity mismatch against {b.symbol.name}/{b.symbol.arity}")
-    return instantiate_rhs(rule, a.args + b.args, b.symbol, supply)
+    if program is None:
+        program = RhsProgram(rule)
+    return program.run(a.args + b.args, b.symbol, supply)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +214,8 @@ Site = tuple[int, int, bool]
 _IFACE = -1
 
 _PRIORITY = {KIND_COMMUNICATION: 0, KIND_SUBSTITUTION: 1, KIND_COLLECT: 2}
+
+_UNSEEN = object()  # a symbol pair the table has not been asked about
 
 # How a reducible equation reduces: (interaction, rule match) or, for the
 # name steps, (kind, side holding the name).
@@ -261,6 +285,7 @@ class Reducer:
         supply: Optional[NameSupply] = None,
     ):
         self.table = table
+        self._matches = table.matches
         self._interface: list[Term] = list(config.interface)
         self._bound: dict[int, Term] = {}  # collected name id -> its term
         self._eqs: dict[int, Equation] = {}
@@ -334,7 +359,7 @@ class Reducer:
         Each name's other site is added to ``touched`` if it is a whole side,
         since that equation's classification may have changed.
         """
-        if isinstance(t, Name):
+        if t.__class__ is Name:
             self._move(t, old, (eid, side, not inside), touched)
         else:
             site = (eid, side, False)
@@ -373,8 +398,13 @@ class Reducer:
 
     def _classify(self, eid: int) -> None:
         eq = self._eqs[eid]
-        if isinstance(eq.left, Agent) and isinstance(eq.right, Agent):
-            match = lookup(self.table, eq.left.symbol, eq.right.symbol)
+        left, right = eq.left, eq.right
+        if left.__class__ is Agent and right.__class__ is Agent:
+            a, b = left.symbol, right.symbol
+            pair = (a.name, a.arity, b.name, b.arity)
+            match = self._matches.get(pair, _UNSEEN)
+            if match is _UNSEEN:
+                match = self._matches[pair] = lookup(self.table, a, b)
             how = None if match is None else (KIND_INTERACTION, match)
         else:
             how = self._name_step(eid, eq)
@@ -423,10 +453,10 @@ class Reducer:
             return None
         kind, detail = how
         if kind == KIND_INTERACTION:
-            return StepResult(kind, detail.rule.id, before, after, _fresh_in(after, before))
+            return StepResult(kind, detail.rule.id, before, tuple(after), _fresh_in(after, before))
         return StepResult(kind, None, before, after, ())
 
-    def _apply(self, eid: int, how: How) -> tuple[Equation, tuple[Equation, ...]]:
+    def _apply(self, eid: int, how: How) -> tuple[Equation, Sequence[Equation]]:
         """Fire ``how`` at ``eid``; the equation before and the ones after."""
         kind, detail = how
         self._agenda.drop(eid)
@@ -444,14 +474,45 @@ class Reducer:
                 self._classify(e)
         return eq, after
 
-    def _interact(self, eid: int, eq: Equation, match, touched: set[int]) -> tuple[Equation, ...]:
-        if isinstance(match, OrdinaryMatch):
-            produced = instantiate_ordinary(match.rule, eq, self.supply)
+    def _interact(self, eid: int, eq: Equation, match, touched: set[int]) -> list[Equation]:
+        """Fire the rule's program and index the equations it builds.
+
+        Every fresh name has both its sites among the new equations, so it
+        is sited straight from the program; only the names that the
+        parameters' argument terms hold move, in reading order, as a walk
+        over the new equations would move them.
+        """
+        rule = match.rule
+        program = self.table.program(rule)
+        if program.overused is not None:
+            raise IllFormedError(f"name {program.overused} occurs more than twice")
+        supply = self.supply
+        first = supply.next_id
+        a, b = eq.left, eq.right  # a binds the rule's left pattern
+        if match.__class__ is OrdinaryMatch:
+            produced = instantiate_ordinary(rule, eq, supply, program)
+            if match.swapped:
+                a, b = b, a
         else:
-            produced = instantiate_fixed_generic(match.rule, eq, self.supply, match.generic_side)
-        for new in produced:
-            self._add(new, touched, eid, eid)
-        return tuple(produced)
+            produced = instantiate_fixed_generic(rule, eq, supply, match.generic_side, program)
+            if match.generic_side == "left":
+                a, b = b, a
+        args = a.args + b.args
+        base = self._next_id
+        self._next_id = base + len(produced)
+        eqs, occ = self._eqs, self._occ
+        for k, new in enumerate(produced):
+            eqs[base + k] = new
+        for i, sites in enumerate(program.fresh_sites):
+            occ[first + i] = [(base + k, side, whole) for k, side, whole in sites]
+        for k, slot, side, whole in program.moves:
+            if slot is None:
+                touched.add(base + k)
+            elif args[slot].__class__ is Name:
+                self._move(args[slot], eid, (base + k, side, whole), touched)
+            elif args[slot].holds_names:
+                self._place(args[slot], base + k, side, eid, touched)
+        return produced
 
     def _communicate(self, eid: int, x: Name, t: Term, other: Site,
                      touched: set[int]) -> tuple[Equation, ...]:
@@ -590,9 +651,6 @@ def normalize(
 # Single steps on a configuration (pure: inputs are left untouched)
 # ---------------------------------------------------------------------------
 
-_NO_RULES = RuleTable({}, {})
-
-
 def classify(eq: Equation, config: Configuration, table: RuleTable) -> Optional[str]:
     """Which step kind applies to ``eq`` within ``config``, if any.
 
@@ -617,7 +675,7 @@ def classify(eq: Equation, config: Configuration, table: RuleTable) -> Optional[
 def _locate(config: Configuration, x: Name, t: Term) -> tuple[Reducer, int, int, Optional[Site]]:
     """A reducer over ``config``, the id and side of the first equation
     ``x=t`` (either way round), and the other site of ``x``."""
-    reducer = Reducer(config, _NO_RULES)
+    reducer = Reducer(config, RuleTable({}, {}))
     for eid, side, whole in sorted(reducer._occ.get(x.id, ())):
         if whole and _side(reducer._eqs[eid], 1 - side) == t:
             return reducer, eid, side, reducer._partner(x, eid, side)

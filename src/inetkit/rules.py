@@ -10,15 +10,18 @@ multiset of right-hand-side equations.  Three kinds exist:
 
 Variadic rules never reach the reduction engine directly: they are expanded
 into one fixed generic rule per arity that occurs in the program, which also
-makes the static overlap checks finite.  :func:`instantiate_rhs` is the one
-walk that turns a (non-variadic) right-hand side into net equations, for
-the engine's interactions and for the self-rule swap check alike.
+makes the static overlap checks finite.  A non-variadic right-hand side
+is compiled once into a flat :class:`RhsProgram`, which builds its net
+equations directly and knows where each of their names lands; it serves
+the engine's interactions and the self-rule swap check alike.  The rule
+table compiles each rule the first time it fires and memoizes lookups per
+symbol pair.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -224,63 +227,186 @@ def _eq_ranges(eq: RuleEquation) -> Iterator[str]:
 # Instantiation
 # ---------------------------------------------------------------------------
 
-def instantiate_rhs(
-    rule: Rule, args: Sequence[Term], partner: Optional[Symbol], supply: NameSupply
-) -> list[Equation]:
-    """The right-hand side of a non-variadic ``rule`` as net equations.
+# A fault the rule text may hit when it fires, in the order it is read: a
+# range or variadic name, a wildcard agent (it needs a partner), and the
+# close of an agent (it must have its symbol's arity).
+_RANGE, _WILD, _CLOSE = range(3)
 
-    ``args`` are the argument terms of the two matched agents in the order of
-    ``rule.params``, the rule's left pattern first; each is inserted where
-    its parameter occurs and never walked, so the walk is as deep as the rule
-    text, not the net.  Every other name is freshened from ``supply`` on
-    first sight, the left side of each equation before the right, depth
-    first, with its own display hint.  The wildcard agent becomes
-    ``partner``, the matched symbol.
 
-    Raises :class:`NetError` on a range or variadic name (expand variadic
-    rules first), on a wildcard when ``partner`` is ``None``, and on an agent
-    applied at the wrong arity.
+class RhsProgram:
+    """The right-hand side of a non-variadic rule, compiled once into a flat
+    instantiation program.
+
+    Values live in numbered slots: first the rule's parameters, in the order
+    of ``rule.params``, then its other names, each freshened on first sight
+    (the left side of each equation before the right, depth first, with its
+    display hint).  The name-free agents of the rule text are built once,
+    as ``consts``, and numbered from the end: -1, -2, ...  ``code`` is one
+    postfix sequence for all the equations, each side's ops followed by the
+    next side's.  An op is a slot number (push the value), a ``(symbol,
+    arity)`` pair (pop ``arity`` values and push the agent; a ``None``
+    symbol is the wildcard agent, which becomes the matched partner), or
+    ``None`` (pop two sides and emit their equation).  The ops run on an
+    explicit stack, so a right-hand side may be as deep as it likes.
+
+    The program also records where its values land, for the reducer's
+    occurrence index.  ``fresh_sites`` gives each fresh name's sites as
+    (equation, side, whole side) in reading order.  ``moves`` gives the
+    parameters' sites in reading order, as (equation, slot, side, whole
+    side).  A ``None`` slot marks where an equation touches itself: where
+    the second occurrence of a fresh name that is its whole left side is
+    read, and after its last parameter.
     """
-    env: dict[Name, Term] = dict(zip(rule.params, args))
-    fresh = supply.fresh
 
-    def head(t: RhsTerm) -> Symbol:
-        if t.__class__ is VarName or t.range_tail is not None:
-            raise NetError(f"rule {rule.id}: range or variadic name in an unexpanded RHS")
-        if t.head.__class__ is GenericRef:
-            if partner is None:
-                raise NetError(f"rule {rule.id}: wildcard agent without a matched partner")
-            return partner
-        return t.head
+    __slots__ = (
+        "rule", "hints", "consts", "code", "fresh_sites", "moves", "overused",
+        "_need", "_faults",
+    )
 
-    def conv(t: RhsTerm) -> Term:
-        if t.__class__ is Name:
-            u = env.get(t)
-            if u is None:
-                u = env[t] = fresh(t.display)
-            return u
-        # Per open agent: its symbol, its arguments left to visit and its
-        # instantiated arguments so far.
-        frames = [(head(t), iter(t.args), [])]
-        while True:
-            symbol, todo, done = frames[-1]
-            for a in todo:
-                if a.__class__ is Name:
-                    u = env.get(a)
-                    if u is None:
-                        u = env[a] = fresh(a.display)
-                    done.append(u)
-                else:
-                    frames.append((head(a), iter(a.args), []))
-                    break
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        params = rule.params
+        n_params = len(params)
+        slots = {p.id: i for i, p in enumerate(params)}  # name id -> slot
+        hints: list[str] = []
+        fresh_sites: list[list[tuple[int, int, bool]]] = []
+        consts: list[Agent] = []  # const i is slot -1 - i
+        faults: list[tuple] = []
+        # The partner arity for which no fault occurs; -1: none ever occurs,
+        # None: one always occurs.
+        need: Optional[int] = -1
+        overused = None
+        code: list = []  # ops; a const i is slot -1 - i
+        built: list[Optional[Agent]] = []  # per finished subterm: its const, or None
+        moves: list[tuple] = []
+
+        for k, eq in enumerate(rule.rhs):
+            for side, t in ((0, eq.left), (1, eq.right)):
+                todo: list = [t]  # terms to read; a tuple closes an agent
+                while todo:
+                    u = todo.pop()
+                    cls = u.__class__
+                    if cls is Name:
+                        slot = slots.get(u.id)
+                        whole = u is t
+                        if slot is None:
+                            slot = slots[u.id] = n_params + len(hints)
+                            hints.append(u.display)
+                            fresh_sites.append([(k, side, whole)])
+                        elif slot < n_params:
+                            moves.append((k, slot, side, whole))
+                        else:
+                            sites = fresh_sites[slot - n_params]
+                            if len(sites) == 1 and sites[0] == (k, 0, True):
+                                moves.append((k, None, side, whole))
+                            elif len(sites) == 2 and overused is None:
+                                overused = u.display
+                            sites.append((k, side, whole))
+                        code.append(slot)
+                        built.append(None)
+                    elif cls is RAgent and u.range_tail is None:
+                        if u.head.__class__ is GenericRef:
+                            faults.append((_WILD,))
+                        todo.append((u,))
+                        todo.extend(reversed(u.args))
+                    elif cls is tuple:
+                        u = u[0]
+                        head, n = u.head, len(u.args)
+                        if head.__class__ is GenericRef:
+                            faults.append((_CLOSE, None, n))
+                            need = n if need in (-1, n) else None
+                            head = None
+                        elif head.arity != n:
+                            faults.append((_CLOSE, head, n))
+                            need = head = None
+                        kids = built[-n:] if n else []
+                        if n:
+                            del built[-n:]
+                        if head is not None and all(kids):
+                            # Name-free and concrete: built now, once for all firings.
+                            del code[len(code) - n:]
+                            code.append(-1 - len(consts))
+                            consts.append(Agent(head, tuple(kids)))
+                            built.append(consts[-1])
+                        else:
+                            code.append((head, n))
+                            built.append(None)
+                    else:  # a range or a variadic name: the program never runs
+                        faults.append((_RANGE,))
+                        need = None
+                        built.append(None)
+                built.pop()
+            code.append(None)
+            moves.append((k, None, 1, False))
+
+        self.hints = tuple(hints)
+        self.consts = tuple(consts[::-1])
+        self.code = tuple(code)
+        self.fresh_sites = tuple(map(tuple, fresh_sites))
+        self.moves = tuple(moves)
+        self.overused = overused  # the hint of a fresh name used more than twice
+        self._need = need
+        self._faults = tuple(faults)
+
+    def run(
+        self, args: Sequence[Term], partner: Optional[Symbol], supply: NameSupply
+    ) -> list[Equation]:
+        """The right-hand side as net equations.
+
+        ``args`` are the argument terms of the two matched agents in the
+        order of ``rule.params``, the rule's left pattern first; each is
+        inserted where its parameter occurs and never walked.  The fresh
+        names are drawn from ``supply`` in slot order.  The wildcard agent
+        becomes ``partner``, the matched symbol.
+
+        Raises :class:`NetError` on a range or variadic name (expand
+        variadic rules first), on a wildcard when ``partner`` is ``None``,
+        and on an agent applied at the wrong arity, whichever comes first in
+        reading order.
+        """
+        need = self._need
+        if need != -1 and (partner is None or partner.arity != need):
+            self._fail(partner)
+        vals = list(args)
+        vals += map(supply.fresh, self.hints)
+        vals += self.consts
+        out: list[Equation] = []
+        stack: list[Term] = []
+        push, pop = stack.append, stack.pop
+        for op in self.code:
+            if op.__class__ is int:
+                push(vals[op])
+            elif op is None:
+                right = pop()
+                out.append(Equation(pop(), right))
             else:
-                frames.pop()
-                out = Agent(symbol, tuple(done))
-                if not frames:
-                    return out
-                frames[-1][2].append(out)
+                symbol, n = op
+                if n:
+                    agent_args = tuple(stack[-n:])
+                    del stack[-n:]
+                else:
+                    agent_args = ()
+                push(Agent(partner if symbol is None else symbol, agent_args))
+        return out
 
-    return [Equation(conv(e.left), conv(e.right)) for e in rule.rhs]
+    def _fail(self, partner: Optional[Symbol]) -> None:
+        rule = self.rule
+        for fault in self._faults:
+            if fault[0] == _RANGE:
+                raise NetError(f"rule {rule.id}: range or variadic name in an unexpanded RHS")
+            if fault[0] == _WILD:
+                if partner is None:
+                    raise NetError(f"rule {rule.id}: wildcard agent without a matched partner")
+                continue
+            symbol = partner if fault[1] is None else fault[1]
+            if symbol.arity != fault[2]:
+                # Agent's own message for the same fault.
+                raise NetError(
+                    f"agent {symbol.name}/{symbol.arity} applied to {fault[2]} argument(s)"
+                )
+        raise AssertionError(f"rule {rule.id}: no fault to report")
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +545,11 @@ def _self_rule_symmetric(rule: Rule) -> bool:
     assert isinstance(rule.right, OrdinaryPattern)
     xs, ys = rule.left.params, rule.right.params
     anchor = list(xs + ys)
+    program = RhsProgram(rule)
 
     def form(args: tuple[Name, ...]) -> CanonicalConfiguration:
         supply = NameSupply(_rule_max_name_id(rule) + 1)
-        return canonicalize(Configuration(anchor, instantiate_rhs(rule, args, None, supply)))
+        return canonicalize(Configuration(anchor, program.run(args, None, supply)))
 
     return form(xs + ys) == form(ys + xs)
 
@@ -748,11 +875,31 @@ MatchResult = Union[OrdinaryMatch, GenericMatch, None]
 
 @dataclass
 class RuleTable:
-    """Immutable lookup structure; safe to share read-only across threads."""
+    """The rules of a program, indexed for two-probe lookup.
+
+    The indexes never change once built.  Two caches fill lazily as the
+    table is used: ``matches`` holds the :func:`lookup` result per ordered
+    pair of symbols, filled by the reducer, and ``programs`` the
+    :class:`RhsProgram` of each rule that has fired, keyed by the rule's
+    identity (the program keeps its rule alive, so the key stays unique).
+    Sharing a table across threads stays safe: each entry is a pure
+    function of its key, so a repeated fill writes the same value.
+    """
 
     ordinary: dict[tuple[str, str], Rule]
     generic: dict[tuple[int, str], Rule]
     max_name_id: int = -1
+    matches: dict[tuple[str, int, str, int], MatchResult] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    programs: dict[int, RhsProgram] = field(default_factory=dict, compare=False, repr=False)
+
+    def program(self, rule: Rule) -> RhsProgram:
+        """The compiled right-hand side of ``rule``, built on first use."""
+        program = self.programs.get(id(rule))
+        if program is None:
+            program = self.programs[id(rule)] = RhsProgram(rule)
+        return program
 
 
 def build_rule_table(rules: Sequence[Rule], *, validate: bool = True) -> RuleTable:

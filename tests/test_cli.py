@@ -148,6 +148,26 @@ def test_out_of_range_flags_are_usage_errors(argv, capsys):
     assert f"argument {flags[0]}: must be at least" in err
 
 
+@pytest.mark.parametrize(
+    "seed",
+    ["-5", "+5", " 5", "5 ", "", "5.0", "0x5", "٣", "1_0", "18446744073709551616"],
+)
+def test_seed_spec_outside_u64_decimal_is_a_usage_error(seed, capsys):
+    # Each of these once ran some other seed's schedule (-5 and +5 that of
+    # seed:5) or a seed wider than 64 bits.
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", corpus_path("addition"), "--strategy", f"seed:{seed}"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --strategy: invalid seed" in err
+
+
+def test_seed_spec_takes_every_u64(capsys):
+    for seed in ["0", "5", "18446744073709551615"]:
+        assert main(["trace", corpus_path("addition"), "--strategy", f"seed:{seed}"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------

@@ -13,15 +13,21 @@ on how deep its terms are.
 A third counter counts ``Agent`` nodes: each one built and each read of an
 agent's arguments.  The most nodes one step builds or visits must not
 depend on how deep the net's terms are either.
+
+Rule lookups (calls to ``lookup``) and right-hand-side compilations are
+counted too: each happens once per rule table, not once per step.
 """
+
+from collections import Counter
 
 import pytest
 
 import inetkit.core
 import inetkit.engine
-from inetkit import Agent, Fifo, Lifo, Name, Reducer, Seeded, normalize
+import inetkit.rules
+from inetkit import Agent, Fifo, Lifo, Name, Reducer, Seeded, confluence_probe, normalize
 
-from conftest import compile_text, eps_dup_text
+from conftest import compile_corpus, compile_text, eps_dup_text
 
 ADD_RULES = """
 agent Add/2; agent S/1; agent Z/0;
@@ -221,3 +227,42 @@ def test_agent_nodes_per_step_are_flat_in_term_depth(strategy, agent_nodes):
         assert charged_small == charged_large
     else:
         assert worst_small == worst_large
+
+
+CORPUS_NAMES = ["addition", "dup_erase", "maybe_pick", "map"]
+PROBE = [Fifo(), Lifo()] + [Seeded(i) for i in range(200)]
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_each_symbol_pair_is_looked_up_once_per_table(name, monkeypatch):
+    """Over a whole confluence probe, each ordered symbol pair is looked up
+    once, for all strategies."""
+    program, analysis = compile_corpus(name)
+    calls = Counter()
+    lookup = inetkit.engine.lookup
+
+    def counting_lookup(table, a, b):
+        calls[id(table), a, b] += 1
+        return lookup(table, a, b)
+
+    monkeypatch.setattr(inetkit.engine, "lookup", counting_lookup)
+    report = confluence_probe(program.net, analysis.table, PROBE)
+    assert report.consistent and len(report.runs) == len(PROBE)
+    assert calls and set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_each_rule_is_compiled_once_per_table(name, monkeypatch):
+    """Over a whole confluence probe, each rule that fires is compiled once."""
+    program, analysis = compile_corpus(name)
+    calls = Counter()
+    compile_rule = inetkit.rules.RhsProgram.__init__
+
+    def counting_compile(self, rule):
+        calls[id(rule)] += 1
+        compile_rule(self, rule)
+
+    monkeypatch.setattr(inetkit.rules.RhsProgram, "__init__", counting_compile)
+    report = confluence_probe(program.net, analysis.table, PROBE)
+    assert report.consistent
+    assert calls and set(calls.values()) == {1}
