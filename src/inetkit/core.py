@@ -99,12 +99,18 @@ class Agent:
 Term = Union[Name, Agent]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Equation:
     """An undirected connection between two terms (t=s means the same as s=t)."""
 
     left: Term
     right: Term
+
+    def __init__(self, left: Term, right: Term) -> None:
+        # Frozen: the fields go straight into the instance dict, as for Agent.
+        fields = self.__dict__
+        fields["left"] = left
+        fields["right"] = right
 
 
 @dataclass

@@ -276,7 +276,7 @@ class RhsProgram:
         # None: one always occurs.
         need: Optional[int] = -1
         overused = None
-        code: list = []  # ops; a const i is slot -1 - i
+        code: list = []
         built: list[Optional[Agent]] = []  # per finished subterm: its const, or None
         moves: list[tuple] = []
 
@@ -405,8 +405,6 @@ class RhsProgram:
                     f"agent {symbol.name}/{symbol.arity} applied to {fault[2]} argument(s)"
                 )
         raise AssertionError(f"rule {rule.id}: no fault to report")
-
-
 
 
 # ---------------------------------------------------------------------------
