@@ -240,14 +240,13 @@ class RhsProgram:
     Values live in numbered slots: first the rule's parameters, in the order
     of ``rule.params``, then its other names, each freshened on first sight
     (the left side of each equation before the right, depth first, with its
-    display hint).  The name-free agents of the rule text are built once,
-    as ``consts``, and numbered from the end: -1, -2, ...  ``code`` is one
-    postfix sequence for all the equations, each side's ops followed by the
-    next side's.  An op is a slot number (push the value), a ``(symbol,
-    arity)`` pair (pop ``arity`` values and push the agent; a ``None``
-    symbol is the wildcard agent, which becomes the matched partner), or
-    ``None`` (pop two sides and emit their equation).  The ops run on an
-    explicit stack, so a right-hand side may be as deep as it likes.
+    display hint).  ``code`` is one postfix sequence for all the equations,
+    each side's ops followed by the next side's.  An op is a slot number
+    (push the value), a ``(symbol, arity)`` pair (pop ``arity`` values and
+    push the agent; a ``None`` symbol is the wildcard agent, which becomes
+    the matched partner), or ``None`` (pop two sides and emit their
+    equation).  The ops run on an explicit stack, so a right-hand side may
+    be as deep as it likes.
 
     The program also records where its values land, for the reducer's
     occurrence index.  ``fresh_sites`` gives each fresh name's sites as
@@ -259,7 +258,7 @@ class RhsProgram:
     """
 
     __slots__ = (
-        "rule", "hints", "consts", "code", "fresh_sites", "moves", "overused",
+        "rule", "hints", "code", "fresh_sites", "moves", "overused",
         "_need", "_faults",
     )
 
@@ -270,14 +269,14 @@ class RhsProgram:
         slots = {p.id: i for i, p in enumerate(params)}  # name id -> slot
         hints: list[str] = []
         fresh_sites: list[list[tuple[int, int, bool]]] = []
-        consts: list[Agent] = []  # const i is slot -1 - i
         faults: list[tuple] = []
-        # The partner arity for which no fault occurs; -1: none ever occurs,
-        # None: one always occurs.
+        # The partner arity the wildcard agents take, checked before the
+        # program runs: -1 with no wildcard, None when a fault always occurs
+        # (a range, or wildcards of two arities).  A concrete agent at the
+        # wrong arity fails as it is built, in reading order.
         need: Optional[int] = -1
         overused = None
         code: list = []
-        built: list[Optional[Agent]] = []  # per finished subterm: its const, or None
         moves: list[tuple] = []
 
         for k, eq in enumerate(rule.rhs):
@@ -303,7 +302,6 @@ class RhsProgram:
                                 overused = u.display
                             sites.append((k, side, whole))
                         code.append(slot)
-                        built.append(None)
                     elif cls is RAgent and u.range_tail is None:
                         if u.head.__class__ is GenericRef:
                             faults.append((_WILD,))
@@ -318,29 +316,14 @@ class RhsProgram:
                             head = None
                         elif head.arity != n:
                             faults.append((_CLOSE, head, n))
-                            need = head = None
-                        kids = built[-n:] if n else []
-                        if n:
-                            del built[-n:]
-                        if head is not None and all(kids):
-                            # Name-free and concrete: built now, once for all firings.
-                            del code[len(code) - n:]
-                            code.append(-1 - len(consts))
-                            consts.append(Agent(head, tuple(kids)))
-                            built.append(consts[-1])
-                        else:
-                            code.append((head, n))
-                            built.append(None)
+                        code.append((head, n))
                     else:  # a range or a variadic name: the program never runs
                         faults.append((_RANGE,))
                         need = None
-                        built.append(None)
-                built.pop()
             code.append(None)
             moves.append((k, None, 1, False))
 
         self.hints = tuple(hints)
-        self.consts = tuple(consts[::-1])
         self.code = tuple(code)
         self.fresh_sites = tuple(map(tuple, fresh_sites))
         self.moves = tuple(moves)
@@ -367,9 +350,7 @@ class RhsProgram:
         need = self._need
         if need != -1 and (partner is None or partner.arity != need):
             self._fail(partner)
-        vals = list(args)
-        vals += map(supply.fresh, self.hints)
-        vals += self.consts
+        vals = [*args, *map(supply.fresh, self.hints)]
         out: list[Equation] = []
         stack: list[Term] = []
         push, pop = stack.append, stack.pop
@@ -877,7 +858,7 @@ class RuleTable:
 
     The indexes never change once built.  Two caches fill lazily as the
     table is used: ``matches`` holds the :func:`lookup` result per ordered
-    pair of symbols, filled by the reducer, and ``programs`` the
+    pair of symbols (the name and arity of each), filled by the reducer, and ``programs`` the
     :class:`RhsProgram` of each rule that has fired, keyed by the rule's
     identity (the program keeps its rule alive, so the key stays unique).
     Sharing a table across threads stays safe: each entry is a pure

@@ -28,7 +28,7 @@ from inetkit import (
     strategy_from_spec,
 )
 from inetkit.core import term_names
-from inetkit.engine import _default_supply
+from inetkit.engine import _default_supply, _resolve
 
 from conftest import compile_corpus, compile_text
 from variadic_oracle import ArityUnderflowError, instantiate_variadic
@@ -417,6 +417,30 @@ def test_steps_and_configurations_are_pinned_with_name_ids(name):
         while reduce_once(config, analysis.table, strategy) is not None:
             record(_raw_configuration(config))
     assert (count, digest.hexdigest()) == STEP_DIGESTS[name]
+
+
+def _index_by_walk(reducer) -> dict:
+    """The occurrence index a walk over the reducer's net gives."""
+    occ: dict[int, list] = {}
+    for slot, t in enumerate(reducer._interface):
+        for n in term_names(_resolve(t, reducer._bound)):
+            occ.setdefault(n.id, []).append((-1, slot, False))
+    for eid, eq in reducer._eqs.items():
+        for side, t in ((0, eq.left), (1, eq.right)):
+            for n in term_names(t):
+                occ.setdefault(n.id, []).append((eid, side, n is t))
+    return {i: sorted(sites) for i, sites in occ.items()}
+
+
+@pytest.mark.parametrize("name", ["addition", "dup_erase", "maybe_pick", "map"])
+def test_occurrence_index_matches_a_walk_after_every_step(name):
+    # Interactions site fresh names from the rule's program, not by a walk.
+    program, analysis = compile_corpus(name)
+    for strategy in [Fifo(), Lifo()] + [Seeded(s) for s in range(5)]:
+        reducer = Reducer(program.net, analysis.table, strategy)
+        while reducer.step() is not None:
+            index = {i: sorted(sites) for i, sites in reducer._occ.items()}
+            assert index == _index_by_walk(reducer), strategy
 
 
 def test_reducer_rejects_a_third_occurrence():
