@@ -206,13 +206,3 @@ def test_program_fails_like_the_walk(text, partner):
         lambda s: instantiate_rhs(rule, args, partner, s),
     )
 
-
-def test_programs_compile_deep_right_hand_sides():
-    depth = 5000
-    text = f"agent S/1; agent Z/0; agent A/1; A(r) >< Z => r~{'S(' * depth}Z{')' * depth};"
-    (rule,) = parse_program(text).rules
-    (eq,) = RhsProgram(rule).run((Name(0, "r"),), None, NameSupply(1))
-    t, n = eq.right, 0
-    while t.args:
-        t, n = t.args[0], n + 1
-    assert n == depth and not eq.right.holds_names
