@@ -153,8 +153,9 @@ def test_out_of_range_flags_are_usage_errors(argv, capsys):
     ["-5", "+5", " 5", "5 ", "", "5.0", "0x5", "٣", "1_0", "18446744073709551616"],
 )
 def test_seed_spec_outside_u64_decimal_is_a_usage_error(seed, capsys):
-    # Each of these once ran some other seed's schedule (-5 and +5 that of
-    # seed:5) or a seed wider than 64 bits.
+    # Signs, blanks, non-ASCII digits and underscores used to name another
+    # seed's schedule (seed:-5 and seed:+5 ran that of seed:5), and 2**64
+    # was taken although seeds are u64.
     with pytest.raises(SystemExit) as exc:
         main(["trace", corpus_path("addition"), "--strategy", f"seed:{seed}"])
     assert exc.value.code == 2
