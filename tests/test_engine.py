@@ -450,6 +450,15 @@ def test_reducer_rejects_a_third_occurrence():
         Reducer(config, EMPTY_TABLE)
 
 
+def test_firing_a_rule_that_uses_a_name_three_times_is_ill_formed():
+    # Only an unvalidated table can hold such a rule.
+    program = parse_program("agent A/0; agent B/0; agent E/0; A >< B => w~E, w~E, w~E;")
+    table = build_rule_table(program.rules, validate=False)
+    config = Configuration([], [Equation(Agent(Symbol("A", 0)), Agent(Symbol("B", 0)))])
+    with pytest.raises(IllFormedError, match="name w occurs more than twice"):
+        normalize(config, table)
+
+
 def test_normalize_addition():
     program, analysis = compile_corpus("addition")
     outcome = normalize(program.net, analysis.table)
