@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 
 class NetError(Exception):
@@ -213,16 +213,6 @@ def substitute(t: Term, x: Name, s: Term) -> Term:
                 out = Agent(agent.symbol, args[: j - 1] + (out,) + args[j:])
             return out
     return t
-
-
-def max_name_id(items: Iterable[Term]) -> int:
-    """Largest name id appearing in ``items``, or -1 if there are none."""
-    best = -1
-    for t in items:
-        for n in term_names(t):
-            if n.id > best:
-                best = n.id
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ interaction replaces an agent-agent equation by a rule's right-hand side.
 Interaction dispatch is two-phase: ordinary rules first, then the two
 generic probes, in a fixed order.  The engine deals in rule matches only:
 it orients the active pair against the matched rule and runs the rule's
-compiled right-hand side (:class:`~inetkit.rules.RhsProgram`), which the
-rule table builds the first time the rule fires.
+compiled right-hand side (:attr:`~inetkit.rules.Rule.program`), which the
+rule builds the first time it is read.
 
 The calculus itself fixes no reduction order; strategies only choose which
 reducible equation fires next, and for a validated rule set every strategy
@@ -37,7 +37,8 @@ to choose or fire a step.  It keeps these invariants:
   resolved through the bindings, once, whenever the configuration is read.
 - An interaction sites its fresh names directly, from where the rule's
   program says they land, and re-sites only the names its parameters'
-  argument terms hold.  Classifying an agent pair reads the table's
+  argument terms hold.  Its recorded fresh names are the program's hints
+  under the ids it drew.  Classifying an agent pair reads the table's
   memoized lookup for its two symbols.
 - Moving a term re-sites only the names it holds: subterms that hold no
   name (``Agent.holds_names``) are skipped.  So the cost of every step but
@@ -64,14 +65,12 @@ from .core import (
     Symbol,
     Term,
     canonicalize,
-    max_name_id,
     substitute,
     term_names,
 )
 from .rules import (
     OrdinaryMatch,
     OrdinaryPattern,
-    RhsProgram,
     Rule,
     RuleTable,
     lookup,
@@ -151,14 +150,9 @@ class NormalizeOutcome:
 # Rule instantiation
 # ---------------------------------------------------------------------------
 
-def instantiate_ordinary(
-    rule: Rule, eq: Equation, supply: NameSupply, program: Optional[RhsProgram] = None
-) -> list[Equation]:
+def instantiate_ordinary(rule: Rule, eq: Equation, supply: NameSupply) -> list[Equation]:
     """Right-hand side of an ordinary rule, with parameters bound to the
-    equation's argument terms and internal names freshened.
-
-    ``program`` is the rule's compiled right-hand side; by default it is
-    compiled for this call."""
+    equation's argument terms and internal names freshened."""
     assert isinstance(eq.left, Agent) and isinstance(eq.right, Agent)
     assert isinstance(rule.right, OrdinaryPattern)
     a, b = eq.left, eq.right
@@ -166,9 +160,7 @@ def instantiate_ordinary(
         if a.symbol != rule.right.symbol or b.symbol != rule.left.symbol:
             raise NetError(f"equation does not match rule {rule.id}")
         a, b = b, a
-    if program is None:
-        program = RhsProgram(rule)
-    return program.run(a.args + b.args, None, supply)
+    return rule.program.run(a.args + b.args, None, supply)
 
 
 def instantiate_fixed_generic(
@@ -176,7 +168,6 @@ def instantiate_fixed_generic(
     eq: Equation,
     supply: NameSupply,
     generic_side: Optional[str] = None,
-    program: Optional[RhsProgram] = None,
 ) -> list[Equation]:
     """Like :func:`instantiate_ordinary`, with every occurrence of the
     wildcard agent in the right-hand side rewritten to the matched symbol.
@@ -198,9 +189,7 @@ def instantiate_fixed_generic(
         a, b = b, a
     if b.symbol.arity != len(g.fixed_params):
         raise NetError(f"rule {rule.id}: arity mismatch against {b.symbol.name}/{b.symbol.arity}")
-    if program is None:
-        program = RhsProgram(rule)
-    return program.run(a.args + b.args, b.symbol, supply)
+    return rule.program.run(a.args + b.args, b.symbol, supply)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +263,8 @@ class Reducer:
     or the budget is spent, so stepping a reducer one step at a time follows
     exactly the schedule of :func:`normalize` with the same arguments.
     Rule tables must be linear, as :func:`~inetkit.rules.validate_linearity`
-    ensures.
+    ensures.  Without a ``supply``, fresh ids start one above the largest
+    name id in the net or the rules.
     """
 
     def __init__(
@@ -448,12 +438,15 @@ class Reducer:
 
     def _fire(self, eid: int, record: bool) -> Optional[StepResult]:
         how = self._agenda.how[eid]
+        first = self.supply.next_id  # the first id an interaction draws
         before, after = self._apply(eid, how)
         if not record:
             return None
         kind, detail = how
         if kind == KIND_INTERACTION:
-            return StepResult(kind, detail.rule.id, before, tuple(after), _fresh_in(after, before))
+            rule = detail.rule
+            fresh = tuple(Name(first + i, hint) for i, hint in enumerate(rule.program.hints))
+            return StepResult(kind, rule.id, before, tuple(after), fresh)
         return StepResult(kind, None, before, after, ())
 
     def _apply(self, eid: int, how: How) -> tuple[Equation, Sequence[Equation]]:
@@ -483,18 +476,18 @@ class Reducer:
         over the new equations would move them.
         """
         rule = match.rule
-        program = self.table.program(rule)
+        program = rule.program
         if program.overused is not None:
             raise IllFormedError(f"name {program.overused} occurs more than twice")
         supply = self.supply
         first = supply.next_id
         a, b = eq.left, eq.right  # a binds the rule's left pattern
         if match.__class__ is OrdinaryMatch:
-            produced = instantiate_ordinary(rule, eq, supply, program)
+            produced = instantiate_ordinary(rule, eq, supply)
             if match.swapped:
                 a, b = b, a
         else:
-            produced = instantiate_fixed_generic(rule, eq, supply, match.generic_side, program)
+            produced = instantiate_fixed_generic(rule, eq, supply, match.generic_side)
             if match.generic_side == "left":
                 a, b = b, a
         args = a.args + b.args
@@ -583,26 +576,6 @@ def _resolve(t: Term, bound: dict[int, Term]) -> Term:
             del done[first:]
             done.append(Agent(u, args))
     return done[0]
-
-
-def _fresh_in(after: Sequence[Equation], before: Equation) -> tuple[Name, ...]:
-    """Names in ``after`` that do not occur in ``before``, in order of appearance."""
-    known = set(term_names(before.left))
-    known.update(term_names(before.right))
-    seen: dict[Name, None] = {}
-    for eq in after:
-        for side in (eq.left, eq.right):
-            for n in term_names(side):
-                if n not in known:
-                    seen.setdefault(n)
-    return tuple(seen)
-
-
-def _default_supply(config: Configuration, table: RuleTable) -> NameSupply:
-    top = max_name_id(config.interface)
-    for eq in config.equations:
-        top = max(top, max_name_id((eq.left, eq.right)))
-    return NameSupply(max(top, table.max_name_id) + 1)
 
 
 def reduce_once(
@@ -752,14 +725,17 @@ def confluence_probe(
     and step count; the first disagreeing pair is re-run with tracing on and
     reported as a counterexample.
     """
-    base = _default_supply(config, table)
+    # Each run gets its own supply, starting where a reducer's default
+    # starts, so the names a run draws can be read off its supply (the
+    # benchmark's tracer counts them so).
+    start = Reducer(config, table).supply.next_id
     runs: list[RunSummary] = []
     # Canonical forms by literal final configuration (name ids included):
     # runs that end in the same configuration share one canonicalization.
     forms: dict[tuple, CanonicalConfiguration] = {}
     for strategy in strategies:
         outcome = normalize(
-            config, table, strategy, budget, supply=NameSupply(base.next_id)
+            config, table, strategy, budget, supply=NameSupply(start)
         )
         canonical = None
         if outcome.status != "budget_exhausted":
@@ -780,11 +756,11 @@ def confluence_probe(
         ):
             trace_a = normalize(
                 config, table, first.strategy, budget, trace=True,
-                supply=NameSupply(base.next_id),
+                supply=NameSupply(start),
             ).trace
             trace_b = normalize(
                 config, table, other.strategy, budget, trace=True,
-                supply=NameSupply(base.next_id),
+                supply=NameSupply(start),
             ).trace
             assert trace_a is not None and trace_b is not None
             return ConfluenceReport(False, runs, (first, other), (trace_a, trace_b))

@@ -13,9 +13,9 @@ into one fixed generic rule per arity that occurs in the program, which also
 makes the static overlap checks finite.  A non-variadic right-hand side
 is compiled once into a flat :class:`RhsProgram`, which builds its net
 equations directly and knows where each of their names lands; it serves
-the engine's interactions and the self-rule swap check alike.  The rule
-table compiles each rule the first time it fires and memoizes lookups per
-symbol pair.
+the engine's interactions and the self-rule swap check alike.  Each rule
+compiles itself the first time its program is read (:attr:`Rule.program`),
+and the rule table memoizes lookups per symbol pair.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -193,6 +194,15 @@ class Rule:
             return f"{self.left.symbol.name} >< {partner}"
         return f"{self.left.symbol.name} >< {self.right.symbol.name}"
 
+    @cached_property
+    def program(self) -> "RhsProgram":
+        """The compiled right-hand side, built the first time it is read.
+
+        Sharing a rule across threads stays safe: compiling is a pure
+        function of the rule, so a repeated build stores an equal program.
+        """
+        return RhsProgram(self)
+
 
 def _eq_parts(eq: RuleEquation) -> Iterator[RhsTerm]:
     """Both sides of ``eq`` and all their subterms, in preorder, the left
@@ -235,7 +245,8 @@ _RANGE, _WILD, _CLOSE = range(3)
 
 class RhsProgram:
     """The right-hand side of a non-variadic rule, compiled once into a flat
-    instantiation program.
+    instantiation program; read it as :attr:`Rule.program`.  It keeps only
+    its rule's id, for fault messages, so rule and program form no cycle.
 
     Values live in numbered slots: first the rule's parameters, in the order
     of ``rule.params``, then its other names, each freshened on first sight
@@ -258,12 +269,12 @@ class RhsProgram:
     """
 
     __slots__ = (
-        "rule", "hints", "code", "fresh_sites", "moves", "overused",
+        "rule_id", "hints", "code", "fresh_sites", "moves", "overused",
         "_need", "_faults",
     )
 
     def __init__(self, rule: Rule):
-        self.rule = rule
+        self.rule_id = rule.id
         params = rule.params
         n_params = len(params)
         slots = {p.id: i for i, p in enumerate(params)}  # name id -> slot
@@ -371,13 +382,13 @@ class RhsProgram:
         return out
 
     def _fail(self, partner: Optional[Symbol]) -> None:
-        rule = self.rule
+        rule_id = self.rule_id
         for fault in self._faults:
             if fault[0] == _RANGE:
-                raise NetError(f"rule {rule.id}: range or variadic name in an unexpanded RHS")
+                raise NetError(f"rule {rule_id}: range or variadic name in an unexpanded RHS")
             if fault[0] == _WILD:
                 if partner is None:
-                    raise NetError(f"rule {rule.id}: wildcard agent without a matched partner")
+                    raise NetError(f"rule {rule_id}: wildcard agent without a matched partner")
                 continue
             symbol = partner if fault[1] is None else fault[1]
             if symbol.arity != fault[2]:
@@ -385,7 +396,7 @@ class RhsProgram:
                 raise NetError(
                     f"agent {symbol.name}/{symbol.arity} applied to {fault[2]} argument(s)"
                 )
-        raise AssertionError(f"rule {rule.id}: no fault to report")
+        raise AssertionError(f"rule {rule_id}: no fault to report")
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +535,10 @@ def _self_rule_symmetric(rule: Rule) -> bool:
     assert isinstance(rule.right, OrdinaryPattern)
     xs, ys = rule.left.params, rule.right.params
     anchor = list(xs + ys)
-    program = RhsProgram(rule)
 
     def form(args: tuple[Name, ...]) -> CanonicalConfiguration:
         supply = NameSupply(_rule_max_name_id(rule) + 1)
-        return canonicalize(Configuration(anchor, program.run(args, None, supply)))
+        return canonicalize(Configuration(anchor, rule.program.run(args, None, supply)))
 
     return form(xs + ys) == form(ys + xs)
 
@@ -856,13 +866,12 @@ MatchResult = Union[OrdinaryMatch, GenericMatch, None]
 class RuleTable:
     """The rules of a program, indexed for two-probe lookup.
 
-    The indexes never change once built.  Two caches fill lazily as the
+    The indexes never change once built.  One cache fills lazily as the
     table is used: ``matches`` holds the :func:`lookup` result per ordered
-    pair of symbols (the name and arity of each), filled by the reducer, and ``programs`` the
-    :class:`RhsProgram` of each rule that has fired, keyed by the rule's
-    identity (the program keeps its rule alive, so the key stays unique).
+    pair of symbols (the name and arity of each), filled by the reducer.
     Sharing a table across threads stays safe: each entry is a pure
-    function of its key, so a repeated fill writes the same value.
+    function of its key, so a repeated fill writes the same value.  Each
+    rule compiles its own right-hand side (:attr:`Rule.program`).
     """
 
     ordinary: dict[tuple[str, str], Rule]
@@ -871,14 +880,6 @@ class RuleTable:
     matches: dict[tuple[str, int, str, int], MatchResult] = field(
         default_factory=dict, compare=False, repr=False
     )
-    programs: dict[int, RhsProgram] = field(default_factory=dict, compare=False, repr=False)
-
-    def program(self, rule: Rule) -> RhsProgram:
-        """The compiled right-hand side of ``rule``, built on first use."""
-        program = self.programs.get(id(rule))
-        if program is None:
-            program = self.programs[id(rule)] = RhsProgram(rule)
-        return program
 
 
 def build_rule_table(rules: Sequence[Rule], *, validate: bool = True) -> RuleTable:

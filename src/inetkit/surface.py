@@ -675,7 +675,9 @@ def _display_names(names) -> dict[Name, str]:
     for n in names:
         if n in disp:
             continue
-        text = n.display if n.display not in taken else f"{n.display}_{n.id}"
+        text = n.display
+        while text in taken:  # a suffixed text may itself be taken
+            text += f"_{n.id}"
         disp[n] = text
         taken.add(text)
     return disp
@@ -755,6 +757,8 @@ def parse_configuration(text: str) -> Configuration:
                 parser.take()
                 eqs.append(parser.parse_equation(allow_variadic=False))
         parser.expect_op(">")
+        if parser.kinds[parser.pos] != "eof":
+            parser.fail("expected end of input")
     except _ParseFail:
         pass
     if errors_in(diags):

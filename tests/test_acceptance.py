@@ -15,6 +15,7 @@ from inetkit import (
     Fifo,
     Lifo,
     NameSupply,
+    Reducer,
     RuleKind,
     Seeded,
     Symbol,
@@ -30,7 +31,6 @@ from inetkit import (
     parse_program,
     reduce_once,
 )
-from inetkit.engine import _default_supply
 from inetkit.rules import errors_in
 
 from conftest import compile_corpus, compile_text, corpus_text
@@ -310,7 +310,7 @@ def test_criterion_11_occurrence_invariant():
         assert occurrence_violations(program.net) == []
         for strategy in strategies:
             config = program.net.copy()
-            supply = _default_supply(config, analysis.table)
+            supply = Reducer(config, analysis.table).supply
             while True:
                 step = reduce_once(config, analysis.table, strategy, supply)
                 if step is None:

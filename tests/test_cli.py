@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from inetkit import occurrence_violations, parse_configuration
 from inetkit.cli import build_arg_parser, main
 
 import program_gen
@@ -208,6 +209,19 @@ def test_run_is_reproducible(capsys):
     first = capsys.readouterr().out
     main(["run", corpus_path("map"), "--strategy", "seed:9"])
     assert capsys.readouterr().out == first
+
+
+def test_run_output_shows_distinct_names_distinctly(tmp_program, capsys):
+    # A clashing name is shown as "<display>_<id>"; here that text is already
+    # the free port's name, so the wire must get a longer one.
+    path = tmp_program(
+        "agent A/1; agent B/0; agent P/2; A(r) >< B => r~P(a, a);"
+        "net (a_7, a, q1, q2, q3) | A(q1)~B, A(q2)~B, A(q3)~B;"
+    )
+    assert main(["run", path]) == 0
+    out = capsys.readouterr().out
+    assert out == "< a_7, a, P(a_7_7, a_7_7), P(a_8, a_8), P(a_9, a_9) | >\n"
+    assert occurrence_violations(parse_configuration(out)) == []
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ A third counter counts ``Agent`` nodes: each one built and each read of an
 agent's arguments.  The most nodes one step builds or visits must not
 depend on how deep the net's terms are either.
 
-Rule lookups (calls to ``lookup``) and right-hand-side compilations are
-counted too: each happens once per rule table, not once per step.
+Rule lookups (calls to ``lookup``) are counted too: each happens once per
+rule table, not once per step.  Right-hand-side compilations happen once
+per rule: a self rule's program serves both the analysis's swap check and
+every interaction.
 """
 
 from collections import Counter
@@ -266,3 +268,22 @@ def test_each_rule_is_compiled_once_per_table(name, monkeypatch):
     report = confluence_probe(program.net, analysis.table, PROBE)
     assert report.consistent
     assert calls and set(calls.values()) == {1}
+
+
+def test_a_self_rule_is_compiled_once_across_analysis_and_reduction(monkeypatch):
+    """The swap check of ``analyze_rules`` and the reducer share one program."""
+    calls = Counter()
+    compile_rule = inetkit.rules.RhsProgram.__init__
+
+    def counting_compile(self, rule):
+        calls[rule.id] += 1
+        compile_rule(self, rule)
+
+    monkeypatch.setattr(inetkit.rules.RhsProgram, "__init__", counting_compile)
+    program, analysis = compile_text(
+        "agent A/2; A(a, b) >< A(c, d) => a~c, b~d;"
+        "net (p, q, r, s) | A(p, q)~A(r, s);"
+    )
+    outcome = normalize(program.net, analysis.table)
+    assert outcome.status == "normal_form" and outcome.steps > 0
+    assert list(calls.values()) == [1]

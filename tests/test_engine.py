@@ -28,7 +28,7 @@ from inetkit import (
     strategy_from_spec,
 )
 from inetkit.core import term_names
-from inetkit.engine import _default_supply, _resolve
+from inetkit.engine import _resolve
 
 from conftest import compile_corpus, compile_text
 from variadic_oracle import ArityUnderflowError, instantiate_variadic
@@ -594,7 +594,7 @@ def test_step_equation_count_arithmetic():
     for name in ["addition", "dup_erase", "maybe_pick", "map"]:
         program, analysis = compile_corpus(name)
         config = program.net.copy()
-        supply = _default_supply(config, analysis.table)
+        supply = Reducer(config, analysis.table).supply
         while True:
             before = len(config.equations)
             step = reduce_once(config, analysis.table, Fifo(), supply)
@@ -610,7 +610,7 @@ def test_step_equation_count_arithmetic():
 def test_fresh_names_never_collide_with_configuration():
     program, analysis = compile_corpus("map")
     config = program.net.copy()
-    supply = _default_supply(config, analysis.table)
+    supply = Reducer(config, analysis.table).supply
     seen = {n.id for eq in config.equations for n in _names(eq)}
     while True:
         step = reduce_once(config, analysis.table, Fifo(), supply)

@@ -236,6 +236,13 @@ def test_parse_configuration_rejects_garbage():
         parse_configuration("< S(Z | >")
 
 
+def test_parse_configuration_rejects_trailing_input():
+    with pytest.raises(ValueError, match="E_PARSE: expected end of input, found 'trailing'"):
+        parse_configuration("< Z | > trailing )( garbage")
+    # Whitespace and comments after the closing '>' are still fine.
+    assert parse_configuration("< Z | >  # done\n\n") == parse_configuration("< Z | >")
+
+
 # ---------------------------------------------------------------------------
 # front-end digest
 # ---------------------------------------------------------------------------
