@@ -13,6 +13,12 @@ rule builds the first time it is read.
 The calculus itself fixes no reduction order; strategies only choose which
 reducible equation fires next, and for a validated rule set every strategy
 reaches the same normal form in the same number of steps.
+:func:`confluence_probe` checks that claim on a net.  Fifo and lifo run
+through :func:`normalize`; the seeded strategies run together.  A seeded
+reducer's state depends only on the equation ids it has picked, so seeds
+that have picked the same ids share one reducer, which is forked
+(:meth:`Reducer._fork`) only where their picks part.  For k seeds, at most
+floor(log2 k) + 1 reducers are alive at once.
 
 All reduction goes through one :class:`Reducer`, which never scans the net
 to choose or fire a step.  It keeps these invariants:
@@ -48,6 +54,7 @@ to choose or fire a step.  It keeps these invariants:
 
 from __future__ import annotations
 
+import copy
 import heapq
 import random
 from dataclasses import dataclass
@@ -243,6 +250,15 @@ class _Agenda:
                 self._ids[slot] = last
                 self._slot[last] = slot
 
+    def fork(self) -> _Agenda:
+        """A copy whose changes this agenda does not see."""
+        twin = copy.copy(self)
+        twin.how = self.how.copy()
+        twin._heap = self._heap.copy()
+        twin._ids = self._ids.copy()
+        twin._slot = self._slot.copy()
+        return twin
+
     def pick(self) -> Optional[int]:
         if not self.how:
             return None
@@ -320,11 +336,34 @@ class Reducer:
             if recorded is not None:
                 recorded.append(result)
             steps += 1
+        return self._outcome(steps, recorded)
+
+    def _outcome(self, steps: int, recorded: Optional[list[StepResult]] = None) -> NormalizeOutcome:
+        """How reduction ended after ``steps`` steps: out of budget while a
+        step still applies, else stuck or in normal form."""
         final = self.configuration
         if self._agenda.how:
             return NormalizeOutcome("budget_exhausted", final, steps, recorded)
         stuck = tuple(eq for eid, eq in self._eqs.items() if self._is_stuck(eid, eq))
         return NormalizeOutcome("stuck" if stuck else "normal_form", final, steps, recorded, stuck)
+
+    def _fork(self) -> Reducer:
+        """A twin that reduces on independently of this reducer.
+
+        The occurrence index, the equations, the interface, the bindings
+        and the agenda are copied, and the supply continues from the same
+        id; the terms themselves are immutable and shared.  The twin keeps
+        this reducer's random source: a caller that steps both under
+        :class:`Seeded` hands each its own.
+        """
+        twin = copy.copy(self)
+        twin._interface = self._interface.copy()
+        twin._bound = self._bound.copy()
+        twin._eqs = self._eqs.copy()
+        twin._occ = {n: sites.copy() for n, sites in self._occ.items()}
+        twin._agenda = self._agenda.fork()
+        twin.supply = NameSupply(self.supply.next_id)
+        return twin
 
     # -- the occurrence index ---------------------------------------------
 
@@ -713,30 +752,44 @@ class ConfluenceReport:
         return [r for r in self.runs if r.status != "budget_exhausted"]
 
 
+# How a run ended: its status, steps and canonical final configuration.
+_End = tuple[str, int, Optional[CanonicalConfiguration]]
+
+
 def confluence_probe(
     config: Configuration,
     table: RuleTable,
     strategies: Sequence[Strategy],
     budget: int = 100_000,
 ) -> ConfluenceReport:
-    """Normalize under every strategy and compare outcomes.
+    """Reduce under every strategy and compare outcomes.
 
     All terminating runs must agree on status, canonical final configuration
     and step count; the first disagreeing pair is re-run with tracing on and
-    reported as a counterexample.
+    reported as a counterexample.  If a run raises, the probe raises the
+    error of the first strategy in the given order that raises.
+
+    Fifo and lifo each run through :func:`normalize`.  The seeded strategies
+    run together, as one walk of their schedule tree (see
+    :func:`_walk_schedules`), so a prefix of steps that several seeds share
+    is fired once.  Every run reports exactly what :func:`normalize` under
+    its strategy would.
     """
-    # Each run gets its own supply, starting where a reducer's default
+    seeded = [(position, random.Random(s.seed)) for position, s in enumerate(strategies)
+              if isinstance(s, Seeded)]
+    # The walk's root: the seeds pick from its agenda's ids, so it is seeded.
+    root = Reducer(config, table, strategies[seeded[0][0]] if seeded else Fifo())
+    # Fifo and lifo each get their own supply, starting where the walk's
     # starts, so the names a run draws can be read off its supply (the
     # benchmark's tracer counts them so).
-    start = Reducer(config, table).supply.next_id
-    runs: list[RunSummary] = []
+    start = root.supply.next_id
+    if strategies and budget <= 0:
+        raise ValueError("budget must be positive")
     # Canonical forms by literal final configuration (name ids included):
     # runs that end in the same configuration share one canonicalization.
     forms: dict[tuple, CanonicalConfiguration] = {}
-    for strategy in strategies:
-        outcome = normalize(
-            config, table, strategy, budget, supply=NameSupply(start)
-        )
+
+    def summarize(outcome: NormalizeOutcome) -> _End:
         canonical = None
         if outcome.status != "budget_exhausted":
             final = outcome.final
@@ -744,7 +797,20 @@ def confluence_probe(
             canonical = forms.get(key)
             if canonical is None:
                 canonical = forms[key] = canonicalize(final)
-        runs.append(RunSummary(strategy, outcome.status, outcome.steps, canonical))
+        return outcome.status, outcome.steps, canonical
+
+    ends: dict[int, Union[_End, Exception]] = {}
+    if seeded:
+        _walk_schedules(root, seeded, 0, budget, summarize, ends)
+    runs: list[RunSummary] = []
+    for position, strategy in enumerate(strategies):
+        if isinstance(strategy, Seeded):
+            end = ends[position]
+            if isinstance(end, Exception):
+                raise end
+        else:
+            end = summarize(normalize(config, table, strategy, budget, supply=NameSupply(start)))
+        runs.append(RunSummary(strategy, *end))
 
     finished = [r for r in runs if r.status != "budget_exhausted"]
     for other in finished[1:]:
@@ -765,3 +831,58 @@ def confluence_probe(
             assert trace_a is not None and trace_b is not None
             return ConfluenceReport(False, runs, (first, other), (trace_a, trace_b))
     return ConfluenceReport(True, runs)
+
+
+def _walk_schedules(
+    reducer: Reducer,
+    members: list[tuple[int, random.Random]],
+    steps: int,
+    budget: int,
+    summarize,
+    ends: dict[int, Union[_End, Exception]],
+    pending: Optional[int] = None,
+) -> None:
+    """Run seeded strategies from ``reducer``'s state after ``steps`` steps,
+    firing equation ``pending`` first if given; store each member's end in
+    ``ends`` under its position.
+
+    A member is a strategy's position and its own random source, which
+    draws as :meth:`_Agenda.pick` does.  A seeded reducer's state depends
+    only on the ids picked so far, so members that picked the same ids share
+    one reducer.  At each step the members are parted by the id they pick.
+    The largest party goes on in place; each smaller one, smallest first,
+    runs to its ends on a fork of the state before the walk goes on.  A
+    smaller party has at most half the members, so at most
+    floor(log2 k) + 1 reducers are alive for k members, and there are at
+    most k - 1 forks.  A lone member runs on with :meth:`Reducer.run`.  Each
+    end is summarized as soon as it is reached and its configuration
+    dropped; an error raised on the way is stored as the end of every
+    member that reached it, without its traceback, which would keep the
+    reducer alive.
+    """
+    try:
+        while True:
+            if pending is not None:
+                reducer._fire(pending, record=False)
+                steps += 1
+            if len(members) == 1:
+                reducer._agenda._rng = members[0][1]
+                outcome = reducer.run(budget - steps)
+                outcome.steps += steps
+                break
+            ids = reducer._agenda._ids
+            if steps == budget or not ids:
+                outcome = reducer._outcome(steps)
+                break
+            parties: dict[int, list[tuple[int, random.Random]]] = {}
+            for member in members:
+                parties.setdefault(ids[member[1].randrange(len(ids))], []).append(member)
+            *smaller, (pending, largest) = sorted(parties.items(), key=lambda p: len(p[1]))
+            for eid, party in smaller:
+                _walk_schedules(reducer._fork(), party, steps, budget, summarize, ends, eid)
+            members = largest
+        end: Union[_End, Exception] = summarize(outcome)
+    except Exception as exc:
+        end = exc.with_traceback(None)
+    for position, _ in members:
+        ends[position] = end

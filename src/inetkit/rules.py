@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -160,6 +159,23 @@ class RuleKind(str, Enum):
     VARIADIC = "variadic"
 
 
+class _built_once:
+    """``functools.cached_property`` without the lock that Python 3.11
+    takes on every first read: the value goes into the instance dict, where
+    later reads find it without calling anything."""
+
+    def __init__(self, build):
+        self._build = build
+        self._name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self._name] = self._build(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Rule:
     """One interaction rule.
@@ -194,7 +210,7 @@ class Rule:
             return f"{self.left.symbol.name} >< {partner}"
         return f"{self.left.symbol.name} >< {self.right.symbol.name}"
 
-    @cached_property
+    @_built_once
     def program(self) -> "RhsProgram":
         """The compiled right-hand side, built the first time it is read.
 

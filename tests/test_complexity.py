@@ -18,8 +18,13 @@ Rule lookups (calls to ``lookup``) are counted too: each happens once per
 rule table, not once per step.  Right-hand-side compilations happen once
 per rule: a self rule's program serves both the analysis's swap check and
 every interaction.
+
+A confluence probe fires each interaction of its seeded strategies'
+schedule tree once, and for k seeds makes at most k - 1 reducer forks and
+keeps at most floor(log2 k) + 1 reducers alive.
 """
 
+import weakref
 from collections import Counter
 
 import pytest
@@ -28,6 +33,7 @@ import inetkit.core
 import inetkit.engine
 import inetkit.rules
 from inetkit import Agent, Fifo, Lifo, Name, Reducer, Seeded, confluence_probe, normalize
+from inetkit.cli import main
 
 from conftest import compile_corpus, compile_text, eps_dup_text
 
@@ -287,3 +293,102 @@ def test_a_self_rule_is_compiled_once_across_analysis_and_reduction(monkeypatch)
     outcome = normalize(program.net, analysis.table)
     assert outcome.status == "normal_form" and outcome.steps > 0
     assert list(calls.values()) == [1]
+
+
+def seeded_interaction_edges(config, table, seeds) -> set[tuple[int, ...]]:
+    """The interaction edges of the seeded strategies' schedule tree.
+
+    A seeded reducer's state depends only on the equation ids it has picked,
+    so a node of the tree is a sequence of picked ids and an edge is such a
+    sequence whose last pick fired an interaction.
+    """
+    edges = set()
+    for seed in seeds:
+        reducer = Reducer(config, table, Seeded(seed))
+        picked: tuple[int, ...] = ()
+        while (eid := reducer._agenda.pick()) is not None:
+            picked += (eid,)
+            if reducer._agenda.how[eid][0] == "interaction":
+                edges.add(picked)
+            reducer._fire(eid, record=False)
+    return edges
+
+
+@pytest.fixture
+def interactions(monkeypatch):
+    tally = Counter()
+    for attr in ("instantiate_ordinary", "instantiate_fixed_generic"):
+        def counting(*args, _original=getattr(inetkit.engine, attr), **kwargs):
+            tally["fired"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(inetkit.engine, attr, counting)
+    return tally
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_a_probe_fires_each_interaction_of_the_schedule_tree_once(name, interactions):
+    """Seeded runs share the steps their schedules have in common: the probe
+    fires one interaction per interaction edge of their schedule tree, plus
+    those of fifo and lifo."""
+    program, analysis = compile_corpus(name)
+    seeds = range(200)
+    edges = seeded_interaction_edges(program.net, analysis.table, seeds)
+    linear = [
+        sum(step.kind == "interaction"
+            for step in normalize(program.net, analysis.table, strategy, trace=True).trace)
+        for strategy in (Fifo(), Lifo())
+    ]
+    interactions.clear()
+    report = confluence_probe(program.net, analysis.table, PROBE)
+    assert report.consistent
+    assert interactions["fired"] == len(edges) + sum(linear)
+    # Without sharing, each seeded run would fire all of its own.
+    assert len(edges) < len(seeds) * linear[0]
+
+
+@pytest.fixture
+def reducers(monkeypatch):
+    """Forks made, and the most reducers alive at any fired step."""
+    tally = Counter()
+    alive = weakref.WeakSet()
+    init, fork, fire = Reducer.__init__, Reducer._fork, Reducer._fire
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        alive.add(self)
+
+    def counting_fork(self):
+        twin = fork(self)
+        tally["forks"] += 1
+        alive.add(twin)
+        return twin
+
+    def counting_fire(self, eid, record):
+        tally["most_alive"] = max(tally["most_alive"], len(alive))
+        return fire(self, eid, record)
+
+    monkeypatch.setattr(Reducer, "__init__", counting_init)
+    monkeypatch.setattr(Reducer, "_fork", counting_fork)
+    monkeypatch.setattr(Reducer, "_fire", counting_fire)
+    return tally
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 200])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_the_seeded_walk_forks_and_keeps_few_reducers(name, k, reducers):
+    """k seeded strategies make at most k - 1 forks and keep at most
+    floor(log2 k) + 1 reducers alive."""
+    program, analysis = compile_corpus(name)
+    report = confluence_probe(program.net, analysis.table, [Seeded(i) for i in range(k)])
+    assert report.consistent
+    assert reducers["forks"] <= k - 1
+    assert reducers["most_alive"] <= k.bit_length()
+    if k == 200:
+        assert reducers["forks"] > 0
+
+
+def test_fuzz_with_one_seed_makes_no_fork(corpus_dir, reducers, capsys):
+    assert main(["fuzz", str(corpus_dir / "map.inet"), "--seeds", "1"]) == 0
+    assert capsys.readouterr().out.startswith("confluence: 3 strategies")
+    assert reducers["forks"] == 0
