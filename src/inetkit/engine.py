@@ -6,9 +6,10 @@ into another equation, collect resolves a name into the interface, and
 interaction replaces an agent-agent equation by a rule's right-hand side.
 Interaction dispatch is two-phase: ordinary rules first, then the two
 generic probes, in a fixed order.  The engine deals in rule matches only:
-it orients the active pair against the matched rule and runs the rule's
-compiled right-hand side (:attr:`~inetkit.rules.Rule.program`), which the
-rule builds the first time it is read.
+:func:`~inetkit.rules.lookup` resolves and orients the active pair once,
+and the engine hands the oriented agents to the rule's compiled right-hand
+side (:attr:`~inetkit.rules.Rule.program`), which the rule builds the first
+time it is read.
 
 The calculus itself fixes no reduction order; strategies only choose which
 reducible equation fires next, and for a validated rule set every strategy
@@ -74,13 +75,7 @@ from .core import (
     substitute,
     term_names,
 )
-from .rules import (
-    OrdinaryMatch,
-    OrdinaryPattern,
-    Rule,
-    RuleTable,
-    lookup,
-)
+from .rules import Match, Rule, RuleTable, lookup
 
 KIND_COMMUNICATION = "communication"
 KIND_SUBSTITUTION = "substitution"
@@ -156,43 +151,26 @@ class NormalizeOutcome:
 # Rule instantiation
 # ---------------------------------------------------------------------------
 
-def instantiate_ordinary(rule: Rule, eq: Equation, supply: NameSupply) -> list[Equation]:
-    """Right-hand side of an ordinary rule, with parameters bound to the
-    equation's argument terms and internal names freshened."""
-    assert isinstance(eq.left, Agent) and isinstance(eq.right, Agent)
-    assert isinstance(rule.right, OrdinaryPattern)
-    a, b = eq.left, eq.right
+def instantiate_ordinary(rule: Rule, a: Agent, b: Agent, supply: NameSupply) -> list[Equation]:
+    """Right-hand side of an ordinary rule, with the parameters bound to the
+    argument terms of ``a`` (the left pattern's) and ``b`` (the right
+    pattern's), oriented as :func:`~inetkit.rules.lookup` orients them, and
+    internal names freshened.  Raises :class:`NetError` if the symbols do
+    not fit the rule in that orientation."""
     if a.symbol != rule.left.symbol or b.symbol != rule.right.symbol:
-        if a.symbol != rule.right.symbol or b.symbol != rule.left.symbol:
-            raise NetError(f"equation does not match rule {rule.id}")
-        a, b = b, a
+        raise NetError(f"equation does not match rule {rule.id}")
     return rule.program.run(a.args + b.args, None, supply)
 
 
-def instantiate_fixed_generic(
-    rule: Rule,
-    eq: Equation,
-    supply: NameSupply,
-    generic_side: Optional[str] = None,
-) -> list[Equation]:
-    """Like :func:`instantiate_ordinary`, with every occurrence of the
-    wildcard agent in the right-hand side rewritten to the matched symbol.
-
-    ``generic_side`` names the equation side the wildcard binds; by default
-    the left one if the right one holds the rule's concrete symbol, as the
-    first lookup probe would bind it.
-    """
+def instantiate_fixed_generic(rule: Rule, a: Agent, b: Agent, supply: NameSupply) -> list[Equation]:
+    """Like :func:`instantiate_ordinary` with ``b`` bound by the wildcard:
+    every occurrence of the wildcard agent in the right-hand side becomes
+    ``b``'s symbol.  Raises :class:`NetError` if ``a`` is not the rule's
+    concrete symbol or ``b`` not of the wildcard's arity."""
     g = rule.generic
     assert g is not None and not g.is_variadic
-    assert isinstance(eq.left, Agent) and isinstance(eq.right, Agent)
-    a, b = eq.left, eq.right  # a: the concrete side, b: the wildcard's
-    if generic_side is None:
-        if b.symbol == rule.left.symbol:
-            generic_side = "left"
-        elif a.symbol != rule.left.symbol:
-            raise NetError(f"equation does not match rule {rule.id}")
-    if generic_side == "left":
-        a, b = b, a
+    if a.symbol != rule.left.symbol:
+        raise NetError(f"equation does not match rule {rule.id}")
     if b.symbol.arity != len(g.fixed_params):
         raise NetError(f"rule {rule.id}: arity mismatch against {b.symbol.name}/{b.symbol.arity}")
     return rule.program.run(a.args + b.args, b.symbol, supply)
@@ -513,7 +491,7 @@ class Reducer:
                 self._classify(e)
         return eq, after
 
-    def _interact(self, eid: int, eq: Equation, match, touched: set[int]) -> list[Equation]:
+    def _interact(self, eid: int, eq: Equation, match: Match, touched: set[int]) -> list[Equation]:
         """Fire the rule's program and index the equations it builds.
 
         Every fresh name has both its sites among the new equations, so it
@@ -527,15 +505,11 @@ class Reducer:
             raise IllFormedError(f"name {program.overused} occurs more than twice")
         supply = self.supply
         first = supply.next_id
-        a, b = eq.left, eq.right  # a binds the rule's left pattern
-        if match.__class__ is OrdinaryMatch:
-            produced = instantiate_ordinary(rule, eq, supply)
-            if match.swapped:
-                a, b = b, a
+        a, b = (eq.right, eq.left) if match.swapped else (eq.left, eq.right)
+        if rule.generic is None:
+            produced = instantiate_ordinary(rule, a, b, supply)
         else:
-            produced = instantiate_fixed_generic(rule, eq, supply, match.generic_side)
-            if match.generic_side == "left":
-                a, b = b, a
+            produced = instantiate_fixed_generic(rule, a, b, supply)
         args = a.args + b.args
         base = self._next_id
         self._next_id = base + len(produced)

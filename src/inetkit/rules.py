@@ -188,12 +188,20 @@ class Rule:
     left: OrdinaryPattern
     right: Union[OrdinaryPattern, GenericPattern]
     rhs: tuple[RuleEquation, ...]
-    kind: RuleKind
     origin: str = ""
 
     @property
     def generic(self) -> Optional[GenericPattern]:
         return self.right if isinstance(self.right, GenericPattern) else None
+
+    @property
+    def kind(self) -> RuleKind:
+        """Read off the patterns: a wildcard makes the rule generic, and a
+        wildcard's range makes it variadic."""
+        g = self.generic
+        if g is None:
+            return RuleKind.ORDINARY
+        return RuleKind.VARIADIC if g.is_variadic else RuleKind.FIXED_GENERIC
 
     @property
     def params(self) -> tuple[Name, ...]:
@@ -559,16 +567,6 @@ def _self_rule_symmetric(rule: Rule) -> bool:
     return form(xs + ys) == form(ys + xs)
 
 
-def _generic_slot_kind(rule: Rule) -> Optional[tuple[str, str, int]]:
-    """(kind, ordinary symbol, arity-or-fixed-ports) of a generic rule."""
-    g = rule.generic
-    if g is None:
-        return None
-    if g.is_variadic:
-        return ("variadic", rule.left.symbol.name, len(g.fixed_params))
-    return ("fixed", rule.left.symbol.name, len(g.fixed_params))
-
-
 def check_no_ambiguity(rules: Sequence[Rule]) -> list[Diagnostic]:
     """Reject rule sets in which one active pair could match two rules.
 
@@ -580,9 +578,8 @@ def check_no_ambiguity(rules: Sequence[Rule]) -> list[Diagnostic]:
 
     seen_pairs: dict[tuple[str, str], Rule] = {}
     for rule in rules:
-        if rule.kind is not RuleKind.ORDINARY:
+        if not isinstance(rule.right, OrdinaryPattern):
             continue
-        assert isinstance(rule.right, OrdinaryPattern)
         a, b = rule.left.symbol.name, rule.right.symbol.name
         key = (a, b) if a <= b else (b, a)
         if key in seen_pairs:
@@ -611,30 +608,21 @@ def check_no_ambiguity(rules: Sequence[Rule]) -> list[Diagnostic]:
                     )
                 )
 
-    generics = [r for r in rules if r.generic is not None]
-    for r1, r2 in combinations(generics, 2):
-        k1 = _generic_slot_kind(r1)
-        k2 = _generic_slot_kind(r2)
-        assert k1 and k2
-        kind1, sym1, n1 = k1
-        kind2, sym2, n2 = k2
-        if sym1 != sym2:
+    generics = [(r, r.generic) for r in rules if r.generic is not None]
+    for (r1, g1), (r2, g2) in combinations(generics, 2):
+        symbol = r1.left.symbol.name
+        if symbol != r2.left.symbol.name:
             continue
-        if kind1 == "fixed" and kind2 == "fixed":
-            clash = n1 == n2
-        elif kind1 == "variadic" and kind2 == "variadic":
-            clash = True  # both cover every arity >= max(f1, f2)
-        else:
-            fixed_arity = n1 if kind1 == "fixed" else n2
-            f = n2 if kind1 == "fixed" else n1
-            clash = fixed_arity >= f
-        if clash:
+        # Both slots cover the larger fixed-port count, and so clash, unless
+        # one of them is a fixed slot for a smaller arity.
+        top = max(len(g1.fixed_params), len(g2.fixed_params))
+        if all(g.is_variadic or len(g.fixed_params) == top for g in (g1, g2)):
             diags.append(
                 Diagnostic(
                     "error",
                     "E_DUP_GENERIC",
                     f"rules {r1.id} and {r2.id} occupy the same generic slot for "
-                    f"symbol {sym1}",
+                    f"symbol {symbol}",
                 )
             )
     return diags
@@ -791,7 +779,6 @@ def _expand_at(rule: Rule, g: GenericPattern, f: int, k: int) -> Rule:
         left=rule.left,
         right=GenericPattern(g.generic_name, g.fixed_params + lhs_ports, None),
         rhs=tuple(new_rhs),
-        kind=RuleKind.FIXED_GENERIC,
         origin=f"expanded-from({rule.id}, {k})",
     )
 
@@ -812,8 +799,7 @@ def check_grc(rules: Sequence[Rule]) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     ordinary_pairs = set()
     for r in rules:
-        if r.kind is RuleKind.ORDINARY:
-            assert isinstance(r.right, OrdinaryPattern)
+        if isinstance(r.right, OrdinaryPattern):
             a, b = r.left.symbol.name, r.right.symbol.name
             ordinary_pairs.add((a, b) if a <= b else (b, a))
 
@@ -864,18 +850,16 @@ def check_grc(rules: Sequence[Rule]) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OrdinaryMatch:
+class Match:
+    """The rule for an active pair, oriented against the pair's equation.
+
+    ``swapped`` means the equation's right term binds the rule's left
+    pattern and its left term the right pattern or wildcard; otherwise the
+    left term binds the left pattern.
+    """
+
     rule: Rule
-    swapped: bool  # True: the equation's left term binds the rule's right pattern
-
-
-@dataclass(frozen=True)
-class GenericMatch:
-    rule: Rule
-    generic_side: str  # "left" | "right": equation side bound by the wildcard
-
-
-MatchResult = Union[OrdinaryMatch, GenericMatch, None]
+    swapped: bool
 
 
 @dataclass
@@ -883,8 +867,9 @@ class RuleTable:
     """The rules of a program, indexed for two-probe lookup.
 
     The indexes never change once built.  One cache fills lazily as the
-    table is used: ``matches`` holds the :func:`lookup` result per ordered
-    pair of symbols (the name and arity of each), filled by the reducer.
+    table is used: ``matches`` holds the :func:`lookup` result, an oriented
+    :class:`Match` or ``None``, per ordered pair of symbols (the name and
+    arity of each), filled by the reducer.
     Sharing a table across threads stays safe: each entry is a pure
     function of its key, so a repeated fill writes the same value.  Each
     rule compiles its own right-hand side (:attr:`Rule.program`).
@@ -893,7 +878,7 @@ class RuleTable:
     ordinary: dict[tuple[str, str], Rule]
     generic: dict[tuple[int, str], Rule]
     max_name_id: int = -1
-    matches: dict[tuple[str, int, str, int], MatchResult] = field(
+    matches: dict[tuple[str, int, str, int], Optional[Match]] = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -923,8 +908,7 @@ def build_rule_table(rules: Sequence[Rule], *, validate: bool = True) -> RuleTab
     max_id = -1
     for r in rules:
         max_id = max(max_id, _rule_max_name_id(r))
-        if r.kind is RuleKind.ORDINARY:
-            assert isinstance(r.right, OrdinaryPattern)
+        if isinstance(r.right, OrdinaryPattern):
             a, b = r.left.symbol.name, r.right.symbol.name
             key = (a, b) if a <= b else (b, a)
             ordinary.setdefault(key, r)
@@ -935,25 +919,25 @@ def build_rule_table(rules: Sequence[Rule], *, validate: bool = True) -> RuleTab
     return RuleTable(ordinary, generic, max_id)
 
 
-def lookup(table: RuleTable, a: Symbol, b: Symbol) -> MatchResult:
-    """Resolve the rule for an active pair with left symbol ``a``, right ``b``.
+def lookup(table: RuleTable, a: Symbol, b: Symbol) -> Optional[Match]:
+    """Resolve and orient the rule for an active pair with left symbol
+    ``a`` and right symbol ``b``; the one place a pair is oriented.
 
-    Ordinary rules take priority; otherwise the generic slot for ``a`` in the
-    wildcard position is probed before the one for ``b``.  Returns ``None``
-    when nothing matches.
+    Ordinary rules take priority, and ``a`` binds the left pattern unless
+    the rule's left symbol is ``b``'s.  Otherwise the generic slot with
+    ``a`` in the wildcard position (``swapped``) is probed before the one
+    with ``b`` there.  Returns ``None`` when nothing matches.
     """
     key = (a.name, b.name) if a.name <= b.name else (b.name, a.name)
     rule = table.ordinary.get(key)
     if rule is not None:
-        assert isinstance(rule.right, OrdinaryPattern)
-        swapped = rule.left.symbol.name != a.name
-        return OrdinaryMatch(rule, swapped)
+        return Match(rule, rule.left.symbol.name != a.name)
     rule = table.generic.get((a.arity, b.name))
     if rule is not None:
-        return GenericMatch(rule, "left")
+        return Match(rule, True)
     rule = table.generic.get((b.arity, a.name))
     if rule is not None:
-        return GenericMatch(rule, "right")
+        return Match(rule, False)
     return None
 
 

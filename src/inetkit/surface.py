@@ -37,7 +37,6 @@ from .rules import (
     RhsTerm,
     Rule,
     RuleEquation,
-    RuleKind,
     Span,
     Symbol,
     VarName,
@@ -563,14 +562,12 @@ class _Builder:
                     tuple(self._name(scope, p) for p in fixed),
                     range_name,
                 )
-                kind = RuleKind.VARIADIC if range_name else RuleKind.FIXED_GENERIC
             else:
                 _, ident2, params2, at2 = right_raw
                 right = OrdinaryPattern(
                     self._symbol(ident2, at2),
                     tuple(self._name(scope, p) for p in params2),
                 )
-                kind = RuleKind.ORDINARY
             rhs = tuple(
                 RuleEquation(self._term(l, scope, rhs=True), self._term(r, scope, rhs=True))
                 for l, r in raw.rhs
@@ -581,7 +578,7 @@ class _Builder:
             # Pattern length disagrees with the symbol's resolved arity; the
             # conflicting uses were already reported.
             return None
-        return Rule(rule_id, left, right, rhs, kind, origin=str(raw.span))
+        return Rule(rule_id, left, right, rhs, origin=str(raw.span))
 
     def _term(self, raw: tuple, scope: dict[str, Name], rhs: bool = False) -> Union[Term, RhsTerm]:
         """Build a net term or, with ``rhs``, a right-hand-side term from a

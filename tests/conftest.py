@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from inetkit import analyze_rules, parse_program
+from inetkit import analyze_rules, build_rule_table, lookup, parse_program
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "src" / "inetkit" / "corpus"
 
@@ -27,6 +27,15 @@ def compile_text(text: str):
 
 def compile_corpus(name: str):
     return compile_text(corpus_text(name))
+
+
+def oriented(rule, eq):
+    """The two agents of ``eq`` in the order ``lookup`` binds them to
+    ``rule``: the one for its left pattern first."""
+    table = build_rule_table([rule], validate=False)
+    match = lookup(table, eq.left.symbol, eq.right.symbol)
+    assert match is not None and match.rule is rule
+    return (eq.right, eq.left) if match.swapped else (eq.left, eq.right)
 
 
 def eps_dup_text(wide: int) -> str:

@@ -113,7 +113,7 @@ def test_criterion_03_variadic_erase_instantiation():
     assert sorted(out, key=lambda e: e.right.id) == expected
     # The shipped path: expand at arity 3, then instantiate the fixed rule.
     (at3,) = expand_variadic(rule, 3, arities=[3])
-    shipped = instantiate_fixed_generic(at3, eq, NameSupply(sup.next_id))
+    shipped = instantiate_fixed_generic(at3, eq.left, eq.right, NameSupply(sup.next_id))
     assert sorted(shipped, key=lambda e: e.right.id) == expected
     print("criterion 3: erase rule against a 3-port partner yields one "
           "equation per port, directly and via expansion: PASS")
@@ -148,7 +148,7 @@ def test_criterion_04_variadic_duplicate_instantiation():
     )
     # The shipped path: expand at arity 3, then instantiate the fixed rule.
     (at3,) = expand_variadic(rule, 3, arities=[3])
-    shipped = instantiate_fixed_generic(at3, eq, NameSupply(sup.next_id))
+    shipped = instantiate_fixed_generic(at3, eq.left, eq.right, NameSupply(sup.next_id))
     assert len(shipped) == 5
     assert canonicalize(Configuration(anchor, shipped)) == canonicalize(
         Configuration(anchor, expected)
@@ -250,7 +250,7 @@ def test_criterion_07_expansion_matches_direct_instantiation():
                     ]
                     direct = instantiate_variadic(rule, eq, NameSupply(supply.next_id))
                     via_expanded = instantiate_fixed_generic(
-                        expanded[k], eq, NameSupply(supply.next_id + 10_000)
+                        expanded[k], eq.left, eq.right, NameSupply(supply.next_id + 10_000)
                     )
                     lhs = canonicalize(Configuration(list(anchor), direct))
                     rhs = canonicalize(Configuration(list(anchor), via_expanded))

@@ -9,6 +9,7 @@ from inetkit import (
     Lifo,
     Name,
     NameSupply,
+    NetError,
     Reducer,
     Seeded,
     Symbol,
@@ -30,7 +31,7 @@ from inetkit import (
 from inetkit.core import term_names
 from inetkit.engine import _resolve
 
-from conftest import compile_corpus, compile_text
+from conftest import compile_corpus, compile_text, oriented
 from variadic_oracle import ArityUnderflowError, instantiate_variadic
 
 S = Symbol("S", 1)
@@ -171,7 +172,7 @@ def test_instantiate_ordinary_successor_rule():
     rule = program.rules[0]
     r = program.supply.fresh("r")
     eq = Equation(Agent(ADD, (sz(1), r)), sz(1))
-    out = instantiate_ordinary(rule, eq, NameSupply(program.supply.next_id))
+    out = instantiate_ordinary(rule, eq.left, eq.right, NameSupply(program.supply.next_id))
     w = out[0].left.args[1]
     assert isinstance(w, Name) and w != r  # freshened
     assert out == [
@@ -185,16 +186,14 @@ def test_instantiate_ordinary_zero_rule_flipped():
     rule = program.rules[1]
     r = program.supply.fresh("r")
     eq = Equation(Agent(Z), Agent(ADD, (sz(1), r)))  # flipped orientation
-    out = instantiate_ordinary(rule, eq, NameSupply(program.supply.next_id))
+    out = instantiate_ordinary(rule, *oriented(rule, eq), NameSupply(program.supply.next_id))
     assert out == [Equation(r, sz(1))]
 
 
 def test_instantiate_ordinary_empty_rhs():
     program = parse_program("agent A/0; agent B/0; A >< B => ();")
     out = instantiate_ordinary(
-        program.rules[0],
-        Equation(Agent(Symbol("A", 0)), Agent(Symbol("B", 0))),
-        NameSupply(100),
+        program.rules[0], Agent(Symbol("A", 0)), Agent(Symbol("B", 0)), NameSupply(100)
     )
     assert out == []
 
@@ -204,7 +203,7 @@ def test_instantiate_fixed_generic_rewrites_wildcard():
     rule = program.rules[0]
     r, t = program.supply.fresh("r"), program.supply.fresh("t")
     eq = Equation(Agent(Symbol("Ret", 1), (r,)), Agent(S, (t,)))
-    out = instantiate_fixed_generic(rule, eq, NameSupply(program.supply.next_id))
+    out = instantiate_fixed_generic(rule, eq.left, eq.right, NameSupply(program.supply.next_id))
     assert out == [Equation(r, Agent(Symbol("Jst", 1), (Agent(S, (t,)),)))]
 
 
@@ -213,8 +212,47 @@ def test_instantiate_fixed_generic_without_wildcard_in_rhs():
     rule = program.rules[0]
     u = program.supply.fresh("u")
     eq = Equation(Agent(Symbol("Aux", 0)), Agent(Symbol("Jst", 1), (u,)))
-    out = instantiate_fixed_generic(rule, eq, NameSupply(program.supply.next_id))
+    out = instantiate_fixed_generic(rule, eq.left, eq.right, NameSupply(program.supply.next_id))
     assert out == [Equation(u, Agent(Symbol("No", 0)))]
+
+
+def test_instantiate_ordinary_rejects_agents_that_do_not_fit():
+    rule = parse_program(ADDITION).rules[0]  # Add(y, r) >< S(x)
+    u, v, w = nm(0, "u"), nm(1, "v"), nm(2, "w")
+    add, succ = Agent(ADD, (u, v)), Agent(S, (w,))
+    # The wrong symbol on either side, and the right ones the other way round.
+    for a, b in ((Agent(Z), succ), (add, Agent(Z)), (succ, add)):
+        with pytest.raises(NetError, match=r"^equation does not match rule r1$"):
+            instantiate_ordinary(rule, a, b, NameSupply(100))
+
+
+def test_instantiate_fixed_generic_rejects_agents_that_do_not_fit():
+    program = parse_program("agent Jst/1; Ret(r) >< ANY(x) => r~Jst(ANY(x));")
+    rule = program.rules[0]
+    r, t = program.supply.fresh("r"), program.supply.fresh("t")
+    ret, partner = Agent(Symbol("Ret", 1), (r,)), Agent(S, (t,))
+    # The wrong concrete symbol, and the right agents the other way round.
+    for a, b in ((Agent(Symbol("Jst", 1), (r,)), partner), (partner, ret)):
+        with pytest.raises(NetError, match=r"^equation does not match rule r1$"):
+            instantiate_fixed_generic(rule, a, b, NameSupply(100))
+
+
+def test_instantiate_fixed_generic_rejects_a_partner_of_the_wrong_arity():
+    program = parse_program("agent Jst/1; Ret(r) >< ANY(x) => r~Jst(ANY(x));")
+    ret = Agent(Symbol("Ret", 1), (program.supply.fresh("r"),))
+    with pytest.raises(NetError, match=r"^rule r1: arity mismatch against Z/0$"):
+        instantiate_fixed_generic(program.rules[0], ret, Agent(Z), NameSupply(100))
+
+    program = parse_program("agent No/0; Aux >< ANY(r) => r~No;")
+    rule = program.rules[0]
+    u, v = program.supply.fresh("u"), program.supply.fresh("v")
+    aux, pick = Agent(Symbol("Aux", 0)), Agent(Symbol("Pick", 2), (u, v))
+    # The program alone would bind r to Pick's first port and drop the second.
+    assert rule.program.run(aux.args + pick.args, pick.symbol, NameSupply(100)) == [
+        Equation(u, Agent(Symbol("No", 0)))
+    ]
+    with pytest.raises(NetError, match=r"^rule r1: arity mismatch against Pick/2$"):
+        instantiate_fixed_generic(rule, aux, pick, NameSupply(100))
 
 
 def test_instantiate_variadic_erase():
@@ -258,7 +296,7 @@ def test_instantiation_freshens_names_in_preorder_with_their_hints():
     a, b = program.supply.fresh("a"), program.supply.fresh("b")
     start = program.supply.next_id
     eq = Equation(Agent(Symbol("A", 1), (a,)), Agent(Symbol("B", 1), (b,)))
-    out = instantiate_ordinary(rule, eq, NameSupply(start))
+    out = instantiate_ordinary(rule, eq.left, eq.right, NameSupply(start))
     names = [n for e in out for side in (e.left, e.right) for n in term_names(side)]
     fresh = list(dict.fromkeys(n for n in names if n not in (a, b)))
     assert [(n.id, n.display) for n in fresh] == [
@@ -270,9 +308,7 @@ def test_instantiation_inserts_bound_terms_without_walking_them():
     program = parse_program(ADDITION)
     deep = sz(5000)
     r = program.supply.fresh("r")
-    out = instantiate_ordinary(
-        program.rules[1], Equation(Agent(ADD, (deep, r)), Agent(Z)), NameSupply(100)
-    )
+    out = instantiate_ordinary(program.rules[1], Agent(ADD, (deep, r)), Agent(Z), NameSupply(100))
     assert out[0].right is deep
 
 
@@ -291,8 +327,9 @@ def test_instantiation_is_independent_of_equation_orientation(name):
             instantiate = instantiate_fixed_generic
         right = Agent(right_symbol, tuple(supply.fresh() for _ in range(right_symbol.arity)))
         anchor = list(left.args + right.args)
-        forward = instantiate(rule, Equation(left, right), NameSupply(supply.next_id))
-        backward = instantiate(rule, Equation(right, left), NameSupply(supply.next_id))
+        start = supply.next_id
+        forward = instantiate(rule, *oriented(rule, Equation(left, right)), NameSupply(start))
+        backward = instantiate(rule, *oriented(rule, Equation(right, left)), NameSupply(start))
         assert canonicalize(Configuration(anchor, forward)) == canonicalize(
             Configuration(anchor, backward)
         ), rule.id

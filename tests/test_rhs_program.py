@@ -28,7 +28,7 @@ from inetkit.core import term_names
 from inetkit.rules import RhsProgram
 
 import program_gen
-from conftest import corpus_text
+from conftest import corpus_text, oriented
 from rhs_oracle import instantiate_rhs
 
 CORPUS_NAMES = ["addition", "dup_erase", "maybe_pick", "map"]
@@ -121,19 +121,19 @@ def _check_rule(rule, kind):
         for eq in (Equation(left, right), Equation(right, left)):
             args = eq.left.args + eq.right.args if self_rule else left.args + right.args
             _same(
-                lambda s, eq=eq: instantiate_ordinary(rule, eq, s),
+                lambda s, eq=eq: instantiate_ordinary(rule, *oriented(rule, eq), s),
                 lambda s, args=args: instantiate_rhs(rule, args, None, s),
             )
         return
     partner = Symbol("Prt", len(rule.generic.fixed_params))
     right = Agent(partner, _args(kind, partner.arity, supply))
     args = left.args + right.args
-    for eq, side in ((Equation(left, right), "right"), (Equation(right, left), "left")):
-        for generic_side in (side, None):
-            _same(
-                lambda s, eq=eq, g=generic_side: instantiate_fixed_generic(rule, eq, s, g),
-                lambda s: instantiate_rhs(rule, args, partner, s),
-            )
+    # The wildcard binds the equation's right agent, then its left one.
+    for eq in (Equation(left, right), Equation(right, left)):
+        _same(
+            lambda s, eq=eq: instantiate_fixed_generic(rule, *oriented(rule, eq), s),
+            lambda s: instantiate_rhs(rule, args, partner, s),
+        )
 
 
 @pytest.mark.parametrize("kind", ARG_KINDS)

@@ -16,8 +16,6 @@ from inetkit import (
 )
 from inetkit.rules import (
     ExpansionLimitError,
-    GenericMatch,
-    OrdinaryMatch,
     RuleSetError,
     errors_in,
 )
@@ -168,6 +166,45 @@ def test_no_ambiguity_variadic_overlaps_fixed_slot():
     )
     codes = [d.code for d in check_no_ambiguity(rules)]
     assert codes == ["E_DUP_GENERIC"]
+
+
+# Generic rules on one concrete symbol: a fixed slot covers one partner
+# arity, a variadic one every arity from its fixed-port count up.
+FIXED_0 = "A >< ANY => ();"
+FIXED_1 = "A >< ANY(x) => x~B;"
+FIXED_2 = "A >< ANY(x, y) => x~y;"
+VARIADIC_0 = "A >< ANY([x]) => A~x';"
+VARIADIC_1 = "A >< ANY(r, [x]) => r~B, A~x';"
+
+
+@pytest.mark.parametrize(
+    "first, second, clash",
+    [
+        (FIXED_1, "A >< ANY(y) => y~C;", True),
+        (FIXED_1, FIXED_2, False),
+        (FIXED_2, VARIADIC_1, True),
+        (VARIADIC_1, FIXED_2, True),
+        (FIXED_1, VARIADIC_1, True),
+        (VARIADIC_1, FIXED_1, True),
+        (FIXED_0, VARIADIC_1, False),
+        (VARIADIC_1, FIXED_0, False),
+        (VARIADIC_0, VARIADIC_1, True),
+        (FIXED_1, "C >< ANY(y) => y~B;", False),
+        (VARIADIC_1, "C >< ANY(r, [x]) => r~B, C~x';", False),
+    ],
+    ids=[
+        "fixed-same-arity", "fixed-other-arity",
+        "fixed-above-variadic", "variadic-below-fixed",
+        "fixed-at-variadic", "variadic-at-fixed",
+        "fixed-below-variadic", "variadic-above-fixed",
+        "two-variadic", "fixed-other-symbol", "variadic-other-symbol",
+    ],
+)
+def test_no_ambiguity_generic_slot_clashes(first, second, clash):
+    rules = rules_of(first + "\n" + second)
+    assert all(r.generic is not None for r in rules)
+    codes = [d.code for d in check_no_ambiguity(rules)]
+    assert codes == (["E_DUP_GENERIC"] if clash else [])
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +427,8 @@ def test_lookup_orientation_flip():
     add, s = Symbol("Add", 2), Symbol("S", 1)
     straight = lookup(table, add, s)
     flipped = lookup(table, s, add)
-    assert isinstance(straight, OrdinaryMatch) and not straight.swapped
-    assert isinstance(flipped, OrdinaryMatch) and flipped.swapped
+    assert straight.rule.generic is None and not straight.swapped
+    assert flipped.rule.generic is None and flipped.swapped
     assert straight.rule is flipped.rule
 
 
@@ -408,20 +445,20 @@ def test_lookup_ordinary_beats_generic():
     pick = program.symbols["Pick"]
 
     match = lookup(table, jst, bind)
-    assert isinstance(match, OrdinaryMatch) and match.rule.id == "r2"
+    assert match.rule.generic is None and match.rule.id == "r2"
 
     # both an ordinary rule and an expanded generic slot exist for this pair
     assert (aux.arity, ret.name) in table.generic
     match = lookup(table, aux, ret)
-    assert isinstance(match, OrdinaryMatch) and match.rule.id == "r5"
+    assert match.rule.generic is None and match.rule.id == "r5"
 
     match = lookup(table, aux, pick)
-    assert isinstance(match, GenericMatch)
+    assert match.rule.generic is not None
     assert match.rule.id == "r4@2"
-    assert match.generic_side == "right"  # pick is the wildcard-bound side
+    assert not match.swapped  # pick, on the right, is the wildcard-bound side
 
     match = lookup(table, pick, aux)
-    assert isinstance(match, GenericMatch) and match.generic_side == "left"
+    assert match.rule.generic is not None and match.swapped
 
 
 def test_lookup_no_match_is_none():
@@ -434,7 +471,7 @@ def test_lookup_probe_order_prefers_left_generic_binding():
     program, analysis = compile_corpus("dup_erase")
     eps = program.symbols["Eps"]
     match = lookup(analysis.table, eps, eps)
-    assert isinstance(match, GenericMatch) and match.generic_side == "left"
+    assert match.rule.generic is not None and match.swapped  # the left Eps is the wildcard's
 
 
 def test_table_refuses_variadic_rules():
@@ -468,5 +505,5 @@ def test_at_most_one_rule_per_pair_after_validation():
                 # lookup must return exactly that rule
                 assert key in table.ordinary
                 match = lookup(table, a, b)
-                assert isinstance(match, OrdinaryMatch)
+                assert match.rule.generic is None
                 assert match.rule is table.ordinary[key]
