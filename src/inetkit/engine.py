@@ -4,6 +4,10 @@ Four step kinds rewrite a configuration: communication merges the two
 equations sharing a top-level name, substitution pushes a name's binding
 into another equation, collect resolves a name into the interface, and
 interaction replaces an agent-agent equation by a rule's right-hand side.
+The four kinds are five module-level functions, which :class:`Reducer`
+calls by name for every step it fires: :func:`step_communication`,
+:func:`step_substitution`, :func:`step_collect`, and for interaction
+:func:`instantiate_ordinary` or :func:`instantiate_fixed_generic`.
 Interaction dispatch is two-phase: ordinary rules first, then the two
 generic probes, in a fixed order.  The engine deals in rule matches only:
 :func:`~inetkit.rules.lookup` resolves and orients the active pair once,
@@ -148,7 +152,7 @@ class NormalizeOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Rule instantiation
+# The step functions
 # ---------------------------------------------------------------------------
 
 def instantiate_ordinary(rule: Rule, a: Agent, b: Agent, supply: NameSupply) -> list[Equation]:
@@ -174,6 +178,49 @@ def instantiate_fixed_generic(rule: Rule, a: Agent, b: Agent, supply: NameSupply
     if b.symbol.arity != len(g.fixed_params):
         raise NetError(f"rule {rule.id}: arity mismatch against {b.symbol.name}/{b.symbol.arity}")
     return rule.program.run(a.args + b.args, b.symbol, supply)
+
+
+# The name steps resolve the name ``x`` of the equation ``x=t`` that
+# ``reducer`` has just taken out under id ``eid``.  ``other`` is the other
+# site of ``x`` (see :class:`Reducer`), which the reducer has already dropped
+# from its index; equations whose classification may change go into
+# ``touched``.  Each returns the equations it leaves in place of the ones it
+# consumed.
+
+def step_communication(reducer: Reducer, eid: int, x: Name, t: Term, other: Site,
+                       touched: set[int]) -> tuple[Equation, ...]:
+    """``x=t`` and ``x=u`` become ``t=u``, appended."""
+    j, j_side, _ = other
+    reducer._agenda.drop(j)
+    u = _side(reducer._eqs.pop(j), 1 - j_side)
+    new = Equation(t, u)
+    reducer._add(new, touched, eid, j)
+    return (new,)
+
+
+def step_substitution(reducer: Reducer, eid: int, x: Name, t: Term, other: Site,
+                      touched: set[int]) -> tuple[Equation, ...]:
+    """``t`` replaces ``x`` inside the target, which keeps its id."""
+    j, j_side, _ = other
+    target = reducer._eqs[j]
+    if j_side == 0:
+        new = Equation(substitute(target.left, x, t), target.right)
+    else:
+        new = Equation(target.left, substitute(target.right, x, t))
+    reducer._eqs[j] = new
+    reducer._place(t, j, j_side, eid, touched, inside=True)
+    # An agent pair keeps its symbols, so its classification and match hold.
+    if isinstance(_side(new, 1 - j_side), Name):
+        touched.add(j)
+    return (new,)
+
+
+def step_collect(reducer: Reducer, eid: int, x: Name, t: Term, other: Site,
+                 touched: set[int]) -> tuple[Equation, ...]:
+    """``x`` is bound to ``t``; the interface is resolved when read."""
+    reducer._bound[x.id] = t
+    reducer._place(t, _IFACE, other[1], eid, touched, inside=True)
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -458,26 +505,18 @@ class Reducer:
                     return True
         return False
 
-    # -- the four steps ---------------------------------------------------
+    # -- firing -----------------------------------------------------------
 
     def _fire(self, eid: int, record: bool) -> Optional[StepResult]:
-        how = self._agenda.how[eid]
-        first = self.supply.next_id  # the first id an interaction draws
-        before, after = self._apply(eid, how)
-        if not record:
-            return None
-        kind, detail = how
-        if kind == KIND_INTERACTION:
-            rule = detail.rule
-            fresh = tuple(Name(first + i, hint) for i, hint in enumerate(rule.program.hints))
-            return StepResult(kind, rule.id, before, tuple(after), fresh)
-        return StepResult(kind, None, before, after, ())
+        """Fire the step the agenda holds for ``eid``; its record if asked.
 
-    def _apply(self, eid: int, how: How) -> tuple[Equation, Sequence[Equation]]:
-        """Fire ``how`` at ``eid``; the equation before and the ones after."""
-        kind, detail = how
+        Each step kind goes through its module-level function, looked up by
+        name at the call, so a wrapper set on this module sees every step.
+        """
+        kind, detail = self._agenda.how[eid]
         self._agenda.drop(eid)
         eq = self._eqs.pop(eid)
+        first = self.supply.next_id  # the first id an interaction draws
         touched: set[int] = set()
         if kind == KIND_INTERACTION:
             after = self._interact(eid, eq, detail, touched)
@@ -485,11 +524,22 @@ class Reducer:
             x, t = (eq.left, eq.right) if detail == 0 else (eq.right, eq.left)
             other = self._partner(x, eid, detail)
             del self._occ[x.id]
-            after = _NAME_STEPS[kind](self, eid, x, t, other, touched)
+            if kind == KIND_COMMUNICATION:
+                after = step_communication(self, eid, x, t, other, touched)
+            elif kind == KIND_SUBSTITUTION:
+                after = step_substitution(self, eid, x, t, other, touched)
+            else:
+                after = step_collect(self, eid, x, t, other, touched)
         for e in touched:
             if e in self._eqs:
                 self._classify(e)
-        return eq, after
+        if not record:
+            return None
+        if kind == KIND_INTERACTION:
+            rule = detail.rule
+            fresh = tuple(Name(first + i, hint) for i, hint in enumerate(rule.program.hints))
+            return StepResult(kind, rule.id, eq, tuple(after), fresh)
+        return StepResult(kind, None, eq, after, ())
 
     def _interact(self, eid: int, eq: Equation, match: Match, touched: set[int]) -> list[Equation]:
         """Fire the rule's program and index the equations it builds.
@@ -526,46 +576,6 @@ class Reducer:
             elif args[slot].holds_names:
                 self._place(args[slot], base + k, side, eid, touched)
         return produced
-
-    def _communicate(self, eid: int, x: Name, t: Term, other: Site,
-                     touched: set[int]) -> tuple[Equation, ...]:
-        """``x=t`` and ``x=u`` become ``t=u``, appended."""
-        j, j_side, _ = other
-        self._agenda.drop(j)
-        u = _side(self._eqs.pop(j), 1 - j_side)
-        new = Equation(t, u)
-        self._add(new, touched, eid, j)
-        return (new,)
-
-    def _substitute(self, eid: int, x: Name, t: Term, other: Site,
-                    touched: set[int]) -> tuple[Equation, ...]:
-        """``t`` replaces ``x`` inside the target, which keeps its id."""
-        j, j_side, _ = other
-        target = self._eqs[j]
-        if j_side == 0:
-            new = Equation(substitute(target.left, x, t), target.right)
-        else:
-            new = Equation(target.left, substitute(target.right, x, t))
-        self._eqs[j] = new
-        self._place(t, j, j_side, eid, touched, inside=True)
-        # An agent pair keeps its symbols, so its classification and match hold.
-        if isinstance(_side(new, 1 - j_side), Name):
-            touched.add(j)
-        return (new,)
-
-    def _collect(self, eid: int, x: Name, t: Term, other: Site,
-                 touched: set[int]) -> tuple[Equation, ...]:
-        """``x`` is bound to ``t``; the interface is resolved when read."""
-        self._bound[x.id] = t
-        self._place(t, _IFACE, other[1], eid, touched, inside=True)
-        return ()
-
-
-_NAME_STEPS = {
-    KIND_COMMUNICATION: Reducer._communicate,
-    KIND_SUBSTITUTION: Reducer._substitute,
-    KIND_COLLECT: Reducer._collect,
-}
 
 
 def _resolve(t: Term, bound: dict[int, Term]) -> Term:
@@ -640,10 +650,6 @@ def normalize(
     return Reducer(config, table, strategy, supply).run(budget, trace)
 
 
-# ---------------------------------------------------------------------------
-# Single steps on a configuration (pure: inputs are left untouched)
-# ---------------------------------------------------------------------------
-
 def classify(eq: Equation, config: Configuration, table: RuleTable) -> Optional[str]:
     """Which step kind applies to ``eq`` within ``config``, if any.
 
@@ -663,50 +669,6 @@ def classify(eq: Equation, config: Configuration, table: RuleTable) -> Optional[
         return KIND_INTERACTION
     how = Reducer(config, table)._name_step(index, eq)  # ids start at storage positions
     return None if how is None else how[0]
-
-
-def _locate(config: Configuration, x: Name, t: Term) -> tuple[Reducer, int, int, Optional[Site]]:
-    """A reducer over ``config``, the id and side of the first equation
-    ``x=t`` (either way round), and the other site of ``x``."""
-    reducer = Reducer(config, RuleTable({}, {}))
-    for eid, side, whole in sorted(reducer._occ.get(x.id, ())):
-        if whole and _side(reducer._eqs[eid], 1 - side) == t:
-            return reducer, eid, side, reducer._partner(x, eid, side)
-    raise NetError(f"no equation {x.display} = ... present")
-
-
-def step_communication(config: Configuration, x: Name, t: Term, u: Term) -> Configuration:
-    """Merge ``x=t`` and ``x=u`` into ``t=u``; both occurrences of x vanish."""
-    reducer, eid, side, other = _locate(config, x, t)
-    if (
-        other is None
-        or not other[2]
-        or other[0] == eid
-        or _side(reducer._eqs[other[0]], 1 - other[1]) != u
-    ):
-        raise NetError(f"no equation {x.display} = ... present")
-    reducer._apply(eid, (KIND_COMMUNICATION, side))
-    return reducer.configuration
-
-
-def step_substitution(
-    config: Configuration, x: Name, t: Term, target: Equation
-) -> Configuration:
-    """Consume ``x=t`` by substituting ``t`` for ``x`` inside ``target``."""
-    reducer, eid, side, other = _locate(config, x, t)
-    if other is None or other[2] or other[0] in (eid, _IFACE) or reducer._eqs[other[0]] != target:
-        raise NetError("substitution target not present, or without the name inside an agent side")
-    reducer._apply(eid, (KIND_SUBSTITUTION, side))
-    return reducer.configuration
-
-
-def step_collect(config: Configuration, x: Name, t: Term) -> Configuration:
-    """Consume ``x=t`` by substituting ``t`` for ``x`` in the interface."""
-    reducer, eid, side, other = _locate(config, x, t)
-    if other is None or other[0] != _IFACE:
-        raise NetError("collect requires the name to occur in the interface")
-    reducer._apply(eid, (KIND_COLLECT, side))
-    return reducer.configuration
 
 
 # ---------------------------------------------------------------------------

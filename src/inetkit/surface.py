@@ -262,17 +262,10 @@ class _Parser:
     def parse_net_decl(self) -> None:
         span = self.span(self.take())  # net
         self.expect_op("(")
-        terms: list[tuple] = []
-        if not self.at_op(")"):
-            terms.append(self.parse_term(allow_variadic=False))
-            while self.at_op(","):
-                self.take()
-                terms.append(self.parse_term(allow_variadic=False))
+        terms = self.parse_list(lambda: self.parse_term(allow_variadic=False), ")")
         self.expect_op(")")
         self.expect_op("|")
-        eqs: list[tuple] = []
-        if not self.at_op(";"):
-            eqs = self.parse_eq_list(allow_variadic=False)
+        eqs = [] if self.at_op(";") else self.parse_eq_list(allow_variadic=False)
         self.expect_op(";")
         self.nets.append(_RawNet(terms, eqs, span))
         self.net_uses += self.item_uses()
@@ -327,16 +320,23 @@ class _Parser:
             )
         return name
 
+    def parse_list(self, item: Callable[[], tuple], end: Optional[str]) -> list[tuple]:
+        """Comma-separated items, none if at ``end``, which is not taken.
+        ``end=None`` matches no token, so at least one item is parsed."""
+        if self.at_op(end):
+            return []
+        items = [item()]
+        while self.at_op(","):
+            self.take()
+            items.append(item())
+        return items
+
     def parse_eq_list(self, allow_variadic: bool) -> list[tuple]:
         if self.at_op("("):  # "()" denotes an empty right-hand side
             self.take()
             self.expect_op(")")
             return []
-        eqs = [self.parse_equation(allow_variadic)]
-        while self.at_op(","):
-            self.take()
-            eqs.append(self.parse_equation(allow_variadic))
-        return eqs
+        return self.parse_list(lambda: self.parse_equation(allow_variadic), None)
 
     def parse_equation(self, allow_variadic: bool) -> tuple:
         left = self.parse_term(allow_variadic)
@@ -740,19 +740,9 @@ def parse_configuration(text: str) -> Configuration:
     diags = parser.diags
     try:
         parser.expect_op("<")
-        terms: list[tuple] = []
-        if not parser.at_op("|"):
-            terms.append(parser.parse_term(allow_variadic=False))
-            while parser.at_op(","):
-                parser.take()
-                terms.append(parser.parse_term(allow_variadic=False))
+        terms = parser.parse_list(lambda: parser.parse_term(allow_variadic=False), "|")
         parser.expect_op("|")
-        eqs: list[tuple] = []
-        if not parser.at_op(">"):
-            eqs.append(parser.parse_equation(allow_variadic=False))
-            while parser.at_op(","):
-                parser.take()
-                eqs.append(parser.parse_equation(allow_variadic=False))
+        eqs = parser.parse_list(lambda: parser.parse_equation(allow_variadic=False), ">")
         parser.expect_op(">")
         if parser.kinds[parser.pos] != "eof":
             parser.fail("expected end of input")

@@ -23,9 +23,6 @@ from inetkit import (
     occurrence_violations,
     parse_program,
     reduce_once,
-    step_collect,
-    step_communication,
-    step_substitution,
     strategy_from_spec,
 )
 from inetkit.core import term_names
@@ -107,53 +104,52 @@ def test_step_communication():
     x, y, r = nm(0, "x"), nm(1, "y"), nm(2, "r")
     t, u = Agent(Z), Agent(ADD, (y, r))
     config = Configuration([y, r], [Equation(x, t), Equation(x, u)])
-    out = step_communication(config, x, t, u)
-    assert out.equations == [Equation(t, u)]
-    assert occurrence_violations(out) == []
+    assert reduce_once(config, EMPTY_TABLE).kind == "communication"
+    assert config.equations == [Equation(t, u)]
+    assert occurrence_violations(config) == []
 
 
 def test_step_communication_names_only():
     a, b, c = nm(0, "a"), nm(1, "b"), nm(2, "c")
     config = Configuration([b, c], [Equation(a, b), Equation(a, c)])
-    out = step_communication(config, a, b, c)
-    assert out.equations == [Equation(b, c)]
+    assert reduce_once(config, EMPTY_TABLE).kind == "communication"
+    assert config.equations == [Equation(b, c)]
 
 
 def test_step_substitution():
     w, r = nm(0, "w"), nm(1, "r")
     config = Configuration([r], [Equation(w, sz(1)), Equation(r, Agent(S, (w,)))])
-    target = config.equations[1]
-    out = step_substitution(config, w, sz(1), target)
-    assert out.equations == [Equation(r, sz(2))]
+    assert reduce_once(config, EMPTY_TABLE).kind == "substitution"
+    assert config.equations == [Equation(r, sz(2))]
 
 
 def test_step_substitution_inside_left_side():
     x, q, r = nm(0, "x"), nm(1, "q"), nm(2, "r")
     target = Equation(Agent(ADD, (x, r)), Agent(S, (q,)))
     config = Configuration([q, r], [Equation(x, Agent(Z)), target])
-    out = step_substitution(config, x, Agent(Z), target)
-    assert out.equations == [Equation(Agent(ADD, (Agent(Z), r)), Agent(S, (q,)))]
+    assert reduce_once(config, EMPTY_TABLE).kind == "substitution"
+    assert config.equations == [Equation(Agent(ADD, (Agent(Z), r)), Agent(S, (q,)))]
 
 
 def test_step_collect():
     x = nm(0, "x")
     config = Configuration([x], [Equation(x, sz(1))])
-    out = step_collect(config, x, sz(1))
-    assert out.interface == [sz(1)] and out.equations == []
+    assert reduce_once(config, EMPTY_TABLE).kind == "collect"
+    assert config.interface == [sz(1)] and config.equations == []
 
 
 def test_step_collect_other_entries_untouched():
     a, x = nm(0, "a"), nm(1, "x")
     config = Configuration([a, x], [Equation(x, Agent(Z))])
-    out = step_collect(config, x, Agent(Z))
-    assert out.interface == [a, Agent(Z)]
+    assert reduce_once(config, EMPTY_TABLE).kind == "collect"
+    assert config.interface == [a, Agent(Z)]
 
 
 def test_step_collect_nested_occurrence():
-    x, r = nm(0, "x"), nm(1, "r")
+    x = nm(0, "x")
     config = Configuration([Agent(S, (x,))], [Equation(x, Agent(Z))])
-    out = step_collect(config, x, Agent(Z))
-    assert out.interface == [sz(1)]
+    assert reduce_once(config, EMPTY_TABLE).kind == "collect"
+    assert config.interface == [sz(1)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,17 @@
 """The benchmark tracer wraps library names it looks up by module and
-attribute; a refactor that drops one of them must fail here, not only in
-``perfbench/run.py --smoke``."""
+attribute; a refactor that drops one of them, or stops calling one on a
+step, must fail here, not only in ``perfbench/run.py --smoke``."""
 
 import importlib
 import pathlib
 import types
+
+import pytest
+
+import inetkit.cli as cli
+from inetkit import Fifo, Reducer
+
+from conftest import CORPUS, compile_corpus
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -27,3 +34,26 @@ def test_every_traced_name_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["addition", "dup_erase", "maybe_pick", "map"])
+def test_a_traced_run_counts_every_step_and_the_peak(name):
+    path = str(CORPUS / f"{name}.inet")
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["run", path]) == 0
+    finally:
+        assert tracer.restore()
+    counts = tracer.counts
+    kinds = ("interaction", "communication", "substitution", "collect")
+    assert counts["engine.steps"] > 0
+    assert sum(counts[f"engine.steps.{kind}"] for kind in kinds) == counts["engine.steps"]
+
+    program, analysis = compile_corpus(name)
+    reducer = Reducer(program.net, analysis.table, Fifo(), program.supply)
+    peak = len(reducer._eqs)
+    while reducer.step() is not None:
+        peak = max(peak, len(reducer._eqs))
+    assert counts["engine.peak_equations"] == peak

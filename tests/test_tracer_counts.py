@@ -1,7 +1,8 @@
 """The benchmark counts interactions by wrapping ``instantiate_ordinary`` and
-``instantiate_fixed_generic`` in ``inetkit.engine``.  The reducer must fire
-every interaction through those two names, or the benchmark's interaction
-counters read 0 on a correct run."""
+``instantiate_fixed_generic`` in ``inetkit.engine``, and name steps by
+wrapping ``step_communication``, ``step_substitution`` and ``step_collect``
+there.  The reducer must fire every step through those five names, or the
+benchmark's step counters read 0 on a correct run."""
 
 import pytest
 
@@ -66,3 +67,55 @@ def test_every_probe_interaction_goes_through_the_traced_names(name, strategy, m
     report = confluence_probe(program.net, analysis.table, [strategy])
     assert report.consistent and report.runs[0].status == "normal_form"
     assert fired == expected and fired["ordinary"] + fired["generic"] > 0
+
+
+NAME_STEPS = ("communication", "substitution", "collect")
+
+
+def _count_steps(monkeypatch) -> dict[str, int]:
+    """Wrap the five step names in ``inetkit.engine``; calls per step kind."""
+    fired = dict.fromkeys(NAME_STEPS + ("interaction",), 0)
+    attrs = [(kind, f"step_{kind}") for kind in NAME_STEPS]
+    attrs += [("interaction", "instantiate_ordinary"), ("interaction", "instantiate_fixed_generic")]
+    for kind, attr in attrs:
+        def wrapper(*args, _kind=kind, _original=getattr(inetkit.engine, attr), **kwargs):
+            fired[_kind] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(inetkit.engine, attr, wrapper)
+    return fired
+
+
+def _kinds(trace) -> dict[str, int]:
+    """Steps per kind in a recorded trace."""
+    kinds = dict.fromkeys(NAME_STEPS + ("interaction",), 0)
+    for step in trace:
+        kinds[step.kind] += 1
+    return kinds
+
+
+@pytest.mark.parametrize("name", ["addition", "dup_erase", "maybe_pick", "map"])
+@pytest.mark.parametrize("strategy", [Fifo(), Lifo(), Seeded(3)], ids=str)
+def test_every_name_step_goes_through_the_traced_names(name, strategy, monkeypatch):
+    program, analysis = compile_corpus(name)
+    fired = _count_steps(monkeypatch)
+    outcome = normalize(program.net, analysis.table, strategy, trace=True)
+    assert outcome.status == "normal_form"
+    assert fired == _kinds(outcome.trace)
+    assert sum(fired.values()) == outcome.steps
+    assert sum(fired[kind] for kind in NAME_STEPS) > 0
+
+
+@pytest.mark.parametrize("name", ["addition", "dup_erase", "maybe_pick", "map"])
+@pytest.mark.parametrize("strategy", [Seeded(3), Fifo()], ids=str)
+def test_every_probe_name_step_goes_through_the_traced_names(name, strategy, monkeypatch):
+    """As for interactions: a lone seed runs on the walk's lone-member path,
+    fifo through ``normalize``."""
+    program, analysis = compile_corpus(name)
+    expected = _kinds(normalize(program.net, analysis.table, strategy, trace=True).trace)
+    fired = _count_steps(monkeypatch)
+    report = confluence_probe(program.net, analysis.table, [strategy])
+    assert report.consistent and report.runs[0].status == "normal_form"
+    assert fired == expected
+    assert sum(fired.values()) == report.runs[0].steps
+    assert sum(fired[kind] for kind in NAME_STEPS) > 0
