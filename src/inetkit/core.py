@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterator, Optional, Union
 
 
@@ -318,98 +319,109 @@ def canonicalize(config: Configuration) -> CanonicalConfiguration:
         if n.id not in seen:
             seen.add(n.id)
             name_ids.append(n.id)
+    return _solve(config, _refine(config, {nid: 0 for nid in name_ids}), [_BRANCH_LIMIT])
 
-    def refine(colors):
-        while True:
-            occ = {nid: [] for nid in colors}
-            for slot, t in enumerate(config.interface):
-                for n, p in _name_paths(t):
-                    occ[n.id].append(("I", slot, p))
-            for eq in config.equations:
-                ka = _term_key(eq.left, colors)
-                kb = _term_key(eq.right, colors)
-                ek = (ka, kb) if ka <= kb else (kb, ka)
-                if ka == kb:
-                    tags = (2, 2)
-                elif ka < kb:
-                    tags = (0, 1)
-                else:
-                    tags = (1, 0)
-                for tag, t in zip(tags, (eq.left, eq.right)):
-                    for n, p in _name_paths(t):
-                        occ[n.id].append(("E", ek, tag, p))
-            sig = {nid: (colors[nid], tuple(sorted(occ[nid]))) for nid in colors}
-            rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-            new = {nid: rank[sig[nid]] for nid in colors}
-            if new == colors:
-                return colors
-            colors = new
 
-    def build(colors) -> CanonicalConfiguration:
-        oriented = []
+# The steps of ``canonicalize`` are module functions, not closures over the
+# configuration: a closure that calls itself is a reference cycle, which
+# only the cyclic collector frees.
+
+def _refine(config: Configuration, colors: dict[int, int]) -> dict[int, int]:
+    """Refine ``colors`` by each name's occurrences until it is stable."""
+    while True:
+        occ = {nid: [] for nid in colors}
+        for slot, t in enumerate(config.interface):
+            for n, p in _name_paths(t):
+                occ[n.id].append(("I", slot, p))
         for eq in config.equations:
             ka = _term_key(eq.left, colors)
             kb = _term_key(eq.right, colors)
-            oriented.append(eq if ka <= kb else Equation(eq.right, eq.left))
-        oriented.sort(
-            key=lambda e: (_term_key(e.left, colors), _term_key(e.right, colors))
-        )
-        index: dict[int, int] = {}
-        for t in config.interface:
-            for n in term_names(t):
+            ek = (ka, kb) if ka <= kb else (kb, ka)
+            if ka == kb:
+                tags = (2, 2)
+            elif ka < kb:
+                tags = (0, 1)
+            else:
+                tags = (1, 0)
+            for tag, t in zip(tags, (eq.left, eq.right)):
+                for n, p in _name_paths(t):
+                    occ[n.id].append(("E", ek, tag, p))
+        sig = {nid: (colors[nid], tuple(sorted(occ[nid]))) for nid in colors}
+        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        new = {nid: rank[sig[nid]] for nid in colors}
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _rebuild(t: Term, renamed: dict[int, Name]) -> Term:
+    """``t`` with every name replaced by ``renamed[id]``."""
+    if isinstance(t, Name):
+        return renamed[t.id]
+    # Per open agent: the agent, its arguments left to visit and its
+    # rebuilt arguments so far.
+    frames = [(t, iter(t.args), [])]
+    while True:
+        agent, todo, done = frames[-1]
+        for u in todo:
+            if isinstance(u, Name):
+                done.append(renamed[u.id])
+            else:
+                frames.append((u, iter(u.args), []))
+                break
+        else:
+            frames.pop()
+            out = Agent(agent.symbol, tuple(done))
+            if not frames:
+                return out
+            frames[-1][2].append(out)
+
+
+def _build(config: Configuration, colors: dict[int, int]) -> CanonicalConfiguration:
+    """The configuration renumbered and ordered by a discrete colouring."""
+    keyed = []
+    for eq in config.equations:
+        ka = _term_key(eq.left, colors)
+        kb = _term_key(eq.right, colors)
+        keyed.append(((ka, kb), eq) if ka <= kb else ((kb, ka), Equation(eq.right, eq.left)))
+    keyed.sort(key=itemgetter(0))
+    oriented = [e for _, e in keyed]
+    index: dict[int, int] = {}
+    for t in config.interface:
+        for n in term_names(t):
+            index.setdefault(n.id, len(index))
+    for e in oriented:
+        for side in (e.left, e.right):
+            for n in term_names(side):
                 index.setdefault(n.id, len(index))
-        for e in oriented:
-            for side in (e.left, e.right):
-                for n in term_names(side):
-                    index.setdefault(n.id, len(index))
-        renamed = {nid: Name(i, f"n{i}") for nid, i in index.items()}
+    renamed = {nid: Name(i, f"n{i}") for nid, i in index.items()}
+    return CanonicalConfiguration(
+        tuple(_rebuild(t, renamed) for t in config.interface),
+        tuple(Equation(_rebuild(e.left, renamed), _rebuild(e.right, renamed)) for e in oriented),
+    )
 
-        def rebuild(t: Term) -> Term:
-            if isinstance(t, Name):
-                return renamed[t.id]
-            # Per open agent: the agent, its arguments left to visit and its
-            # rebuilt arguments so far.
-            frames = [(t, iter(t.args), [])]
-            while True:
-                agent, todo, done = frames[-1]
-                for u in todo:
-                    if isinstance(u, Name):
-                        done.append(renamed[u.id])
-                    else:
-                        frames.append((u, iter(u.args), []))
-                        break
-                else:
-                    frames.pop()
-                    out = Agent(agent.symbol, tuple(done))
-                    if not frames:
-                        return out
-                    frames[-1][2].append(out)
 
-        return CanonicalConfiguration(
-            tuple(rebuild(t) for t in config.interface),
-            tuple(Equation(rebuild(e.left), rebuild(e.right)) for e in oriented),
-        )
-
-    budget = [_BRANCH_LIMIT]
-
-    def solve(colors) -> CanonicalConfiguration:
-        groups: dict[int, list[int]] = {}
-        for nid, c in colors.items():
-            groups.setdefault(c, []).append(nid)
-        multi = sorted(c for c, members in groups.items() if len(members) > 1)
-        if not multi:
-            return build(colors)
-        best: Optional[CanonicalConfiguration] = None
-        for nid in groups[multi[0]]:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise NetError("canonicalization branch limit exceeded")
-            sig = {m: (colors[m], 0 if m == nid else 1) for m in colors}
-            rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-            cand = solve(refine({m: rank[sig[m]] for m in colors}))
-            if best is None or cand.sort_key < best.sort_key:
-                best = cand
-        assert best is not None
-        return best
-
-    return solve(refine({nid: 0 for nid in name_ids}))
+def _solve(
+    config: Configuration, colors: dict[int, int], budget: list[int]
+) -> CanonicalConfiguration:
+    """The least canonical form over every way of individualizing the
+    names of the first ambiguous colour class; ``budget[0]`` counts the
+    branches left."""
+    groups: dict[int, list[int]] = {}
+    for nid, c in colors.items():
+        groups.setdefault(c, []).append(nid)
+    multi = sorted(c for c, members in groups.items() if len(members) > 1)
+    if not multi:
+        return _build(config, colors)
+    best: Optional[CanonicalConfiguration] = None
+    for nid in groups[multi[0]]:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise NetError("canonicalization branch limit exceeded")
+        sig = {m: (colors[m], 0 if m == nid else 1) for m in colors}
+        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        cand = _solve(config, _refine(config, {m: rank[sig[m]] for m in colors}), budget)
+        if best is None or cand.sort_key < best.sort_key:
+            best = cand
+    assert best is not None
+    return best

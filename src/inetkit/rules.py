@@ -10,12 +10,16 @@ multiset of right-hand-side equations.  Three kinds exist:
 
 Variadic rules never reach the reduction engine directly: they are expanded
 into one fixed generic rule per arity that occurs in the program, which also
-makes the static overlap checks finite.  A non-variadic right-hand side
-is compiled once into a flat :class:`RhsProgram`, which builds its net
-equations directly and knows where each of their names lands; it serves
-the engine's interactions and the self-rule swap check alike.  Each rule
-compiles itself the first time its program is read (:attr:`Rule.program`),
-and the rule table memoizes lookups per symbol pair.
+makes the static overlap checks finite.  Analysis makes an arity instance
+from its patterns only, which is all the checks and the rule table read;
+its right-hand side is built the first time it is read, so an instance
+that never fires never has one (:attr:`Rule.rhs`).  A non-variadic
+right-hand side is compiled once into a flat :class:`RhsProgram`, which
+builds its net equations directly and knows where each of their names
+lands; it serves the engine's interactions and the self-rule swap check
+alike.  Each rule compiles itself the first time its program is read
+(:attr:`Rule.program`), and the rule table memoizes lookups per symbol
+pair.
 """
 
 from __future__ import annotations
@@ -166,8 +170,10 @@ class _built_once:
 
     def __init__(self, build):
         self._build = build
-        self._name = build.__name__
         self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self._name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
@@ -182,13 +188,28 @@ class Rule:
 
     A generic side, when present, is always stored on the right; parsers and
     builders normalize the orientation (equations are undirected anyway).
+
+    An arity instance of a variadic rule is made from its patterns alone,
+    with the written rule as ``instance_of`` and no ``rhs``: its right-hand
+    side is built by :func:`_expand_at` the first time it is read, the way
+    :attr:`program` is.  Equality, hashing and ``repr`` read it too.
     """
 
     id: str
     left: OrdinaryPattern
     right: Union[OrdinaryPattern, GenericPattern]
-    rhs: tuple[RuleEquation, ...]
+    rhs: tuple[RuleEquation, ...] = _built_once(lambda rule: _expand_at(rule))
     origin: str = ""
+    instance_of: Optional["Rule"] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # Made without a right-hand side, the builder stood in as the
+        # default: drop it, so that the first read builds one.  Not through
+        # ``__dict__``, which would cost the instance its inline attribute
+        # storage and make every later attribute read slower.
+        if self.rhs is Rule.__dict__["rhs"]:
+            assert self.instance_of is not None, "only an arity instance comes without a RHS"
+            object.__delattr__(self, "rhs")
 
     @property
     def generic(self) -> Optional[GenericPattern]:
@@ -696,11 +717,11 @@ def expand_variadic(
 
     The arity-``k`` instance is the rule instantiated against an abstract
     partner with ``k`` ports: the left-hand range becomes ``k - f`` explicit
-    parameters, right-hand-only ranges become that many fresh names (shared
-    across a range's two occurrences), and every equation holding a variadic
-    name is replicated once per covered port.  Non-variadic rules are
-    returned unchanged whatever ``max_arity`` is; the cap bounds expansion
-    only.
+    parameters, fresh names numbered from just above the rule's largest
+    name id.  Only the instance's patterns are made here; its right-hand
+    side is built by :func:`_expand_at` the first time it is read.
+    Non-variadic rules are returned unchanged whatever ``max_arity`` is;
+    the cap bounds expansion only.
     """
     g = rule.generic
     if g is None or not g.is_variadic:
@@ -715,18 +736,49 @@ def expand_variadic(
         )
     f = len(g.fixed_params)
     if arities is None:
-        ks: Iterable[int] = range(f, max_arity + 1)
+        ks: Sequence[int] = range(f, max_arity + 1)
     else:
         ks = sorted(k for k in set(arities) if f <= k <= max_arity)
-    return [_expand_at(rule, g, f, k) for k in ks]
+    first = _rule_max_name_id(rule) + 1
+    extra = max(ks, default=f) - f
+    ports = tuple(Name(first + i, f"{g.range_name}{i + 1}") for i in range(extra))
+    return [
+        Rule(
+            id=f"{rule.id}@{k}",
+            left=rule.left,
+            right=GenericPattern(g.generic_name, g.fixed_params + ports[: k - f], None),
+            origin=f"expanded-from({rule.id}, {k})",
+            instance_of=rule,
+        )
+        for k in ks
+    ]
 
 
-def _expand_at(rule: Rule, g: GenericPattern, f: int, k: int) -> Rule:
-    m = k - f
-    supply = NameSupply(_rule_max_name_id(rule) + 1)
-    lhs_ports = tuple(supply.fresh(f"{g.range_name}{i + 1}") for i in range(m))
+def _instance_parts(rule: Rule) -> tuple[Rule, GenericPattern, tuple[Name, ...]]:
+    """The written rule of the arity instance ``rule``, its wildcard, and
+    the instance's ports beyond the written fixed ones."""
+    src = rule.instance_of
+    assert src is not None and src.generic is not None
+    return src, src.generic, rule.right.fixed_params[len(src.generic.fixed_params):]
+
+
+def _expand_at(rule: Rule) -> tuple[RuleEquation, ...]:
+    """The right-hand side of the arity instance ``rule``.
+
+    Each of the instance's ``m`` extra ports stands in for one port of the
+    left-hand range; each right-hand-only range becomes ``m`` fresh names
+    (shared across its two occurrences), and every equation holding a
+    variadic name is replicated once per extra port, with fresh copies of
+    its local names.  The fresh names continue the numbering of the ports,
+    in reading order, so that an instance built late equals one built
+    early.
+    """
+    src, g, lhs_ports = _instance_parts(rule)
+    m = len(lhs_ports)
+    # With no extra ports nothing is drawn.
+    supply = NameSupply(lhs_ports[-1].id + 1 if m else 0)
     rhs_vectors: dict[str, tuple[Name, ...]] = {}
-    params = set(rule.params)
+    params = set(src.params)
 
     def vector(rng: str) -> tuple[Name, ...]:
         if rng == g.range_name:
@@ -761,8 +813,10 @@ def _expand_at(rule: Rule, g: GenericPattern, f: int, k: int) -> Rule:
                 frames[-1][2].append(out)
 
     new_rhs: list[RuleEquation] = []
-    for eq in rule.rhs:
-        vns = set(_eq_varnames(eq))
+    for eq in src.rhs:
+        # In reading order, so that ranges first read here draw their names
+        # in an order that does not depend on string hashing.
+        vns = dict.fromkeys(_eq_varnames(eq))
         if vns:
             local = [n for n in dict.fromkeys(_eq_names(eq)) if n not in params]
             for i in range(m):
@@ -773,14 +827,36 @@ def _expand_at(rule: Rule, g: GenericPattern, f: int, k: int) -> Rule:
                 )
         else:
             new_rhs.append(RuleEquation(conv(eq.left, {}, {}), conv(eq.right, {}, {})))
+    return tuple(new_rhs)
 
-    return Rule(
-        id=f"{rule.id}@{k}",
-        left=rule.left,
-        right=GenericPattern(g.generic_name, g.fixed_params + lhs_ports, None),
-        rhs=tuple(new_rhs),
-        origin=f"expanded-from({rule.id}, {k})",
-    )
+
+def _instance_max_name_id(rule: Rule) -> int:
+    """The largest name id of the arity instance ``rule``, read off its
+    written rule without building its right-hand side.
+
+    :func:`_expand_at` draws the same number of fresh names per extra port,
+    numbered on from the ports: one per right-hand-only range, and the
+    local names of each replicated equation.  So with extra ports the last
+    name drawn is the largest; with none, the instance keeps the written
+    rule's names outside its replicated equations.
+    """
+    src, g, lhs_ports = _instance_parts(rule)
+    params = set(src.params)
+    kept = [n.id for n in params]
+    ranges: set[str] = set()
+    per_port = 0
+    for eq in src.rhs:
+        vns = set(_eq_varnames(eq))
+        ranges |= vns
+        ranges.update(_eq_ranges(eq))
+        if vns:
+            per_port += len(set(_eq_names(eq)) - params)
+        else:
+            kept.extend(n.id for n in _eq_names(eq))
+    if not lhs_ports:
+        return max(kept, default=-1)
+    ranges.discard(g.range_name)
+    return lhs_ports[-1].id + len(lhs_ports) * (len(ranges) + per_port)
 
 
 # ---------------------------------------------------------------------------
@@ -866,13 +942,17 @@ class Match:
 class RuleTable:
     """The rules of a program, indexed for two-probe lookup.
 
-    The indexes never change once built.  One cache fills lazily as the
-    table is used: ``matches`` holds the :func:`lookup` result, an oriented
-    :class:`Match` or ``None``, per ordered pair of symbols (the name and
-    arity of each), filled by the reducer.
-    Sharing a table across threads stays safe: each entry is a pure
-    function of its key, so a repeated fill writes the same value.  Each
-    rule compiles its own right-hand side (:attr:`Rule.program`).
+    The indexes hold rules by their patterns and never change once built.
+    What fills lazily as the table is used: ``matches`` holds the
+    :func:`lookup` result, an oriented :class:`Match` or ``None``, per
+    ordered pair of symbols (the name and arity of each), filled by the
+    reducer; and each rule builds its own body the first time it fires,
+    an arity instance its right-hand side (:attr:`Rule.rhs`) and every
+    rule its compiled program (:attr:`Rule.program`).  Sharing a table
+    across threads stays safe: each of these is a pure function of its
+    key or rule, so a repeated fill writes an equal value.
+    ``max_name_id`` is the largest name id in the rules, instances'
+    right-hand sides included, found without building them.
     """
 
     ordinary: dict[tuple[str, str], Rule]
@@ -906,8 +986,13 @@ def build_rule_table(rules: Sequence[Rule], *, validate: bool = True) -> RuleTab
     ordinary: dict[tuple[str, str], Rule] = {}
     generic: dict[tuple[int, str], Rule] = {}
     max_id = -1
+    widest: dict[int, Rule] = {}  # per written variadic rule, its widest instance
     for r in rules:
-        max_id = max(max_id, _rule_max_name_id(r))
+        src = r.instance_of
+        if src is None:
+            max_id = max(max_id, _rule_max_name_id(r))
+        elif len(r.right.fixed_params) >= len(widest.get(id(src), r).right.fixed_params):
+            widest[id(src)] = r
         if isinstance(r.right, OrdinaryPattern):
             a, b = r.left.symbol.name, r.right.symbol.name
             key = (a, b) if a <= b else (b, a)
@@ -916,6 +1001,9 @@ def build_rule_table(rules: Sequence[Rule], *, validate: bool = True) -> RuleTab
             g = r.generic
             assert g is not None and not g.is_variadic
             generic.setdefault((len(g.fixed_params), r.left.symbol.name), r)
+    # An instance's largest name id grows with its arity.
+    for r in widest.values():
+        max_id = max(max_id, _instance_max_name_id(r))
     return RuleTable(ordinary, generic, max_id)
 
 
@@ -947,6 +1035,11 @@ def lookup(table: RuleTable, a: Symbol, b: Symbol) -> Optional[Match]:
 
 @dataclass
 class Analysis:
+    """What :func:`analyze_rules` found: its diagnostics in order, the rule
+    set after expansion (each variadic rule's arity instances in place of
+    it, with their right-hand sides not yet built), the table when every
+    check passed, and the largest arity among the symbols."""
+
     diagnostics: list[Diagnostic]
     expanded_rules: list[Rule]
     table: Optional[RuleTable]
@@ -967,7 +1060,10 @@ def analyze_rules(
     """Run every static check in order and build the table if all pass.
 
     Order: per-rule linearity, ambiguity over the written rules, variadic
-    expansion, generic-overlap check over the expanded set.
+    expansion, generic-overlap check over the expanded set.  Everything
+    after expansion reads patterns only: no instance's right-hand side is
+    built here, but by the first read of it, when the instance fires (or is
+    printed).
 
     Each variadic rule is expanded at exactly the arities of the given
     ``symbols`` (those at or above its fixed-port count), so the table

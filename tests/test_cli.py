@@ -1,6 +1,9 @@
 import contextlib
+import gc
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -444,3 +447,37 @@ def test_deep_variadic_right_hand_side_expands(tmp_program, capsys, default_recu
     out = capsys.readouterr().out
     wide = "S(" * 5_000 + "ANY(y1, y2)" + ")" * 5_000
     assert f"D(r) >< ANY(x1, x2) => r~{wide}, x1~y1, x2~y2;  # r1@2: expanded-from(r1, 2)" in out
+
+
+# ---------------------------------------------------------------------------
+# process-level behaviour
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["check", "run", "trace", "expand", "fuzz"])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_a_command_leaves_no_cyclic_garbage(name, command, capsys):
+    """With the collector off, a command frees everything it made by
+    reference counting.  The first call builds the argument parser, which
+    is kept, so it runs once before the count."""
+    argv = [command, corpus_path(name)]
+    main(argv)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        main(argv)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "inetkit", "check", corpus_path("dup_erase")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "error" not in done.stderr

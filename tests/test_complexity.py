@@ -17,7 +17,8 @@ depend on how deep the net's terms are either.
 Rule lookups (calls to ``lookup``) are counted too: each happens once per
 rule table, not once per step.  Right-hand-side compilations happen once
 per rule: a self rule's program serves both the analysis's swap check and
-every interaction.
+every interaction.  An arity instance's right-hand side is built only when
+the instance first fires, so ``check`` builds none.
 
 A confluence probe fires each interaction of its seeded strategies'
 schedule tree once, and for k seeds makes at most k - 1 reducer forks and
@@ -274,6 +275,55 @@ def test_each_rule_is_compiled_once_per_table(name, monkeypatch):
     report = confluence_probe(program.net, analysis.table, PROBE)
     assert report.consistent
     assert calls and set(calls.values()) == {1}
+
+
+@pytest.fixture
+def rhs_builds(monkeypatch):
+    """Counts the right-hand sides built for arity instances, by rule id."""
+    calls = Counter()
+    build = inetkit.rules._expand_at
+
+    def counting_build(rule):
+        calls[rule.id] += 1
+        return build(rule)
+
+    monkeypatch.setattr(inetkit.rules, "_expand_at", counting_build)
+    return calls
+
+
+def fired_instances(text: str, strategies) -> set[str]:
+    """The arity instances that fire under any of ``strategies``."""
+    fired = set()
+    for strategy in strategies:
+        program, analysis = compile_text(text)
+        outcome = normalize(program.net, analysis.table, strategy, trace=True)
+        fired |= {s.rule_id for s in outcome.trace if s.rule_id and "@" in s.rule_id}
+    return fired
+
+
+@pytest.mark.parametrize(
+    "command, strategies",
+    [
+        (["check"], []),
+        (["run"], [Fifo()]),
+        (["fuzz", "--seeds", "20"], [Fifo(), Lifo()] + [Seeded(i) for i in range(20)]),
+    ],
+    ids=["check", "run", "fuzz"],
+)
+def test_each_fired_instance_is_built_once_per_command(
+    command, strategies, rhs_builds, tmp_path, capsys
+):
+    """``check`` builds no instance's right-hand side.  ``run`` builds each
+    instance that fires once, and ``fuzz`` each that fires under any of its
+    strategies once, since they share one table."""
+    text = eps_dup_text(64)
+    fired = fired_instances(text, strategies)
+    assert bool(fired) == bool(strategies)
+    path = tmp_path / "eps_dup.inet"
+    path.write_text(text, encoding="utf-8")
+    rhs_builds.clear()
+    assert main([command[0], str(path), *command[1:]]) == 0
+    assert rhs_builds == Counter(dict.fromkeys(fired, 1))
 
 
 def test_a_self_rule_is_compiled_once_across_analysis_and_reduction(monkeypatch):

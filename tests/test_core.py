@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -221,6 +223,24 @@ def test_canonicalize_name_chains_alpha_equivalent():
     chain = Configuration([], [Equation(a, b), Equation(b, c)])
     star = Configuration([], [Equation(x, y), Equation(x, z)])
     assert canonicalize(chain) == canonicalize(star)
+
+
+def test_canonicalize_leaves_no_cyclic_garbage():
+    """A symmetric net makes the search branch and recurse; with the
+    collector off, all it made is freed by reference counting."""
+    names = [nm(i) for i in range(6)]
+    config = Configuration(
+        [], [Equation(Agent(ADD, (names[i], names[i + 1])), names[i + 2]) for i in (0, 3)]
+    )
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        canonicalize(config)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- property tests ---------------------------------------------------------
