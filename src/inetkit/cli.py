@@ -102,24 +102,35 @@ def cmd_check(args) -> int:
     return EXIT_OK if analysis is not None else EXIT_VALIDATION
 
 
-def _normalized(args, trace: bool):
+def _runnable(args):
+    """The program's net, its rule table and its name supply; or, if the
+    program does not load, fails analysis or declares no net, the exit
+    code."""
     program = _load(args.input)
     if program is None:
-        return None, EXIT_INPUT
+        return EXIT_INPUT
     analysis = _analyze(program, args.max_arity)
     if analysis is None:
-        return None, EXIT_VALIDATION
+        return EXIT_VALIDATION
     if program.net is None:
         print("error: program declares no net to run", file=sys.stderr)
-        return None, EXIT_VALIDATION
+        return EXIT_VALIDATION
     assert analysis.table is not None
+    return program.net, analysis.table, program.supply
+
+
+def _normalized(args, trace: bool):
+    loaded = _runnable(args)
+    if isinstance(loaded, int):
+        return None, loaded
+    net, table, supply = loaded
     outcome = normalize(
-        program.net,
-        analysis.table,
+        net,
+        table,
         args.strategy,
         budget=args.max_steps,
         trace=trace,
-        supply=program.supply,
+        supply=supply,
     )
     return outcome, EXIT_OK
 
@@ -187,19 +198,13 @@ def cmd_expand(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    program = _load(args.input)
-    if program is None:
-        return EXIT_INPUT
-    analysis = _analyze(program, args.max_arity)
-    if analysis is None:
-        return EXIT_VALIDATION
-    if program.net is None:
-        print("error: program declares no net to run", file=sys.stderr)
-        return EXIT_VALIDATION
-    assert analysis.table is not None
+    loaded = _runnable(args)
+    if isinstance(loaded, int):
+        return loaded
+    net, table, _ = loaded
     strategies: list[Strategy] = [Fifo(), Lifo()]
     strategies.extend(Seeded(seed) for seed in range(args.seeds))
-    report = confluence_probe(program.net, analysis.table, strategies, budget=args.max_steps)
+    report = confluence_probe(net, table, strategies, budget=args.max_steps)
     finished = report.terminated
     if not report.consistent:
         assert report.divergence is not None and report.traces is not None

@@ -283,24 +283,6 @@ def _term_key(t: Term, colors: Optional[dict[int, int]] = None) -> tuple:
     return tuple(out)
 
 
-def _name_paths(t: Term) -> Iterator[tuple[Name, tuple]]:
-    """Yield every name in ``t`` with its argument-index path, left to right."""
-    if isinstance(t, Name):
-        yield t, ()
-        return
-    frames = [((), enumerate(t.args))]  # per open agent: its path, args left
-    while frames:
-        path, todo = frames[-1]
-        for i, u in todo:
-            if isinstance(u, Name):
-                yield u, path + (i,)
-            else:
-                frames.append((path + (i,), enumerate(u.args)))
-                break
-        else:
-            frames.pop()
-
-
 def canonicalize(config: Configuration) -> CanonicalConfiguration:
     """Deterministic canonical form of a well-formed configuration.
 
@@ -327,12 +309,18 @@ def canonicalize(config: Configuration) -> CanonicalConfiguration:
 # only the cyclic collector frees.
 
 def _refine(config: Configuration, colors: dict[int, int]) -> dict[int, int]:
-    """Refine ``colors`` by each name's occurrences until it is stable."""
+    """Refine ``colors`` by each name's occurrences until it is stable.
+
+    An occurrence is placed by its ordinal among the names of its term.
+    Ordinals are compared only within one term or between terms with equal
+    keys, whose names sit at the same argument paths in the same order, so
+    they order occurrences as those paths would, at constant size.
+    """
     while True:
         occ = {nid: [] for nid in colors}
         for slot, t in enumerate(config.interface):
-            for n, p in _name_paths(t):
-                occ[n.id].append(("I", slot, p))
+            for i, n in enumerate(term_names(t)):
+                occ[n.id].append(("I", slot, i))
         for eq in config.equations:
             ka = _term_key(eq.left, colors)
             kb = _term_key(eq.right, colors)
@@ -344,8 +332,8 @@ def _refine(config: Configuration, colors: dict[int, int]) -> dict[int, int]:
             else:
                 tags = (1, 0)
             for tag, t in zip(tags, (eq.left, eq.right)):
-                for n, p in _name_paths(t):
-                    occ[n.id].append(("E", ek, tag, p))
+                for i, n in enumerate(term_names(t)):
+                    occ[n.id].append(("E", ek, tag, i))
         sig = {nid: (colors[nid], tuple(sorted(occ[nid]))) for nid in colors}
         rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
         new = {nid: rank[sig[nid]] for nid in colors}

@@ -165,8 +165,11 @@ class RuleKind(str, Enum):
 
 class _built_once:
     """``functools.cached_property`` without the lock that Python 3.11
-    takes on every first read: the value goes into the instance dict, where
-    later reads find it without calling anything."""
+    takes on every first read: the value goes into the instance's
+    attributes, where later reads find it without calling anything.  It is
+    stored with ``object.__setattr__``, not through ``__dict__``: touching
+    ``__dict__`` costs the instance its inline attribute values, and every
+    later attribute read on it gets slower."""
 
     def __init__(self, build):
         self._build = build
@@ -178,7 +181,8 @@ class _built_once:
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        value = obj.__dict__[self._name] = self._build(obj)
+        value = self._build(obj)
+        object.__setattr__(obj, self._name, value)
         return value
 
 

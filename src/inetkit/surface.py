@@ -14,7 +14,7 @@ import bisect
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .core import (
     Agent,
@@ -23,7 +23,6 @@ from .core import (
     Equation,
     Name,
     NameSupply,
-    NetError,
     Term,
     occurrences,
     term_names,
@@ -128,34 +127,26 @@ class _Tokens:
 
 
 # ---------------------------------------------------------------------------
-# Untyped parse pass
+# Parser
 # ---------------------------------------------------------------------------
 #
-# Terms are parsed into light tuples first so that symbol arities can be
-# inferred over the whole program before typed rules are built:
-#   ("name", ident) | ("vname", ident)
-#   ("agent", ident, [args], range_tail, at)   range_tail: str | None
-#   ("any", [args], range_tail, at)
-# ``at`` is the index of the head's token.  While parsing, every agent used
-# without a range tail is recorded in preorder as (symbol, arity, at).
+# The parser builds typed terms as it reads: ``Agent``s and ``Equation``s in
+# nets, patterns, ``RAgent``s and ``RuleEquation``s in rules.  An agent gets
+# the symbol of the arity it is written with; ``parse_program`` settles the
+# program's symbols once every item is read.  While parsing, every agent used
+# without a range tail is recorded in preorder as (symbol, arity, at), ``at``
+# being the index of its head's token.
+#
+# Each rule draws its name ids from where the rules before it stopped: its
+# concrete pattern's parameters first, then the other pattern's, then the
+# right-hand side in reading order.  A net draws its own from there too, and
+# ``finish_net`` moves them behind the names of the rules read after it.
 
 class _ParseFail(Exception):
     pass
 
 
-@dataclass
-class _RawRule:
-    left: tuple
-    right: tuple
-    rhs: list[tuple]
-    span: Span
-
-
-@dataclass
-class _RawNet:
-    terms: list[tuple]
-    eqs: list[tuple]
-    span: Span
+_WILDCARD = GenericRef(GENERIC_KEYWORD)
 
 
 class _Parser:
@@ -166,14 +157,27 @@ class _Parser:
         self.pos = 0
         self.diags = tokens.diags
         self.decls: list[tuple[str, int, int]] = []
-        self.rules: list[_RawRule] = []
-        self.nets: list[_RawNet] = []
+        # Per rule: its patterns, right-hand side, span and the concrete
+        # agents of its right-hand side with their head tokens.  Per net:
+        # the configuration (None if it holds what nets forbid), its span,
+        # the id of its first name, its names and its agent uses.
+        self.rules: list[tuple] = []
+        self.nets: list[tuple] = []
         # Agent uses (symbol, arity, at): of the item being parsed, with None
         # for agents that turned out to have a range tail, and of the rules
         # and nets parsed so far.
         self.uses: list[Optional[tuple[str, int, int]]] = []
         self.rule_uses: list[tuple[str, int, int]] = []
         self.net_uses: list[tuple[str, int, int]] = []
+        self.interned: dict[tuple[str, int], Symbol] = {}
+        self.next_id = 0  # of the first name of the next rule
+        # Of the item being parsed: names by identifier, where they are
+        # drawn from, the concrete agents of a right-hand side, and whether
+        # the item uses a construct it may not.
+        self.scope: dict[str, Name] = {}
+        self.supply = NameSupply()
+        self.heads: list[tuple[RAgent, int]] = []
+        self.forbidden = False
 
     # -- token helpers ------------------------------------------------------
 
@@ -215,6 +219,46 @@ class _Parser:
     def item_uses(self) -> list[tuple[str, int, int]]:
         return [u for u in self.uses if u is not None]
 
+    # -- typed construction -------------------------------------------------
+
+    def begin_item(self) -> None:
+        self.scope = {}
+        self.supply = NameSupply(self.next_id)
+        self.heads = []
+        self.forbidden = False
+
+    def name(self, ident: str) -> Name:
+        name = self.scope.get(ident)
+        if name is None:
+            name = self.scope[ident] = self.supply.fresh(ident)
+        return name
+
+    def symbol(self, ident: str, arity: int) -> Symbol:
+        """One shared ``Symbol`` per symbol and arity."""
+        sym = self.interned.get((ident, arity))
+        if sym is None:
+            sym = self.interned[ident, arity] = Symbol(ident, arity)
+        return sym
+
+    def agent(self, head: int, args: tuple, range_tail: Optional[str], rhs: bool, slot: int):
+        """The agent headed by token ``head``: an ``RAgent`` in a rule's
+        right-hand side, else an ``Agent``.  Its use goes into ``slot`` of
+        ``self.uses``."""
+        text = self.texts[head]
+        if text == GENERIC_KEYWORD:
+            if rhs:
+                return RAgent(_WILDCARD, args, range_tail)
+            self._not_allowed(f"{GENERIC_KEYWORD} is not allowed here", head)
+        elif range_tail is None:
+            self.uses[slot] = (text, len(args), head)
+        sym = self.symbol(text, len(args))
+        if not rhs:
+            return Agent(sym, args)
+        # A range-tailed agent's symbol is known once the program is read.
+        agent = RAgent(sym if range_tail is None else None, args, range_tail)
+        self.heads.append((agent, head))
+        return agent
+
     # -- grammar ------------------------------------------------------------
 
     def parse_program(self) -> None:
@@ -250,33 +294,44 @@ class _Parser:
 
     def parse_rule_decl(self) -> None:
         span = self.span(self.pos)
-        left = self.parse_pattern()
+        first = self.parse_pattern()
         self.expect_op("><")
-        right = self.parse_pattern()
+        second = self.parse_pattern()
         self.expect_op("=>")
-        eqs = self.parse_eq_list(allow_variadic=True)
+        if first[0] == GENERIC_KEYWORD:  # the wildcard goes on the right
+            first, second = second, first
+        self.begin_item()
+        left, right = self.pattern(*first), self.pattern(*second)
+        rhs = self.parse_eq_list(rhs=True)
         self.expect_op(";")
-        self.rules.append(_RawRule(left, right, eqs, span))
+        self.rules.append((left, right, tuple(rhs), span, self.heads))
         self.rule_uses += self.item_uses()
+        self.next_id = self.supply.next_id
 
     def parse_net_decl(self) -> None:
         span = self.span(self.take())  # net
+        self.begin_item()
         self.expect_op("(")
-        terms = self.parse_list(lambda: self.parse_term(allow_variadic=False), ")")
+        interface = self.parse_list(lambda: self.parse_term(rhs=False), ")")
         self.expect_op(")")
         self.expect_op("|")
-        eqs = [] if self.at_op(";") else self.parse_eq_list(allow_variadic=False)
+        eqs = [] if self.at_op(";") else self.parse_eq_list(rhs=False)
         self.expect_op(";")
-        self.nets.append(_RawNet(terms, eqs, span))
-        self.net_uses += self.item_uses()
+        config = None if self.forbidden else Configuration(interface, eqs)
+        uses = self.item_uses()
+        self.nets.append((config, span, self.next_id, self.scope, uses))
+        self.net_uses += uses
 
-    def parse_pattern(self) -> tuple:
+    def parse_pattern(self) -> tuple[str, list[str], Optional[str]]:
+        """A pattern's symbol, parameters and range; its names are drawn
+        once both patterns are read."""
         if self.kinds[self.pos] != "ident" or self.at_name():
             self.fail("expected an agent symbol or ANY in a rule pattern")
         head = self.take()
-        if self.texts[head] == GENERIC_KEYWORD:
-            fixed: list[str] = []
-            range_name: Optional[str] = None
+        text = self.texts[head]
+        params: list[str] = []
+        range_name: Optional[str] = None
+        if text == GENERIC_KEYWORD:
             if self.at_op("("):
                 self.take()
                 while not self.at_op(")"):
@@ -287,14 +342,13 @@ class _Parser:
                         range_name = self.texts[self.take()]
                         self.expect_op("]")
                         break
-                    fixed.append(self.parse_pattern_name())
+                    params.append(self.parse_pattern_name())
                     if self.at_op(","):
                         self.take()
                     else:
                         break
                 self.expect_op(")")
-            return ("anypat", fixed, range_name, head)
-        params: list[str] = []
+            return text, params, range_name
         if self.at_op("("):
             self.take()
             params.append(self.parse_pattern_name())
@@ -302,8 +356,14 @@ class _Parser:
                 self.take()
                 params.append(self.parse_pattern_name())
             self.expect_op(")")
-        self.uses.append((self.texts[head], len(params), head))
-        return ("pat", self.texts[head], params, head)
+        self.uses.append((text, len(params), head))
+        return text, params, None
+
+    def pattern(self, text: str, params: list[str], range_name: Optional[str]):
+        names = tuple(self.name(p) for p in params)
+        if text == GENERIC_KEYWORD:
+            return GenericPattern(GENERIC_KEYWORD, names, range_name)
+        return OrdinaryPattern(self.symbol(text, len(names)), names)
 
     def parse_pattern_name(self) -> str:
         if not self.at_name():
@@ -320,7 +380,7 @@ class _Parser:
             )
         return name
 
-    def parse_list(self, item: Callable[[], tuple], end: Optional[str]) -> list[tuple]:
+    def parse_list(self, item: Callable[[], object], end: Optional[str]) -> list:
         """Comma-separated items, none if at ``end``, which is not taken.
         ``end=None`` matches no token, so at least one item is parsed."""
         if self.at_op(end):
@@ -331,25 +391,26 @@ class _Parser:
             items.append(item())
         return items
 
-    def parse_eq_list(self, allow_variadic: bool) -> list[tuple]:
+    def parse_eq_list(self, rhs: bool) -> list:
         if self.at_op("("):  # "()" denotes an empty right-hand side
             self.take()
             self.expect_op(")")
             return []
-        return self.parse_list(lambda: self.parse_equation(allow_variadic), None)
+        return self.parse_list(lambda: self.parse_equation(rhs), None)
 
-    def parse_equation(self, allow_variadic: bool) -> tuple:
-        left = self.parse_term(allow_variadic)
+    def parse_equation(self, rhs: bool) -> Union[Equation, RuleEquation]:
+        left = self.parse_term(rhs)
         self.expect_op("~")
-        right = self.parse_term(allow_variadic)
-        return (left, right)
+        right = self.parse_term(rhs)
+        return RuleEquation(left, right) if rhs else Equation(left, right)
 
-    def parse_term(self, allow_variadic: bool) -> tuple:
+    def parse_term(self, rhs: bool) -> Union[Term, RhsTerm]:
+        """A right-hand-side term with ``rhs``, else a net term."""
         # Agents whose argument lists are open wait on a stack, each as
         # [head, arguments so far, slot in self.uses], so term depth is not
         # bounded by the interpreter's recursion limit.  The position lives
         # in a local and is stored back before any call that reads it.
-        kinds, texts, uses = self.kinds, self.texts, self.uses
+        kinds, texts, uses, scope = self.kinds, self.texts, self.uses, self.scope
         pos = self.pos
         open_agents: list[list] = []
         while True:
@@ -359,26 +420,23 @@ class _Parser:
             head = pos
             text = texts[pos]
             pos += 1
-            term: Optional[tuple] = None
+            term = None
             if not text[0].isupper():
                 if texts[pos] == "'":
-                    if not allow_variadic:
+                    if rhs:
+                        term = VarName(text)
+                    else:
                         self._not_allowed("variadic names are not allowed here", pos)
                     pos += 1
-                    term = ("vname", text)
-                else:
-                    term = ("name", text)
+                if term is None:
+                    term = scope.get(text) or self.name(text)
             elif texts[pos] == "(":
                 pos += 1
                 open_agents.append([head, [], len(uses)])
                 uses.append(None)
-            elif text == GENERIC_KEYWORD:
-                if not allow_variadic:
-                    self._not_allowed(f"{GENERIC_KEYWORD} is not allowed here", head)
-                term = ("any", [], None, head)
             else:
-                term = ("agent", text, [], None, head)
-                uses.append((text, 0, head))
+                uses.append(None)
+                term = self.agent(head, (), None, rhs, len(uses) - 1)
             # Hand finished terms to their agents until an argument is due.
             while True:
                 if term is not None:
@@ -400,37 +458,109 @@ class _Parser:
                 range_tail = None
                 if texts[pos] == "[":
                     self.pos = pos
-                    range_tail = self._range_tail(allow_variadic)
+                    range_tail = self._range_tail(rhs)
                     pos = self.pos
                     if texts[pos] != ")":
                         self.fail("expected ')'")
                 pos += 1
-                text = texts[head]
-                if text == GENERIC_KEYWORD:
-                    if not allow_variadic:
-                        self._not_allowed(f"{GENERIC_KEYWORD} is not allowed here", head)
-                    term = ("any", args, range_tail, head)
-                else:
-                    term = ("agent", text, args, range_tail, head)
-                    if range_tail is None:
-                        uses[slot] = (text, len(args), head)
+                term = self.agent(head, tuple(args), range_tail, rhs, slot)
 
     def _not_allowed(self, message: str, at: int) -> None:
+        self.forbidden = True
         self.diags.append(Diagnostic("error", "E_PARSE", message, self.span(at)))
 
-    def _range_tail(self, allow_variadic: bool) -> str:
+    def _range_tail(self, rhs: bool) -> str:
         lb = self.take()
         if not self.at_name():
             self.fail("expected a range name")
         name = self.texts[self.take()]
         self.expect_op("]")
-        if not allow_variadic:
+        if not rhs:
             self._not_allowed("ranges are not allowed here", lb)
         return name
 
+    # -- once every item is read ----------------------------------------------
+
+    def finish_rule(self, rule_id: str, symbols: dict[str, Symbol], left, right,
+                    rhs: tuple[RuleEquation, ...], span: Span,
+                    heads: list[tuple[RAgent, int]]) -> Optional[Rule]:
+        """The rule, given the program's symbols; None, with a diagnostic
+        unless the arity conflict behind it was reported already, if it has
+        two wildcards, a pattern at another arity than its symbol's, or a
+        range-tailed agent whose arity cannot be inferred."""
+        if isinstance(left, GenericPattern):
+            self.diags.append(
+                Diagnostic(
+                    "error",
+                    "E_TWO_GENERIC",
+                    f"rule {rule_id}: at most one side of an active pair may be generic",
+                    span,
+                )
+            )
+            return None
+        for p in (left, right):
+            if isinstance(p, OrdinaryPattern) and symbols[p.symbol.name] != p.symbol:
+                return None
+        unknown = [at for _, at in heads if self.texts[at] not in symbols]
+        if unknown:
+            at = min(unknown)  # the first in reading order
+            self.diags.append(
+                Diagnostic(
+                    "error",
+                    "E_ARITY_CONFLICT",
+                    f"arity of {self.texts[at]} cannot be inferred",
+                    self.span(at),
+                )
+            )
+            return None
+        # Right-hand-side agents take the program's symbol, even where they
+        # are written at a conflicting arity.  Only such agents and those
+        # with a range tail get a new head, in place, before anything reads it.
+        for agent, at in heads:
+            sym = symbols[self.texts[at]]
+            if agent.head is not sym:
+                object.__setattr__(agent, "head", sym)
+        return Rule(rule_id, left, right, rhs, origin=str(span))
+
+    def finish_net(self, symbols: dict[str, Symbol], config: Optional[Configuration],
+                   span: Span, start: int, scope: dict[str, Name],
+                   uses: list[tuple[str, int, int]]) -> Optional[Configuration]:
+        """The net, its names numbered behind every rule's; None if it
+        holds a construct nets forbid or an agent at a conflicting arity."""
+        if config is None or any(symbols[ident].arity != arity for ident, arity, _ in uses):
+            return None
+        shift = self.next_id - start  # ids drawn by rules read after the net
+        if shift:
+            for name in scope.values():
+                object.__setattr__(name, "id", name.id + shift)
+        self.next_id += len(scope)
+        counts = occurrences(config)
+        interface_names = {n for t in config.interface for n in term_names(t)}
+        for name, count in counts.items():
+            if count > 2:
+                self.diags.append(
+                    Diagnostic(
+                        "error",
+                        "E_NAME_COUNT",
+                        f"name {name.display} occurs {count} times in the net "
+                        f"(at most twice allowed)",
+                        span,
+                    )
+                )
+            elif count == 1 and name not in interface_names:
+                self.diags.append(
+                    Diagnostic(
+                        "warning",
+                        "W_DANGLING_NAME",
+                        f"name {name.display} occurs once outside the interface",
+                        span,
+                    )
+                )
+        return config
+
 
 # ---------------------------------------------------------------------------
-# Symbol resolution and typed construction
+# Programs
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -473,190 +603,25 @@ def parse_program(text: str) -> SourceProgram:
                     parser.span(by_symbol[ident][arities[-1]]),
                 )
             )
-        symbols[ident] = Symbol(ident, arities[0])
-
-    supply = NameSupply()
-    builder = _Builder(symbols, supply, diags, parser.span)
+        symbols[ident] = parser.symbol(ident, arities[0])
 
     rules: list[Rule] = []
-    for idx, raw in enumerate(parser.rules, start=1):
-        rule = builder.build_rule(raw, f"r{idx}")
+    for idx, item in enumerate(parser.rules, start=1):
+        rule = parser.finish_rule(f"r{idx}", symbols, *item)
         if rule is not None:
             rules.append(rule)
 
-    net: Optional[Configuration] = None
     if len(parser.nets) > 1:
         diags.append(
             Diagnostic(
                 "error",
                 "E_PARSE",
                 "a program may declare at most one net",
-                parser.nets[1].span,
+                parser.nets[1][1],
             )
         )
-    if parser.nets:
-        net = builder.build_net(parser.nets[0])
-
-    return SourceProgram(symbols, rules, net, supply, diags)
-
-
-class _BuildFail(Exception):
-    """Typed construction failed; a diagnostic has already been emitted."""
-
-
-class _Builder:
-    def __init__(self, symbols: dict[str, Symbol], supply: NameSupply, diags: list[Diagnostic],
-                 span: Callable[[int], Span]):
-        self.symbols = symbols
-        self.supply = supply
-        self.diags = diags
-        self.span = span  # of a token index
-
-    def _name(self, scope: dict[str, Name], ident: str) -> Name:
-        if ident not in scope:
-            scope[ident] = self.supply.fresh(ident)
-        return scope[ident]
-
-    def _symbol(self, ident: str, at: int) -> Symbol:
-        sym = self.symbols.get(ident)
-        if sym is None:
-            # Only reachable for agents used exclusively with a range tail.
-            self.diags.append(
-                Diagnostic(
-                    "error",
-                    "E_ARITY_CONFLICT",
-                    f"arity of {ident} cannot be inferred",
-                    self.span(at),
-                )
-            )
-            raise _BuildFail()
-        return sym
-
-    def build_rule(self, raw: _RawRule, rule_id: str) -> Optional[Rule]:
-        left_raw, right_raw = raw.left, raw.right
-        if left_raw[0] == "anypat" and right_raw[0] == "anypat":
-            self.diags.append(
-                Diagnostic(
-                    "error",
-                    "E_TWO_GENERIC",
-                    f"rule {rule_id}: at most one side of an active pair may be generic",
-                    raw.span,
-                )
-            )
-            return None
-        if left_raw[0] == "anypat":
-            left_raw, right_raw = right_raw, left_raw
-
-        scope: dict[str, Name] = {}
-        try:
-            assert left_raw[0] == "pat"
-            _, ident, params, at = left_raw
-            left = OrdinaryPattern(
-                self._symbol(ident, at), tuple(self._name(scope, p) for p in params)
-            )
-            right: Union[OrdinaryPattern, GenericPattern]
-            if right_raw[0] == "anypat":
-                _, fixed, range_name, _ = right_raw
-                right = GenericPattern(
-                    GENERIC_KEYWORD,
-                    tuple(self._name(scope, p) for p in fixed),
-                    range_name,
-                )
-            else:
-                _, ident2, params2, at2 = right_raw
-                right = OrdinaryPattern(
-                    self._symbol(ident2, at2),
-                    tuple(self._name(scope, p) for p in params2),
-                )
-            rhs = tuple(
-                RuleEquation(self._term(l, scope, rhs=True), self._term(r, scope, rhs=True))
-                for l, r in raw.rhs
-            )
-        except _BuildFail:
-            return None
-        except NetError:
-            # Pattern length disagrees with the symbol's resolved arity; the
-            # conflicting uses were already reported.
-            return None
-        return Rule(rule_id, left, right, rhs, origin=str(raw.span))
-
-    def _term(self, raw: tuple, scope: dict[str, Name], rhs: bool = False) -> Union[Term, RhsTerm]:
-        """Build a net term or, with ``rhs``, a right-hand-side term from a
-        raw parse tree.  Names and symbols resolve in preorder."""
-        # Per open agent: its head, its range tail, its raw arguments left to
-        # build and its built arguments so far; iterative, so depth is
-        # unbounded.
-        frames: list[tuple[Union[Symbol, GenericRef], Optional[str], Iterator[tuple], list]] = []
-        while True:
-            kind = raw[0]
-            if kind == "name":
-                term = self._name(scope, raw[1])
-            elif kind == "vname" and rhs:
-                term = VarName(raw[1])
-            else:
-                if kind == "agent" and (rhs or raw[3] is None):
-                    _, ident, args, range_tail, at = raw
-                    head = self._symbol(ident, at)
-                elif kind == "any" and rhs:
-                    _, args, range_tail, _ = raw
-                    head = GenericRef(GENERIC_KEYWORD)
-                else:
-                    raise _BuildFail()  # parser already rejected variadic constructs here
-                if args:
-                    todo = iter(args)
-                    raw = next(todo)
-                    frames.append((head, range_tail, todo, []))
-                    continue
-                term = RAgent(head, (), range_tail) if rhs else Agent(head)
-            # Hand the finished term to its agent until an argument is due.
-            while frames:
-                frame = frames[-1]
-                frame[3].append(term)
-                raw = next(frame[2], None)
-                if raw is not None:
-                    break
-                frames.pop()
-                head, range_tail, _, done = frame
-                term = RAgent(head, tuple(done), range_tail) if rhs else Agent(head, tuple(done))
-            else:
-                return term
-
-    def build_net(self, raw: _RawNet) -> Optional[Configuration]:
-        scope: dict[str, Name] = {}
-        try:
-            interface = [self._term(t, scope) for t in raw.terms]
-            equations = [
-                Equation(self._term(l, scope), self._term(r, scope))
-                for l, r in raw.eqs
-            ]
-        except _BuildFail:
-            return None
-        except NetError:
-            return None
-        config = Configuration(interface, equations)
-        counts = occurrences(config)
-        interface_names = {n for t in interface for n in term_names(t)}
-        for name, count in counts.items():
-            if count > 2:
-                self.diags.append(
-                    Diagnostic(
-                        "error",
-                        "E_NAME_COUNT",
-                        f"name {name.display} occurs {count} times in the net "
-                        f"(at most twice allowed)",
-                        raw.span,
-                    )
-                )
-            elif count == 1 and name not in interface_names:
-                self.diags.append(
-                    Diagnostic(
-                        "warning",
-                        "W_DANGLING_NAME",
-                        f"name {name.display} occurs once outside the interface",
-                        raw.span,
-                    )
-                )
-        return config
+    net = parser.finish_net(symbols, *parser.nets[0]) if parser.nets else None
+    return SourceProgram(symbols, rules, net, NameSupply(parser.next_id), diags)
 
 
 # ---------------------------------------------------------------------------
@@ -690,34 +655,42 @@ def _config_display(config: AnyConfiguration) -> dict[Name, str]:
     return _display_names(names)
 
 
-def render_term(t: Term, disp: Optional[dict[Name, str]] = None) -> str:
-    """``S(x, Z)`` form of a term; iterative, so depth is unbounded."""
-    if isinstance(t, Name):
-        return disp[t] if disp else t.display
-    if not t.args:
-        return t.symbol.name
+def render_term(t: Union[Term, RhsTerm], disp: Optional[dict[Name, str]] = None) -> str:
+    """``S(x, Z)`` form of a net or right-hand-side term, names shown as in
+    ``disp`` where it has them; iterative, so depth is unbounded."""
+    if disp is None:
+        disp = {}
     out: list[str] = []
-    stack: list[Union[Term, str]] = [t]  # a str is literal punctuation
+    stack: list[Union[Term, RhsTerm, str]] = [t]  # a str is literal text
     while stack:
         u = stack.pop()
-        if isinstance(u, str):
+        cls = u.__class__
+        if cls is str:
             out.append(u)
-        elif isinstance(u, Name):
-            out.append(disp[u] if disp else u.display)
-        elif not u.args:
-            out.append(u.symbol.name)
+        elif cls is Name:
+            out.append(disp.get(u, u.display))
+        elif cls is VarName:
+            out.append(f"{u.range_name}'")
         else:
-            out.append(u.symbol.name + "(")
-            args = u.args
+            if cls is Agent:
+                head, inner = u.symbol.name, u.args
+            else:
+                head = GENERIC_KEYWORD if u.head.__class__ is GenericRef else u.head.name
+                inner = u.args if u.range_tail is None else (*u.args, f"[{u.range_tail}]")
+            if not inner:
+                out.append(head)
+                continue
+            out.append(head + "(")
             stack.append(")")
-            stack.append(args[-1])
-            for a in args[-2::-1]:
+            stack.append(inner[-1])
+            for a in inner[-2::-1]:
                 stack.append(", ")
                 stack.append(a)
     return "".join(out)
 
 
-def render_equation(eq: Equation, disp: Optional[dict[Name, str]] = None) -> str:
+def render_equation(eq: Union[Equation, RuleEquation],
+                    disp: Optional[dict[Name, str]] = None) -> str:
     return f"{render_term(eq.left, disp)}~{render_term(eq.right, disp)}"
 
 
@@ -737,60 +710,23 @@ def render_configuration(config: AnyConfiguration) -> str:
 def parse_configuration(text: str) -> Configuration:
     """Parse the ``< ... | ... >`` form produced by render_configuration."""
     parser = _Parser(_Tokens(text))
-    diags = parser.diags
     try:
         parser.expect_op("<")
-        terms = parser.parse_list(lambda: parser.parse_term(allow_variadic=False), "|")
+        interface = parser.parse_list(lambda: parser.parse_term(rhs=False), "|")
         parser.expect_op("|")
-        eqs = parser.parse_list(lambda: parser.parse_equation(allow_variadic=False), ">")
+        eqs = parser.parse_list(lambda: parser.parse_equation(rhs=False), ">")
         parser.expect_op(">")
         if parser.kinds[parser.pos] != "eof":
             parser.fail("expected end of input")
     except _ParseFail:
         pass
-    if errors_in(diags):
-        raise ValueError("; ".join(str(d) for d in errors_in(diags)))
-
-    symbols: dict[str, Symbol] = {}
+    if errors_in(parser.diags):
+        raise ValueError("; ".join(str(d) for d in errors_in(parser.diags)))
+    arities: dict[str, int] = {}
     for ident, arity, _ in parser.item_uses():
-        if ident in symbols and symbols[ident].arity != arity:
+        if arities.setdefault(ident, arity) != arity:
             raise ValueError(f"symbol {ident} used with conflicting arities")
-        symbols.setdefault(ident, Symbol(ident, arity))
-    builder = _Builder(symbols, NameSupply(), diags, parser.span)
-    scope: dict[str, Name] = {}
-    return Configuration(
-        [builder._term(t, scope) for t in terms],
-        [Equation(builder._term(l, scope), builder._term(r, scope)) for l, r in eqs],
-    )
-
-
-def render_rhs_term(t: RhsTerm, disp: dict[Name, str]) -> str:
-    """Surface form of a right-hand-side term; iterative, so depth is unbounded."""
-    out: list[str] = []
-    stack: list[Union[RhsTerm, str]] = [t]  # a str is literal text
-    while stack:
-        u = stack.pop()
-        if isinstance(u, str):
-            out.append(u)
-        elif isinstance(u, Name):
-            out.append(disp.get(u, u.display))
-        elif isinstance(u, VarName):
-            out.append(f"{u.range_name}'")
-        else:
-            head = GENERIC_KEYWORD if isinstance(u.head, GenericRef) else u.head.name
-            inner: list[Union[RhsTerm, str]] = list(u.args)
-            if u.range_tail is not None:
-                inner.append(f"[{u.range_tail}]")
-            if not inner:
-                out.append(head)
-                continue
-            out.append(head + "(")
-            stack.append(")")
-            stack.append(inner[-1])
-            for a in inner[-2::-1]:
-                stack.append(", ")
-                stack.append(a)
-    return "".join(out)
+    return Configuration(interface, eqs)
 
 
 def _pattern_display(p: Union[OrdinaryPattern, GenericPattern], disp: dict[Name, str]) -> str:
@@ -818,9 +754,7 @@ def render_rule(rule: Rule) -> str:
             elif isinstance(part, RAgent):
                 stack.extend(part.args)
     disp = _display_names(names)
-    body = ", ".join(
-        f"{render_rhs_term(eq.left, disp)}~{render_rhs_term(eq.right, disp)}" for eq in rule.rhs
-    )
+    body = ", ".join(render_equation(eq, disp) for eq in rule.rhs)
     lhs = f"{_pattern_display(rule.left, disp)} >< {_pattern_display(rule.right, disp)}"
     return f"{lhs} => {body if body else '()'};"
 

@@ -1,8 +1,10 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -481,3 +483,51 @@ def test_python_dash_m_runs_the_command_line():
     )
     assert done.returncode == 0, done.stderr
     assert "error" not in done.stderr
+
+
+# ---------------------------------------------------------------------------
+# output digest
+# ---------------------------------------------------------------------------
+
+_DIGEST_COMMANDS = [
+    ["check"],
+    ["run", "--max-steps", "60"],
+    ["trace", "--max-steps", "60"],
+    ["trace", "--json", "--max-steps", "60"],
+    ["expand"],
+    ["fuzz", "--seeds", "2", "--max-steps", "60"],
+]
+
+# Nets that share display names with rule locals, written before the rules
+# and after them, so that name ids show in the output as suffixes.
+_DIGEST_PROGRAMS = [
+    "net (w, y) | Add(S(S(Z)), w)~S(S(Z)), Add(y, x)~x;\n"
+    "Add(y, r) >< S(x) => Add(y, w)~x, r~S(w);\nAdd(y, r) >< Z => r~y;",
+    "Add(y, r) >< S(x) => Add(y, w)~x, r~S(w);\n"
+    "net (w, r) | Add(S(Z), w)~S(Z), Add(Z, r)~S(S(w0));\nAdd(y, r) >< Z => r~y;",
+    "net (w) | Dup(w, x)~P(x, Z);\n"
+    "Dup(a, b) >< ANY([x]) => a~ANY([y]), b~ANY([z]), x'~Dup(y', z');\n"
+    "Eps >< ANY([x]) => Eps~x';\nEps >< Dup(a, b) => Eps~a, Eps~b;",
+]
+
+
+def test_output_digest_over_corpus_and_generated_programs(tmp_path, capsys):
+    """Exit code, stdout and stderr of every command on the corpus and on
+    generated programs, with small step budgets, pinned by one sha256.
+    Fresh names show through their ``_<id>`` suffixes, so this pins the
+    name ids the front end hands out as well."""
+    texts = _DIGEST_PROGRAMS + [program_gen.program(random.Random(seed)) for seed in range(120)]
+    paths = [corpus_path(name) for name in CORPUS_NAMES]
+    for i, text in enumerate(texts):
+        path = tmp_path / f"p{i}.inet"
+        path.write_text(text, encoding="utf-8")
+        paths.append(str(path))
+    digest = hashlib.sha256()
+    for i, path in enumerate(paths):
+        for command in _DIGEST_COMMANDS:
+            code = main([command[0], path, *command[1:]])
+            out, err = capsys.readouterr()
+            digest.update(repr((i, command, code, out, err)).encode())
+    assert digest.hexdigest() == (
+        "01d5ead150dea4b5667f5ad6be59d92ee4b987063d0c93c2a7fe7eb055b93fe1"
+    )

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -463,3 +464,22 @@ def test_canonical_forms_unchanged_on_corpus(name):
             if reducer.step() is None:
                 break
     assert (count, digest.hexdigest()) == CANONICAL_DIGESTS[name]
+
+
+def _canonicalize_peak(depth: int) -> int:
+    x = nm(0, "x")
+    config = Configuration([deep(depth, x), x], [])
+    tracemalloc.start()
+    try:
+        canonicalize(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_canonicalize_memory_grows_linearly_in_term_depth():
+    """Doubling the depth of a term at most doubles what canonicalizing it
+    holds at once, give or take a constant; keeping a path per nesting
+    level made it grow fourfold."""
+    small, large = _canonicalize_peak(2_000), _canonicalize_peak(4_000)
+    assert large < 3 * small, (small, large)

@@ -278,3 +278,75 @@ def test_front_end_digest_over_generated_programs_and_soups():
     assert digest.hexdigest() == (
         "52054f5993cd5318d2d92aed7d7583fadafd02107ced3cd2a30e2c83b877f312"
     )
+
+
+# Hand cases for the name-id digest: where the order in which the parser
+# reads a program and the order in which it numbers names part ways.
+_ID_CASES = [
+    # the net first, then rules, then another rule after a declaration
+    "net (r) | Add(r, S(Z))~S(Z);\n"
+    "Add(r, y) >< Z => r~y;\nagent S/1;\nAdd(r, y) >< S(x) => r~S(w), x~Add(w, y);",
+    # the net between rules, with a dangling name
+    "A(x, y) >< Z => x~y; net (a) | A(a, b)~Z; B(p) >< Z => p~Z;",
+    # ANY written on the left, with names on both patterns
+    "ANY(a, b) >< Dup(p, q) => p~ANY(c, d), q~ANY(e, f), a~Dup(c, e), b~Dup(d, f);"
+    "net (u, v) | Dup(u, v)~P(Z, Z);",
+    "ANY([x]) >< Era => Era~x'; net () | Era~P(Z, Z);",
+    # symbols declared after their use
+    "A(r) >< Z => r~Z; net (q) | A(q)~Z; agent A/1; agent Z/0;",
+    # a concrete agent with a range tail: one resolves, one cannot
+    "D(r) >< ANY([x]) => r~F(Z, [x]); agent F/2; net (q) | D(q)~Z;",
+    "D(r) >< ANY([x]) => r~Q(Z, [x]), Era~R([y]); net (q) | D(q)~Z;",
+    # conflicting arities in a pattern, in a right-hand side and in the net
+    "A(x) >< B => x~Z; A(x, y) >< C => x~y; net (q) | A(q)~B;",
+    "G(a, b) >< G(c, d) => a~H(c, d), b~H(Z); net (q) | G(q, Z)~G(Z, Z);",
+    "A(r) >< Z => r~Z; net (q) | A(q, q)~Z;",
+    "agent A/2; A(r, s) >< Z => r~s; net (q) | A(q)~Z;",
+    # two nets, and nets around a net that does not parse
+    "net (a) | A(a)~Z; B(x) >< Z => x~Z; net (b) | B(b)~Z;",
+    "net (a) | A(a)~; net (b) | B(b)~Z; A(x) >< Z => x~Z; net (c) | A(c)~Z;",
+    # constructs nets forbid
+    "net (a) | A(a, [x])~Z; A(x) >< Z => x~Z;",
+    "net (a) | A(a)~ANY(b); A(x) >< Z => x~Z;",
+    "net (a) | A(a)~b'; A(x) >< Z => x~Z;",
+    # two generic sides, and a rule after a rule that does not parse
+    "ANY(a) >< ANY(b) => a~b; A(x) >< Z => x~Z;",
+    "A(x) >< => x~Z; A(x) >< Z => x~Z; net (q) | A(q)~Z;",
+]
+
+
+def _name_id_record(text: str) -> list:
+    """What the front end decides about ``text``, name ids included: the
+    ``repr`` of the rules, the net, the symbols and the supply's next id
+    for programs without errors; diagnostics, rule ids and whether there
+    is a net for every input."""
+    program = parse_program(text)
+    record: list = [
+        [str(d) for d in program.diagnostics],
+        [r.id for r in program.rules],
+        program.net is None,
+    ]
+    if not program.has_errors:
+        record += [
+            repr(program.rules),
+            repr(program.net),
+            repr(program.symbols),
+            program.supply.next_id,
+        ]
+    return record
+
+
+def test_name_id_digest_over_corpus_generated_programs_soups_and_hand_cases():
+    """Name ids decide the ``_<id>`` suffixes of run and trace output and
+    where fresh names start; pinned before the parser built typed terms
+    directly, and unchanged by that."""
+    texts = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.inet"))]
+    texts += _ID_CASES
+    for seed in range(2_000):
+        texts += [program_gen.program(random.Random(seed)), program_gen.soup(random.Random(seed))]
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(repr((text, _name_id_record(text))).encode())
+    assert digest.hexdigest() == (
+        "e53a0d5e06fbbbc66ba2b507e43367a9ab11cf051c00ddb90007925bb23ec6e9"
+    )
