@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from typing import Optional
@@ -291,11 +292,19 @@ def _arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _arg_parser().parse_args(argv)
+    # A command leaves no cyclic garbage, yet the cyclic collector would
+    # rescan the growing heap while a wide net is parsed and reduced.  It is
+    # off for the command and restored after, for callers in the process.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except NetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

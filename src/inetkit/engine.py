@@ -1,9 +1,10 @@
 """Reduction engine: step rules, deterministic strategies, normalization.
 
 Four step kinds rewrite a configuration: communication merges the two
-equations sharing a top-level name, substitution pushes a name's binding
-into another equation, collect resolves a name into the interface, and
-interaction replaces an agent-agent equation by a rule's right-hand side.
+equations sharing a top-level name, substitution binds a name that occurs
+inside another equation's term, collect binds a name that occurs in the
+interface, and interaction replaces an agent-agent equation by a rule's
+right-hand side.
 The four kinds are five module-level functions, which :class:`Reducer`
 calls by name for every step it fires: :func:`step_communication`,
 :func:`step_substitution`, :func:`step_collect`, and for interaction
@@ -40,21 +41,29 @@ to choose or fire a step.  It keeps these invariants:
   incrementally.  A step reclassifies only the equations it created or
   changed, plus those whose whole side is the other occurrence of a name
   the step moved.
-- A collect step binds its name to the term instead of rebuilding the
-  interface term around it.  The name's other occurrence is in the
-  interface, and no step moves a term out of the interface, so a bound
-  name occurs only in the interface: equations, step results,
-  classification and stuck detection never see one.  The interface is
-  resolved through the bindings, once, whenever the configuration is read.
+- No name step rebuilds a term.  Collect and substitution bind their name
+  to its term, each in its own map, and leave the name where it occurs:
+  in the interface, or inside an equation term, whose equation keeps its
+  id and its object.  A bound name is never a whole side.  When an
+  interaction passes an argument on, an argument that is a bound name is
+  replaced by its term, following chains of bindings, and those bindings
+  are dropped; every name occurs once, so the maps hold only names that
+  still occur.  Classification and stuck detection read whole sides only.
+- Terms are resolved through the bindings only where they are read: when
+  the configuration is read, and for the equations a recorded step reads
+  or writes.  Both resolve in place and consume the bindings they follow,
+  and only equations that may hold a bound name are resolved.  A run with
+  no substitution binding outstanding pays nothing for any of this.
 - An interaction sites its fresh names directly, from where the rule's
   program says they land, and re-sites only the names its parameters'
   argument terms hold.  Its recorded fresh names are the program's hints
   under the ids it drew.  Classifying an agent pair reads the table's
   memoized lookup for its two symbols.
 - Moving a term re-sites only the names it holds: subterms that hold no
-  name (``Agent.holds_names``) are skipped.  So the cost of every step but
-  one is independent of term depth.  That one is substitution into an
-  equation term, which rebuilds the term down to the name.
+  name (``Agent.holds_names``) are skipped, and the names behind a bound
+  name move with it.  So no name step depends on the depth or width of the
+  term it binds into.  Re-siting the names of a moved term is the one cost
+  left that grows with the term.
 """
 
 from __future__ import annotations
@@ -73,10 +82,9 @@ from .core import (
     Name,
     NameSupply,
     NetError,
-    Symbol,
     Term,
     canonicalize,
-    substitute,
+    substitute,  # no longer called here; perfbench/tracing.py wraps this name
     term_names,
 )
 from .rules import Match, Rule, RuleTable, lookup
@@ -200,19 +208,17 @@ def step_communication(reducer: Reducer, eid: int, x: Name, t: Term, other: Site
 
 def step_substitution(reducer: Reducer, eid: int, x: Name, t: Term, other: Site,
                       touched: set[int]) -> tuple[Equation, ...]:
-    """``t`` replaces ``x`` inside the target, which keeps its id."""
+    """``x`` is bound to ``t`` inside the target, which keeps its id and its
+    object; terms are resolved where they are read."""
     j, j_side, _ = other
-    target = reducer._eqs[j]
-    if j_side == 0:
-        new = Equation(substitute(target.left, x, t), target.right)
-    else:
-        new = Equation(target.left, substitute(target.right, x, t))
-    reducer._eqs[j] = new
+    reducer._subst[x.id] = t
+    reducer._holding.add(j)
     reducer._place(t, j, j_side, eid, touched, inside=True)
+    target = reducer._eqs[j]
     # An agent pair keeps its symbols, so its classification and match hold.
-    if isinstance(_side(new, 1 - j_side), Name):
+    if _side(target, 1 - j_side).__class__ is Name:
         touched.add(j)
-    return (new,)
+    return (target,)
 
 
 def step_collect(reducer: Reducer, eid: int, x: Name, t: Term, other: Site,
@@ -320,6 +326,8 @@ class Reducer:
         self._matches = table.matches
         self._interface: list[Term] = list(config.interface)
         self._bound: dict[int, Term] = {}  # collected name id -> its term
+        self._subst: dict[int, Term] = {}  # substituted name id -> its term
+        self._holding: set[int] = set()  # ids of equations that may hold one
         self._eqs: dict[int, Equation] = {}
         self._occ: dict[int, list[Site]] = {}  # name id -> its one or two sites
         self._next_id = 0
@@ -336,13 +344,21 @@ class Reducer:
 
     @property
     def configuration(self) -> Configuration:
-        """The current configuration, as a new object, its interface
-        resolved through the bindings of collect steps."""
-        if self._bound:
-            # Every bound name sits in exactly one interface term, so one
-            # pass over the interface consumes every binding.
-            self._interface = [_resolve(t, self._bound) for t in self._interface]
-            self._bound.clear()
+        """The current configuration, as a new object, resolved through the
+        bindings of collect and substitution steps."""
+        bound, subst = self._bound, self._subst
+        if subst:
+            # Every substituted name occurs once, in an equation or in a
+            # collected term, so resolving both consumes every binding.
+            eqs = self._eqs
+            for eid in self._holding:
+                eqs[eid] = _resolve_equation(eqs[eid], subst)
+            self._holding.clear()
+            bound.update(subst)
+            subst.clear()
+        if bound:
+            self._interface = [_resolve(t, bound) for t in self._interface]
+            bound.clear()
         return Configuration(list(self._interface), list(self._eqs.values()))
 
     def step(self) -> Optional[StepResult]:
@@ -390,6 +406,8 @@ class Reducer:
         twin._matches = self._matches
         twin._interface = self._interface.copy()
         twin._bound = self._bound.copy()
+        twin._subst = self._subst.copy()
+        twin._holding = self._holding.copy()
         twin._eqs = self._eqs.copy()
         twin._occ = {n: sites.copy() for n, sites in self._occ.items()}
         twin._next_id = self._next_id
@@ -415,17 +433,51 @@ class Reducer:
                touched: Optional[set[int]], inside: bool = False) -> None:
         """Record that the names of ``t`` now sit at (``eid``, ``side``), having
         moved from equation ``old``.  ``inside``: ``t`` is not the whole side.
-        Subterms of ``t`` that hold no name are not entered.
+        Subterms of ``t`` that hold no name are not entered; the names
+        behind its bound names move with it.
 
         Each name's other site is added to ``touched`` if it is a whole side,
         since that equation's classification may have changed.
         """
         if t.__class__ is Name:
             self._move(t, old, (eid, side, not inside), touched)
+        elif old in self._holding:
+            site = (eid, side, False)
+            subst = self._subst
+            for n in term_names(t):
+                if n.id in subst:
+                    self._move_behind(n, old, site, touched)
+                else:
+                    self._move(n, old, site, touched)
         else:
             site = (eid, side, False)
             for n in term_names(t):
                 self._move(n, old, site, touched)
+
+    def _move_behind(self, x: Name, old: Optional[int], site: Site,
+                     touched: Optional[set[int]]) -> None:
+        """Move the names behind the bound name ``x``, in the order a walk
+        over its resolved term meets them."""
+        subst = self._subst
+        if site[0] != _IFACE:
+            self._holding.add(site[0])
+        stack = [subst[x.id]]
+        while stack:
+            u = stack.pop()
+            # As in term_names: descend into the first argument directly.
+            while u.__class__ is Agent:
+                if not u.holds_names:
+                    break
+                args = u.args
+                if len(args) > 1:
+                    stack.extend(args[:0:-1])
+                u = args[0]
+            else:
+                t = subst.get(u.id)
+                if t is None:
+                    self._move(u, old, site, touched)
+                else:
+                    stack.append(t)
 
     def _move(self, n: Name, old: Optional[int], site: Site,
               touched: Optional[set[int]]) -> None:
@@ -515,6 +567,11 @@ class Reducer:
         """
         kind, detail = self._agenda.how[eid]
         self._agenda.drop(eid)
+        holding = self._holding
+        if record and holding:
+            # A record shows resolved terms: each equation it reads is
+            # resolved in place, this one before the step reads it.
+            self._resolved(eid)
         eq = self._eqs.pop(eid)
         first = self.supply.next_id  # the first id an interaction draws
         touched: set[int] = set()
@@ -530,16 +587,37 @@ class Reducer:
                 after = step_substitution(self, eid, x, t, other, touched)
             else:
                 after = step_collect(self, eid, x, t, other, touched)
+        if holding:
+            # Consumed equations leave the set only now: while the step
+            # moves terms out of them, _place reads it.
+            holding.discard(eid)
+            if kind == KIND_COMMUNICATION:
+                holding.discard(other[0])
         for e in touched:
             if e in self._eqs:
                 self._classify(e)
         if not record:
             return None
+        if holding:
+            # Interaction and communication append what they leave.
+            last = self._next_id
+            ids = (other[0],) if kind == KIND_SUBSTITUTION else range(last - len(after), last)
+            after = [self._resolved(i) for i in ids]
         if kind == KIND_INTERACTION:
             rule = detail.rule
             fresh = tuple(Name(first + i, hint) for i, hint in enumerate(rule.program.hints))
             return StepResult(kind, rule.id, eq, tuple(after), fresh)
-        return StepResult(kind, None, eq, after, ())
+        return StepResult(kind, None, eq, tuple(after), ())
+
+    def _resolved(self, eid: int) -> Equation:
+        """Equation ``eid``, resolved in place first if it may hold a bound
+        name.  The bindings it follows are dropped: their names occur
+        nowhere else."""
+        eq = self._eqs[eid]
+        if eid in self._holding:
+            self._holding.discard(eid)
+            eq = self._eqs[eid] = _resolve_equation(eq, self._subst)
+        return eq
 
     def _interact(self, eid: int, eq: Equation, match: Match, touched: set[int]) -> list[Equation]:
         """Fire the rule's program and index the equations it builds.
@@ -556,6 +634,8 @@ class Reducer:
         supply = self.supply
         first = supply.next_id
         a, b = (eq.right, eq.left) if match.swapped else (eq.left, eq.right)
+        if eid in self._holding:
+            a, b = self._unbind(a), self._unbind(b)
         if rule.generic is None:
             produced = instantiate_ordinary(rule, a, b, supply)
         else:
@@ -577,34 +657,68 @@ class Reducer:
                 self._place(args[slot], base + k, side, eid, touched)
         return produced
 
+    def _unbind(self, agent: Agent) -> Agent:
+        """``agent``, or a copy of it in which each argument that is a bound
+        name is replaced by its term, following chains of bindings.
+
+        The rule's program may make an argument a whole side, which a bound
+        name never is.  The names replaced occur nowhere else, so their
+        bindings are dropped.
+        """
+        subst = self._subst
+        args = agent.args
+        resolved = None
+        for i, u in enumerate(args):
+            v = u
+            while v.__class__ is Name and v.id in subst:
+                v = subst.pop(v.id)
+            if v is not u:
+                if resolved is None:
+                    resolved = list(args)
+                resolved[i] = v
+        return agent if resolved is None else Agent(agent.symbol, tuple(resolved))
+
+
+def _resolve_equation(eq: Equation, bound: dict[int, Term]) -> Equation:
+    return Equation(_resolve(eq.left, bound), _resolve(eq.right, bound))
+
 
 def _resolve(t: Term, bound: dict[int, Term]) -> Term:
     """``t`` with every bound name replaced by its term, transitively.
 
-    One walk with an explicit stack; it enters only agents that hold names
-    and rebuilds those.
+    Each binding followed is removed from ``bound``: a bound name occurs
+    once, so the resolved term takes the place of ``t``.  One walk with an
+    explicit stack; it enters only agents that hold names and rebuilds only
+    those with a bound name below them.
     """
     done: list[Term] = []  # resolved terms, in order
-    todo: list[Union[Term, Symbol]] = [t]  # a symbol: build its agent from done
+    # An agent to finish lies under the count of bindings followed when it
+    # was entered; if none were followed since, it is its own resolution.
+    todo: list = [t]
+    followed = 0
     while todo:
         u = todo.pop()
         if u.__class__ is Name:
-            v = bound.get(u.id)
+            v = bound.pop(u.id, None)
             if v is None:
                 done.append(u)
             else:
+                followed += 1
                 todo.append(v)
         elif u.__class__ is Agent:
             if u.holds_names:
-                todo.append(u.symbol)
+                todo.append(u)
+                todo.append(followed)
                 todo.extend(u.args[::-1])
             else:
                 done.append(u)
         else:
-            first = len(done) - u.arity
-            args = tuple(done[first:])
+            agent = todo.pop()
+            first = len(done) - agent.symbol.arity
+            if u != followed:
+                agent = Agent(agent.symbol, tuple(done[first:]))
             del done[first:]
-            done.append(Agent(u, args))
+            done.append(agent)
     return done[0]
 
 

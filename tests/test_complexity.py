@@ -147,19 +147,21 @@ def test_expanded_rules_follow_the_arities_that_occur(wide):
 @pytest.fixture
 def agent_nodes(monkeypatch):
     """Counts ``Agent`` nodes built and visited (reads of ``args``), and
-    separately those of them inside ``substitute``."""
-    tally = {"nodes": 0, "substitute": 0}
+    separately those of them built and those spent resolving a step's
+    record."""
+    tally = {"nodes": 0, "built": 0, "record": 0}
     init = Agent.__init__
-    substitute = inetkit.engine.substitute
+    resolve_equation = inetkit.engine._resolve_equation
 
-    def counting_substitute(*args):
+    def counting_resolve_equation(*args):
         before = tally["nodes"]
-        out = substitute(*args)
-        tally["substitute"] += tally["nodes"] - before
+        out = resolve_equation(*args)
+        tally["record"] += tally["nodes"] - before
         return out
 
     def counting_init(self, *args, **kwargs):
         tally["nodes"] += 1
+        tally["built"] += 1
         init(self, *args, **kwargs)
 
     def read_args(self):
@@ -171,7 +173,7 @@ def agent_nodes(monkeypatch):
 
     monkeypatch.setattr(Agent, "__init__", counting_init)
     monkeypatch.setattr(Agent, "args", property(read_args, write_args))
-    monkeypatch.setattr(inetkit.engine, "substitute", counting_substitute)
+    monkeypatch.setattr(inetkit.engine, "_resolve_equation", counting_resolve_equation)
     return tally
 
 
@@ -194,7 +196,7 @@ def agents_holding_names(t) -> int:
 
 def most_agent_nodes_in_one_step(n, strategy, tally) -> tuple[int, int]:
     """The most ``Agent`` nodes one step of ``Add n+n`` builds or visits:
-    as counted, and leaving out those inside ``substitute`` and one per
+    as counted, and leaving out those resolving the step's record and one per
     agent holding a name in the equations the step reads or writes.
 
     Reading the final configuration is not a step and is not counted.
@@ -203,7 +205,7 @@ def most_agent_nodes_in_one_step(n, strategy, tally) -> tuple[int, int]:
     reducer = Reducer(program.net, analysis.table, strategy)
     worst = charged = 0
     while True:
-        tally["nodes"] = tally["substitute"] = 0
+        tally["nodes"] = tally["record"] = 0
         step = reducer.step()
         if step is None:
             break
@@ -213,7 +215,7 @@ def most_agent_nodes_in_one_step(n, strategy, tally) -> tuple[int, int]:
             for t in (eq.left, eq.right)
         )
         worst = max(worst, tally["nodes"])
-        charged = max(charged, tally["nodes"] - tally["substitute"] - named)
+        charged = max(charged, tally["nodes"] - tally["record"] - named)
     [result] = reducer.configuration.interface
     expected = program.net.equations[0].right  # S^n(Z), to be S^2n(Z)
     for _ in range(n):
@@ -229,13 +231,46 @@ def test_agent_nodes_per_step_are_flat_in_term_depth(strategy, agent_nodes):
     if isinstance(strategy, Seeded):
         # A seeded schedule may fire several interactions before collecting
         # their results, substituting each into the last: r~S(w) and w~S(v)
-        # give r~S(S(v)).  Such chains grow with the length of the run.
-        # Substitution into an equation term rebuilds it down to the name,
+        # give r~S(w) with w bound to S(v).  Such chains grow with the length
+        # of the run.  Resolving a recorded step rebuilds the chain it reads,
         # and finding a chain's names costs one node per agent, so those
         # nodes are left out.
         assert charged_small == charged_large
     else:
         assert worst_small == worst_large
+
+
+def substitution_work(text, strategy, tally, monkeypatch) -> list[tuple[int, int]]:
+    """Agents built and ``args`` read by each ``step_substitution`` call
+    while ``text``'s net is normalized."""
+    calls = []
+    step_substitution = inetkit.engine.step_substitution
+
+    def counting_step(*args):
+        nodes, built = tally["nodes"], tally["built"]
+        out = step_substitution(*args)
+        built = tally["built"] - built
+        calls.append((built, tally["nodes"] - nodes - built))
+        return out
+
+    program, analysis = compile_text(text)
+    with monkeypatch.context() as patched:
+        patched.setattr(inetkit.engine, "step_substitution", counting_step)
+        assert normalize(program.net, analysis.table, strategy).status == "normal_form"
+    return calls
+
+
+@pytest.mark.parametrize("strategy", [Fifo(), Lifo()] + [Seeded(i) for i in range(10)], ids=str)
+def test_substitution_is_flat_in_target_width_and_depth(strategy, agent_nodes, monkeypatch):
+    """A substitution binds its name: it builds no agent, however deep or
+    wide its target, and reads as many agents at arity 16 as at 64."""
+    reads = {}
+    for label, text in [("depth 50", deep_net(50)), ("depth 400", deep_net(400)),
+                        ("arity 16", eps_dup_text(16)), ("arity 64", eps_dup_text(64))]:
+        calls = substitution_work(text, strategy, agent_nodes, monkeypatch)
+        assert all(built == 0 for built, _ in calls), label
+        reads[label] = max((read for _, read in calls), default=0)
+    assert reads["arity 16"] == reads["arity 64"]
 
 
 CORPUS_NAMES = ["addition", "dup_erase", "maybe_pick", "map"]

@@ -453,16 +453,36 @@ def test_steps_and_configurations_are_pinned_with_name_ids(name):
 
 
 def _index_by_walk(reducer) -> dict:
-    """The occurrence index a walk over the reducer's net gives."""
+    """The occurrence index a walk over the reducer's net gives, its terms
+    resolved through the bindings."""
     occ: dict[int, list] = {}
+    bound = {**reducer._subst, **reducer._bound}  # a copy: resolving consumes it
     for slot, t in enumerate(reducer._interface):
-        for n in term_names(_resolve(t, reducer._bound)):
+        for n in term_names(_resolve(t, bound)):
             occ.setdefault(n.id, []).append((-1, slot, False))
     for eid, eq in reducer._eqs.items():
         for side, t in ((0, eq.left), (1, eq.right)):
+            t = _resolve(t, bound)
             for n in term_names(t):
                 occ.setdefault(n.id, []).append((eid, side, n is t))
     return {i: sorted(sites) for i, sites in occ.items()}
+
+
+def _bound_names_in_net(reducer) -> set[int]:
+    """Ids of the bound names a walk over the net's terms meets, entering
+    the term behind each bound name it meets."""
+    bound = {**reducer._subst, **reducer._bound}
+    met: set[int] = set()
+    stack = list(reducer._interface)
+    stack.extend(t for eq in reducer._eqs.values() for t in (eq.left, eq.right))
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Agent):
+            stack.extend(u.args)
+        elif u.id in bound:
+            met.add(u.id)
+            stack.append(bound[u.id])
+    return met
 
 
 @pytest.mark.parametrize("name", ["addition", "dup_erase", "maybe_pick", "map"])
@@ -470,10 +490,15 @@ def test_occurrence_index_matches_a_walk_after_every_step(name):
     # Interactions site fresh names from the rule's program, not by a walk.
     program, analysis = compile_corpus(name)
     for strategy in [Fifo(), Lifo()] + [Seeded(s) for s in range(5)]:
-        reducer = Reducer(program.net, analysis.table, strategy)
-        while reducer.step() is not None:
-            index = {i: sorted(sites) for i, sites in reducer._occ.items()}
-            assert index == _index_by_walk(reducer), strategy
+        # A recorded step resolves what it reads; unrecorded, bindings stay.
+        for record in (True, False):
+            reducer = Reducer(program.net, analysis.table, strategy)
+            while (eid := reducer._agenda.pick()) is not None:
+                reducer._fire(eid, record)
+                index = {i: sorted(sites) for i, sites in reducer._occ.items()}
+                assert index == _index_by_walk(reducer), strategy
+                # The substitution map holds only names that still occur.
+                assert set(reducer._subst) <= _bound_names_in_net(reducer), strategy
 
 
 def test_reducer_rejects_a_third_occurrence():
