@@ -82,7 +82,7 @@ class Agent:
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
-            if a.symbol != b.symbol:
+            if a.symbol is not b.symbol and a.symbol != b.symbol:
                 return False
             for x, y in zip(a.args, b.args):
                 if x is y:
@@ -116,11 +116,7 @@ class Equation:
 
 @dataclass
 class Configuration:
-    """An ordered interface plus an equation multiset.
-
-    The equation list doubles as the reduction work queue; its storage order
-    carries no meaning beyond the strategy that consumes it.
-    """
+    """An ordered interface plus an equation multiset."""
 
     interface: list[Term]
     equations: list[Equation]

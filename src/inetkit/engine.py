@@ -42,13 +42,13 @@ to choose or fire a step.  It keeps these invariants:
   changed, plus those whose whole side is the other occurrence of a name
   the step moved.
 - No name step rebuilds a term.  Collect and substitution bind their name
-  to its term, each in its own map, and leave the name where it occurs:
-  in the interface, or inside an equation term, whose equation keeps its
-  id and its object.  A bound name is never a whole side.  When an
-  interaction passes an argument on, an argument that is a bound name is
-  replaced by its term, following chains of bindings, and those bindings
-  are dropped; every name occurs once, so the maps hold only names that
-  still occur.  Classification and stuck detection read whole sides only.
+  to its term, in one map, and leave the name where it occurs: in the
+  interface, or inside an equation term, whose equation keeps its id and
+  its object.  A bound name is never a whole side.  When an interaction
+  passes an argument on, an argument that is a bound name is replaced by
+  its term, following chains of bindings, and those bindings are dropped;
+  every name occurs once, so the map holds only names that still occur.
+  Classification and stuck detection read whole sides only.
 - Terms are resolved through the bindings only where they are read: when
   the configuration is read, and for the equations a recorded step reads
   or writes.  Both resolve in place and consume the bindings they follow,
@@ -224,7 +224,7 @@ def step_substitution(reducer: Reducer, eid: int, x: Name, t: Term, other: Site,
 def step_collect(reducer: Reducer, eid: int, x: Name, t: Term, other: Site,
                  touched: set[int]) -> tuple[Equation, ...]:
     """``x`` is bound to ``t``; the interface is resolved when read."""
-    reducer._bound[x.id] = t
+    reducer._subst[x.id] = t
     reducer._place(t, _IFACE, other[1], eid, touched, inside=True)
     return ()
 
@@ -325,8 +325,7 @@ class Reducer:
         self.table = table
         self._matches = table.matches
         self._interface: list[Term] = list(config.interface)
-        self._bound: dict[int, Term] = {}  # collected name id -> its term
-        self._subst: dict[int, Term] = {}  # substituted name id -> its term
+        self._subst: dict[int, Term] = {}  # bound name id -> its term
         self._holding: set[int] = set()  # ids of equations that may hold one
         self._eqs: dict[int, Equation] = {}
         self._occ: dict[int, list[Site]] = {}  # name id -> its one or two sites
@@ -346,19 +345,17 @@ class Reducer:
     def configuration(self) -> Configuration:
         """The current configuration, as a new object, resolved through the
         bindings of collect and substitution steps."""
-        bound, subst = self._bound, self._subst
+        subst = self._subst
         if subst:
-            # Every substituted name occurs once, in an equation or in a
-            # collected term, so resolving both consumes every binding.
+            # Every bound name occurs once: in an equation that may hold
+            # one, or in the interface, a collected term included.  So
+            # resolving both consumes every binding.
             eqs = self._eqs
             for eid in self._holding:
                 eqs[eid] = _resolve_equation(eqs[eid], subst)
             self._holding.clear()
-            bound.update(subst)
-            subst.clear()
-        if bound:
-            self._interface = [_resolve(t, bound) for t in self._interface]
-            bound.clear()
+            if subst:
+                self._interface = [_resolve(t, subst) for t in self._interface]
         return Configuration(list(self._interface), list(self._eqs.values()))
 
     def step(self) -> Optional[StepResult]:
@@ -405,7 +402,6 @@ class Reducer:
         twin.table = self.table
         twin._matches = self._matches
         twin._interface = self._interface.copy()
-        twin._bound = self._bound.copy()
         twin._subst = self._subst.copy()
         twin._holding = self._holding.copy()
         twin._eqs = self._eqs.copy()
@@ -722,29 +718,6 @@ def _resolve(t: Term, bound: dict[int, Term]) -> Term:
     return done[0]
 
 
-def reduce_once(
-    config: Configuration,
-    table: RuleTable,
-    strategy: Strategy = Fifo(),
-    supply: Optional[NameSupply] = None,
-) -> Optional[StepResult]:
-    """Apply exactly one reduction in place; ``None`` when none applies.
-
-    A one-shot wrapper: it builds a :class:`Reducer` over ``config``, fires
-    one step and writes the result back.  The strategy starts afresh on each
-    call, so a loop of ``reduce_once`` under :class:`Seeded` does not follow
-    :func:`normalize`'s schedule; step one :class:`Reducer` for that.  Agent
-    pairs without a matching rule are stuck, not reducible, and are skipped.
-    """
-    reducer = Reducer(config, table, strategy, supply)
-    result = reducer.step()
-    if result is not None:
-        current = reducer.configuration
-        config.interface[:] = current.interface
-        config.equations[:] = current.equations
-    return result
-
-
 def normalize(
     config: Configuration,
     table: RuleTable,
@@ -762,27 +735,6 @@ def normalize(
     if budget <= 0:
         raise ValueError("budget must be positive")
     return Reducer(config, table, strategy, supply).run(budget, trace)
-
-
-def classify(eq: Equation, config: Configuration, table: RuleTable) -> Optional[str]:
-    """Which step kind applies to ``eq`` within ``config``, if any.
-
-    Agent-agent equations classify as interaction whether or not the table
-    holds a matching rule; rule availability is the engine's concern.
-    """
-    for index, e in enumerate(config.equations):
-        if e is eq:
-            break
-    else:
-        for index, e in enumerate(config.equations):
-            if e == eq:
-                break
-        else:
-            raise NetError("equation does not belong to the configuration")
-    if isinstance(eq.left, Agent) and isinstance(eq.right, Agent):
-        return KIND_INTERACTION
-    how = Reducer(config, table)._name_step(index, eq)  # ids start at storage positions
-    return None if how is None else how[0]
 
 
 # ---------------------------------------------------------------------------

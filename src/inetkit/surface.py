@@ -24,6 +24,7 @@ from .core import (
     Name,
     NameSupply,
     Term,
+    config_names,
     occurrences,
     term_names,
 )
@@ -645,16 +646,6 @@ def _display_names(names) -> dict[Name, str]:
     return disp
 
 
-def _config_display(config: AnyConfiguration) -> dict[Name, str]:
-    names = []
-    for t in config.interface:
-        names.extend(term_names(t))
-    for eq in config.equations:
-        names.extend(term_names(eq.left))
-        names.extend(term_names(eq.right))
-    return _display_names(names)
-
-
 def render_term(t: Union[Term, RhsTerm], disp: Optional[dict[Name, str]] = None) -> str:
     """``S(x, Z)`` form of a net or right-hand-side term, names shown as in
     ``disp`` where it has them; iterative, so depth is unbounded."""
@@ -696,7 +687,7 @@ def render_equation(eq: Union[Equation, RuleEquation],
 
 def render_configuration(config: AnyConfiguration) -> str:
     """ASCII configuration form ``< t1, t2 | e1, e2 >``."""
-    disp = _config_display(config)
+    disp = _display_names(config_names(config))
     parts = ["<"]
     if config.interface:
         parts.append(", ".join(render_term(t, disp) for t in config.interface))

@@ -29,7 +29,6 @@ from inetkit import (
     occurrence_violations,
     parse_configuration,
     parse_program,
-    reduce_once,
 )
 from inetkit.rules import errors_in
 
@@ -309,13 +308,9 @@ def test_criterion_11_occurrence_invariant():
         program, analysis = compile_corpus(name)
         assert occurrence_violations(program.net) == []
         for strategy in strategies:
-            config = program.net.copy()
-            supply = Reducer(config, analysis.table).supply
-            while True:
-                step = reduce_once(config, analysis.table, strategy, supply)
-                if step is None:
-                    break
-                assert occurrence_violations(config) == [], (name, strategy)
+            reducer = Reducer(program.net, analysis.table, strategy)
+            while reducer.step() is not None:
+                assert occurrence_violations(reducer.configuration) == [], (name, strategy)
                 checked_steps += 1
     assert checked_steps >= 1000
     print(f"criterion 11: no name ever exceeded two occurrences across "

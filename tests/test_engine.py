@@ -15,14 +15,12 @@ from inetkit import (
     Symbol,
     build_rule_table,
     canonicalize,
-    classify,
     confluence_probe,
     instantiate_fixed_generic,
     instantiate_ordinary,
     normalize,
     occurrence_violations,
     parse_program,
-    reduce_once,
     strategy_from_spec,
 )
 from inetkit.core import term_names
@@ -49,51 +47,44 @@ def sz(n: int):
 
 
 # ---------------------------------------------------------------------------
-# classify
+# classification: the kind of a reducer's first step
 # ---------------------------------------------------------------------------
 
-def test_classify_interaction():
-    r = nm(0, "r")
-    eq = Equation(Agent(ADD, (sz(1), r)), sz(1))
-    config = Configuration([r], [eq])
-    assert classify(eq, config, EMPTY_TABLE) == "interaction"
+def step_once(config):
+    """The kind of a reducer's first step over ``config`` (``None`` when no
+    step applies), and the configuration it leaves."""
+    reducer = Reducer(config, EMPTY_TABLE)
+    step = reducer.step()
+    return None if step is None else step.kind, reducer.configuration
 
 
 def test_classify_collect():
     x = nm(0, "x")
-    eq = Equation(x, Agent(Z))
-    config = Configuration([x], [eq])
-    assert classify(eq, config, EMPTY_TABLE) == "collect"
+    assert step_once(Configuration([x], [Equation(x, Agent(Z))]))[0] == "collect"
 
 
 def test_classify_communication():
     x, y, r = nm(0, "x"), nm(1, "y"), nm(2, "r")
     eq1 = Equation(x, Agent(Z))
     eq2 = Equation(x, Agent(ADD, (y, r)))
-    config = Configuration([y, r], [eq1, eq2])
-    assert classify(eq1, config, EMPTY_TABLE) == "communication"
+    assert step_once(Configuration([y, r], [eq1, eq2]))[0] == "communication"
 
 
 def test_classify_substitution():
     x, y = nm(0, "x"), nm(1, "y")
     eq1 = Equation(x, Agent(Z))
     eq2 = Equation(Agent(S, (x,)), y)
-    config = Configuration([y], [eq1, eq2])
-    assert classify(eq1, config, EMPTY_TABLE) == "substitution"
+    assert step_once(Configuration([y], [eq1, eq2]))[0] == "substitution"
 
 
 def test_classify_none_for_isolated_name_equation():
     x = nm(0, "x")
-    eq = Equation(x, Agent(Z))
-    config = Configuration([], [eq])
-    assert classify(eq, config, EMPTY_TABLE) is None
+    assert step_once(Configuration([], [Equation(x, Agent(Z))]))[0] is None
 
 
 def test_classify_none_for_degenerate_loop():
     x = nm(0, "x")
-    eq = Equation(x, x)
-    config = Configuration([], [eq])
-    assert classify(eq, config, EMPTY_TABLE) is None
+    assert step_once(Configuration([], [Equation(x, x)]))[0] is None
 
 
 # ---------------------------------------------------------------------------
@@ -103,53 +94,53 @@ def test_classify_none_for_degenerate_loop():
 def test_step_communication():
     x, y, r = nm(0, "x"), nm(1, "y"), nm(2, "r")
     t, u = Agent(Z), Agent(ADD, (y, r))
-    config = Configuration([y, r], [Equation(x, t), Equation(x, u)])
-    assert reduce_once(config, EMPTY_TABLE).kind == "communication"
-    assert config.equations == [Equation(t, u)]
-    assert occurrence_violations(config) == []
+    kind, after = step_once(Configuration([y, r], [Equation(x, t), Equation(x, u)]))
+    assert kind == "communication"
+    assert after.equations == [Equation(t, u)]
+    assert occurrence_violations(after) == []
 
 
 def test_step_communication_names_only():
     a, b, c = nm(0, "a"), nm(1, "b"), nm(2, "c")
-    config = Configuration([b, c], [Equation(a, b), Equation(a, c)])
-    assert reduce_once(config, EMPTY_TABLE).kind == "communication"
-    assert config.equations == [Equation(b, c)]
+    kind, after = step_once(Configuration([b, c], [Equation(a, b), Equation(a, c)]))
+    assert kind == "communication"
+    assert after.equations == [Equation(b, c)]
 
 
 def test_step_substitution():
     w, r = nm(0, "w"), nm(1, "r")
-    config = Configuration([r], [Equation(w, sz(1)), Equation(r, Agent(S, (w,)))])
-    assert reduce_once(config, EMPTY_TABLE).kind == "substitution"
-    assert config.equations == [Equation(r, sz(2))]
+    kind, after = step_once(Configuration([r], [Equation(w, sz(1)), Equation(r, Agent(S, (w,)))]))
+    assert kind == "substitution"
+    assert after.equations == [Equation(r, sz(2))]
 
 
 def test_step_substitution_inside_left_side():
     x, q, r = nm(0, "x"), nm(1, "q"), nm(2, "r")
     target = Equation(Agent(ADD, (x, r)), Agent(S, (q,)))
-    config = Configuration([q, r], [Equation(x, Agent(Z)), target])
-    assert reduce_once(config, EMPTY_TABLE).kind == "substitution"
-    assert config.equations == [Equation(Agent(ADD, (Agent(Z), r)), Agent(S, (q,)))]
+    kind, after = step_once(Configuration([q, r], [Equation(x, Agent(Z)), target]))
+    assert kind == "substitution"
+    assert after.equations == [Equation(Agent(ADD, (Agent(Z), r)), Agent(S, (q,)))]
 
 
 def test_step_collect():
     x = nm(0, "x")
-    config = Configuration([x], [Equation(x, sz(1))])
-    assert reduce_once(config, EMPTY_TABLE).kind == "collect"
-    assert config.interface == [sz(1)] and config.equations == []
+    kind, after = step_once(Configuration([x], [Equation(x, sz(1))]))
+    assert kind == "collect"
+    assert after.interface == [sz(1)] and after.equations == []
 
 
 def test_step_collect_other_entries_untouched():
     a, x = nm(0, "a"), nm(1, "x")
-    config = Configuration([a, x], [Equation(x, Agent(Z))])
-    assert reduce_once(config, EMPTY_TABLE).kind == "collect"
-    assert config.interface == [a, Agent(Z)]
+    kind, after = step_once(Configuration([a, x], [Equation(x, Agent(Z))]))
+    assert kind == "collect"
+    assert after.interface == [a, Agent(Z)]
 
 
 def test_step_collect_nested_occurrence():
     x = nm(0, "x")
-    config = Configuration([Agent(S, (x,))], [Equation(x, Agent(Z))])
-    assert reduce_once(config, EMPTY_TABLE).kind == "collect"
-    assert config.interface == [sz(1)]
+    kind, after = step_once(Configuration([Agent(S, (x,))], [Equation(x, Agent(Z))]))
+    assert kind == "collect"
+    assert after.interface == [sz(1)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,31 +323,31 @@ def test_instantiation_is_independent_of_equation_orientation(name):
 
 
 # ---------------------------------------------------------------------------
-# reduce_once / normalize
+# stepping a reducer / normalize
 # ---------------------------------------------------------------------------
 
-def test_reduce_once_first_step_of_pipeline():
+def test_reducer_first_step_of_pipeline():
     program, analysis = compile_corpus("maybe_pick")
-    config = program.net.copy()
-    step = reduce_once(config, analysis.table, Fifo(), NameSupply(program.supply.next_id))
+    reducer = Reducer(program.net, analysis.table, Fifo(), NameSupply(program.supply.next_id))
+    step = reducer.step()
     assert step is not None
     assert step.kind == "interaction" and step.rule_id == "r3"
-    assert [e for e in step.equations_after] == [config.equations[-1]]
+    assert [e for e in step.equations_after] == [reducer.configuration.equations[-1]]
 
 
-def test_reduce_once_normal_form_is_exhausted():
-    config = Configuration([sz(1)], [])
-    assert reduce_once(config, EMPTY_TABLE) is None
+def test_reducer_step_in_normal_form_is_none():
+    assert Reducer(Configuration([sz(1)], []), EMPTY_TABLE).step() is None
 
 
-def test_reduce_once_skips_stuck_pairs():
+def test_reducer_step_skips_stuck_pairs():
     r = nm(0, "r")
     config = Configuration(
         [r], [Equation(Agent(Symbol("A", 0)), Agent(Symbol("B", 0))), Equation(r, sz(1))]
     )
-    step = reduce_once(config, EMPTY_TABLE)
+    reducer = Reducer(config, EMPTY_TABLE)
+    step = reducer.step()
     assert step is not None and step.kind == "collect"
-    assert reduce_once(config, EMPTY_TABLE) is None  # only the stuck pair remains
+    assert reducer.step() is None  # only the stuck pair remains
 
 
 @pytest.mark.parametrize("name", ["addition", "dup_erase", "maybe_pick", "map"])
@@ -397,9 +388,8 @@ def _raw_configuration(config) -> str:
 
 # Digest of every step and every configuration passed through while stepping
 # one Reducer over each corpus program under fifo, lifo and seeds 0-4, raw
-# name ids included; then of a reduce_once loop under fifo and lifo.
-# Recorded with a reducer that substituted collected terms straight into
-# the interface.  Beside the corpus, a net whose interface nests names that
+# name ids included.  Recorded with a reducer that substituted collected
+# terms straight into the interface.  Beside the corpus, a net whose interface nests names that
 # are collected in turn.
 NESTED_INTERFACE = """
 agent Add/2; agent S/1; agent Z/0; agent P/2;
@@ -409,11 +399,11 @@ net (P(a, S(b)), c, S(d)) | Add(S(Z), a)~S(S(Z)), Add(c, b)~S(Z), d~e, Add(Z, e)
 """
 
 STEP_DIGESTS = {
-    "addition": (71, "df02c7ba4e23f08c239ab9e09588b980750d34c90f6433d055ad95085dfd7dc4"),
-    "dup_erase": (135, "fe5aab74709a848ee4eb6092767dc2ce2c6745cf853873c2a508ea876ed4e951"),
-    "map": (247, "e509d18e7e33caeec1096786a51dae53cd275072976fed0881eff3d3e6322ebc"),
-    "maybe_pick": (87, "e1d3402952e595a7ffc29589b5713e9d159744f56c27c3597e9273982579269c"),
-    "nested_interface": (279, "6889ef97e4d8fbaa5b334d16084833cee3bb24bf700b8f2cf5774841f021c334"),
+    "addition": (63, "7d4acac79e690ae34113f5d20b303d6ba58fde7e029eec685b8ed7d66221b1e3"),
+    "dup_erase": (119, "ca513fbdd69bf91d40de851dcd5e96141d2be08f09728b5c89c7ee159cfc9045"),
+    "map": (217, "cb2f404eb6a13acc9004014dd5841662cbeccd488f0c69fdf140556a65d5d41a"),
+    "maybe_pick": (77, "cb39888f27943c6a17cfba0aa38144a36c76772299985a378bf29efbbdadd1c7"),
+    "nested_interface": (245, "909579e7dfa5d02339264aaf7bcb6a8ead29fcf473b7943d010e780402dadb8f"),
 }
 
 
@@ -445,10 +435,6 @@ def test_steps_and_configurations_are_pinned_with_name_ids(name):
                 " ".join(f"{n.id}:{n.display}" for n in step.fresh_names),
             ]))
             record(_raw_configuration(reducer.configuration))
-    for strategy in [Fifo(), Lifo()]:
-        config = program.net.copy()
-        while reduce_once(config, analysis.table, strategy) is not None:
-            record(_raw_configuration(config))
     assert (count, digest.hexdigest()) == STEP_DIGESTS[name]
 
 
@@ -456,7 +442,7 @@ def _index_by_walk(reducer) -> dict:
     """The occurrence index a walk over the reducer's net gives, its terms
     resolved through the bindings."""
     occ: dict[int, list] = {}
-    bound = {**reducer._subst, **reducer._bound}  # a copy: resolving consumes it
+    bound = dict(reducer._subst)  # a copy: resolving consumes it
     for slot, t in enumerate(reducer._interface):
         for n in term_names(_resolve(t, bound)):
             occ.setdefault(n.id, []).append((-1, slot, False))
@@ -471,7 +457,7 @@ def _index_by_walk(reducer) -> dict:
 def _bound_names_in_net(reducer) -> set[int]:
     """Ids of the bound names a walk over the net's terms meets, entering
     the term behind each bound name it meets."""
-    bound = {**reducer._subst, **reducer._bound}
+    bound = reducer._subst
     met: set[int] = set()
     stack = list(reducer._interface)
     stack.extend(t for eq in reducer._eqs.values() for t in (eq.left, eq.right))
@@ -497,7 +483,7 @@ def test_occurrence_index_matches_a_walk_after_every_step(name):
                 reducer._fire(eid, record)
                 index = {i: sorted(sites) for i, sites in reducer._occ.items()}
                 assert index == _index_by_walk(reducer), strategy
-                # The substitution map holds only names that still occur.
+                # The binding map holds only names that still occur.
                 assert set(reducer._subst) <= _bound_names_in_net(reducer), strategy
 
 
@@ -651,14 +637,11 @@ def test_step_equation_count_arithmetic():
     # interaction trades one equation for the rule's right-hand side
     for name in ["addition", "dup_erase", "maybe_pick", "map"]:
         program, analysis = compile_corpus(name)
-        config = program.net.copy()
-        supply = Reducer(config, analysis.table).supply
-        while True:
-            before = len(config.equations)
-            step = reduce_once(config, analysis.table, Fifo(), supply)
-            if step is None:
-                break
-            delta = len(config.equations) - before
+        reducer = Reducer(program.net, analysis.table)
+        before = len(program.net.equations)
+        while (step := reducer.step()) is not None:
+            after = len(reducer.configuration.equations)
+            delta, before = after - before, after
             if step.kind == "interaction":
                 assert delta == len(step.equations_after) - 1
             else:
@@ -667,13 +650,9 @@ def test_step_equation_count_arithmetic():
 
 def test_fresh_names_never_collide_with_configuration():
     program, analysis = compile_corpus("map")
-    config = program.net.copy()
-    supply = Reducer(config, analysis.table).supply
-    seen = {n.id for eq in config.equations for n in _names(eq)}
-    while True:
-        step = reduce_once(config, analysis.table, Fifo(), supply)
-        if step is None:
-            break
+    reducer = Reducer(program.net, analysis.table)
+    seen = {n.id for eq in program.net.equations for n in _names(eq)}
+    while (step := reducer.step()) is not None:
         for n in step.fresh_names:
             assert n.id not in seen
             seen.add(n.id)
