@@ -50,10 +50,8 @@ from .rules import (
     build_rule_table,
     check_grc,
     check_no_ambiguity,
-    collect_symbols,
     expand_variadic,
     lookup,
-    max_arity,
     validate_linearity,
 )
 from .surface import (

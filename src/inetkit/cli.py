@@ -66,12 +66,12 @@ def _load(path: str) -> Optional[SourceProgram]:
     return program
 
 
-def _analyze(program: SourceProgram, cap: int) -> Optional[Analysis]:
-    analysis = analyze_rules(program.rules, program.symbols.values(), arity_cap=cap)
+def _analyze(program: SourceProgram, cap: int, all_arities: bool = False) -> Analysis:
+    analysis = analyze_rules(
+        program.rules, program.symbols.values(), arity_cap=cap, all_arities=all_arities
+    )
     _print_diagnostics(program.diagnostics)
     _print_diagnostics(analysis.diagnostics)
-    if not analysis.ok:
-        return None
     return analysis
 
 
@@ -99,8 +99,7 @@ def cmd_check(args) -> int:
     program = _load(args.input)
     if program is None:
         return EXIT_INPUT
-    analysis = _analyze(program, args.max_arity)
-    return EXIT_OK if analysis is not None else EXIT_VALIDATION
+    return EXIT_OK if _analyze(program, args.max_arity).ok else EXIT_VALIDATION
 
 
 def _runnable(args):
@@ -111,12 +110,11 @@ def _runnable(args):
     if program is None:
         return EXIT_INPUT
     analysis = _analyze(program, args.max_arity)
-    if analysis is None:
+    if not analysis.ok:
         return EXIT_VALIDATION
     if program.net is None:
         print("error: program declares no net to run", file=sys.stderr)
         return EXIT_VALIDATION
-    assert analysis.table is not None
     return program.net, analysis.table, program.supply
 
 
@@ -180,14 +178,7 @@ def cmd_expand(args) -> int:
     program = _load(args.input)
     if program is None:
         return EXIT_INPUT
-    analysis = analyze_rules(
-        program.rules,
-        program.symbols.values(),
-        arity_cap=args.max_arity,
-        all_arities=True,
-    )
-    _print_diagnostics(program.diagnostics)
-    _print_diagnostics(analysis.diagnostics)
+    analysis = _analyze(program, args.max_arity, all_arities=True)
     # The expansion covers every arity up to the program's maximum, not just
     # those that occur, and is printed whenever the pre-expansion checks
     # pass, even if the expanded set then fails the overlap check; seeing the

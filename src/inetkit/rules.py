@@ -8,6 +8,12 @@ multiset of right-hand-side equations.  Three kinds exist:
 * variadic      - one side matches any agent with at least ``f`` ports, the
                   remainder of its ports covered by a range ``[x]``.
 
+:func:`analyze_rules` is the one checker of a rule set: it runs every
+static check in order and builds the table only if all pass.  The steps it
+calls are plain building blocks: :func:`expand_variadic` expands at the
+arities it is given and :func:`build_rule_table` indexes whatever it is
+given, so tests can build ill-formed tables.
+
 Variadic rules never reach the reduction engine directly: they are expanded
 into one fixed generic rule per arity that occurs in the program, which also
 makes the static overlap checks finite.  Analysis makes an arity instance
@@ -73,14 +79,6 @@ class Diagnostic:
 
 def errors_in(diags: Iterable[Diagnostic]) -> list[Diagnostic]:
     return [d for d in diags if d.severity == "error"]
-
-
-class RuleSetError(NetError):
-    """Raised when a rule set with error diagnostics is forced into a table."""
-
-    def __init__(self, diagnostics: Sequence[Diagnostic]):
-        self.diagnostics = list(diagnostics)
-        super().__init__("; ".join(str(d) for d in diagnostics))
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +590,12 @@ def _self_rule_symmetric(rule: Rule) -> bool:
     return form(xs + ys) == form(ys + xs)
 
 
+def _pair_key(a: str, b: str) -> tuple[str, str]:
+    """The unordered key of a symbol pair, by name: the one the rule table
+    stores ordinary rules under and the checks compare them by."""
+    return (a, b) if a <= b else (b, a)
+
+
 def check_no_ambiguity(rules: Sequence[Rule]) -> list[Diagnostic]:
     """Reject rule sets in which one active pair could match two rules.
 
@@ -606,7 +610,7 @@ def check_no_ambiguity(rules: Sequence[Rule]) -> list[Diagnostic]:
         if not isinstance(rule.right, OrdinaryPattern):
             continue
         a, b = rule.left.symbol.name, rule.right.symbol.name
-        key = (a, b) if a <= b else (b, a)
+        key = _pair_key(a, b)
         if key in seen_pairs:
             diags.append(
                 Diagnostic(
@@ -653,48 +657,9 @@ def check_no_ambiguity(rules: Sequence[Rule]) -> list[Diagnostic]:
     return diags
 
 
-def collect_symbols(
-    rules: Sequence[Rule] = (),
-    configs: Sequence[Configuration] = (),
-    extra: Iterable[Symbol] = (),
-) -> set[Symbol]:
-    """Every concrete symbol appearing in the given rules and nets."""
-    out: set[Symbol] = set(extra)
-    for rule in rules:
-        out.add(rule.left.symbol)
-        if isinstance(rule.right, OrdinaryPattern):
-            out.add(rule.right.symbol)
-        for eq in rule.rhs:
-            for part in _eq_parts(eq):
-                if isinstance(part, RAgent) and isinstance(part.head, Symbol):
-                    out.add(part.head)
-    for config in configs:
-        stack: list[Term] = list(config.interface)
-        for eq in config.equations:
-            stack.append(eq.left)
-            stack.append(eq.right)
-        while stack:
-            t = stack.pop()
-            if isinstance(t, Agent):
-                out.add(t.symbol)
-                stack.extend(t.args)
-    return out
-
-
-def max_arity(symbols: Iterable[Symbol]) -> int:
-    """Largest arity over all given symbols (0 for an empty program)."""
-    return max((s.arity for s in symbols), default=0)
-
-
 # ---------------------------------------------------------------------------
 # Variadic expansion
 # ---------------------------------------------------------------------------
-
-class ExpansionLimitError(NetError):
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
-        super().__init__(str(diagnostic))
-
 
 def _rule_max_name_id(rule: Rule) -> int:
     best = -1
@@ -706,43 +671,25 @@ def _rule_max_name_id(rule: Rule) -> int:
     return best
 
 
-def expand_variadic(
-    rule: Rule,
-    max_arity: int,
-    *,
-    cap: int = DEFAULT_ARITY_CAP,
-    arities: Optional[Iterable[int]] = None,
-) -> list[Rule]:
+def expand_variadic(rule: Rule, arities: Iterable[int]) -> list[Rule]:
     """Translate a variadic rule into fixed generic rules, one per arity.
 
-    The instances cover every arity from the rule's fixed-port count ``f`` up
-    to ``max_arity`` or, when ``arities`` is given, only its members in that
-    range; either way in ascending order.
+    The instances cover the given ``arities`` at or above the rule's
+    fixed-port count ``f``, in ascending order.  A non-variadic rule comes
+    back unchanged.  Nothing here bounds the arities: the expansion cap is
+    :func:`analyze_rules`' to check.
 
     The arity-``k`` instance is the rule instantiated against an abstract
     partner with ``k`` ports: the left-hand range becomes ``k - f`` explicit
     parameters, fresh names numbered from just above the rule's largest
     name id.  Only the instance's patterns are made here; its right-hand
     side is built by :func:`_expand_at` the first time it is read.
-    Non-variadic rules are returned unchanged whatever ``max_arity`` is;
-    the cap bounds expansion only.
     """
     g = rule.generic
     if g is None or not g.is_variadic:
         return [rule]
-    if max_arity > cap:
-        raise ExpansionLimitError(
-            Diagnostic(
-                "error",
-                "E_EXPAND_OVERFLOW",
-                f"maximum arity {max_arity} exceeds the expansion cap {cap}",
-            )
-        )
     f = len(g.fixed_params)
-    if arities is None:
-        ks: Sequence[int] = range(f, max_arity + 1)
-    else:
-        ks = sorted(k for k in set(arities) if f <= k <= max_arity)
+    ks = sorted({k for k in arities if k >= f})
     first = _rule_max_name_id(rule) + 1
     extra = max(ks, default=f) - f
     ports = tuple(Name(first + i, f"{g.range_name}{i + 1}") for i in range(extra))
@@ -880,8 +827,7 @@ def check_grc(rules: Sequence[Rule]) -> list[Diagnostic]:
     ordinary_pairs = set()
     for r in rules:
         if isinstance(r.right, OrdinaryPattern):
-            a, b = r.left.symbol.name, r.right.symbol.name
-            ordinary_pairs.add((a, b) if a <= b else (b, a))
+            ordinary_pairs.add(_pair_key(r.left.symbol.name, r.right.symbol.name))
 
     generics = [r for r in rules if r.generic is not None]
     for r in generics:
@@ -907,12 +853,7 @@ def check_grc(rules: Sequence[Rule]) -> list[Diagnostic]:
         if (a_sym.name, m) == (b_sym.name, n):
             continue  # identical slot: reported as E_DUP_GENERIC elsewhere
         if a_sym.arity == n and b_sym.arity == m:
-            key = (
-                (a_sym.name, b_sym.name)
-                if a_sym.name <= b_sym.name
-                else (b_sym.name, a_sym.name)
-            )
-            if key not in ordinary_pairs:
+            if _pair_key(a_sym.name, b_sym.name) not in ordinary_pairs:
                 diags.append(
                     Diagnostic(
                         "error",
@@ -967,25 +908,17 @@ class RuleTable:
     )
 
 
-def build_rule_table(rules: Sequence[Rule], *, validate: bool = True) -> RuleTable:
-    """Index an expanded rule set for two-probe lookup.
+def build_rule_table(rules: Sequence[Rule]) -> RuleTable:
+    """Index an expanded rule set for two-probe lookup, without checking it.
 
     Ordinary rules are stored under an unordered symbol-pair key, generic
-    rules under (wildcard arity, concrete partner symbol).  With ``validate``
-    the full static check suite runs first and error diagnostics raise
-    :class:`RuleSetError`; tests may bypass it to study ill-formed systems.
+    rules under (wildcard arity, concrete partner symbol); where two rules
+    share a key, the first is kept.  :func:`analyze_rules` builds a table
+    only from a rule set that passes every check; tests call this directly
+    to study ill-formed systems.
     """
     if any(r.kind is RuleKind.VARIADIC for r in rules):
         raise ValueError("build_rule_table expects an expanded rule set")
-    if validate:
-        diags: list[Diagnostic] = []
-        for r in rules:
-            diags.extend(validate_linearity(r))
-        diags.extend(check_no_ambiguity(rules))
-        diags.extend(check_grc(rules))
-        bad = errors_in(diags)
-        if bad:
-            raise RuleSetError(bad)
 
     ordinary: dict[tuple[str, str], Rule] = {}
     generic: dict[tuple[int, str], Rule] = {}
@@ -998,9 +931,7 @@ def build_rule_table(rules: Sequence[Rule], *, validate: bool = True) -> RuleTab
         elif len(r.right.fixed_params) >= len(widest.get(id(src), r).right.fixed_params):
             widest[id(src)] = r
         if isinstance(r.right, OrdinaryPattern):
-            a, b = r.left.symbol.name, r.right.symbol.name
-            key = (a, b) if a <= b else (b, a)
-            ordinary.setdefault(key, r)
+            ordinary.setdefault(_pair_key(r.left.symbol.name, r.right.symbol.name), r)
         else:
             g = r.generic
             assert g is not None and not g.is_variadic
@@ -1020,8 +951,7 @@ def lookup(table: RuleTable, a: Symbol, b: Symbol) -> Optional[Match]:
     ``a`` in the wildcard position (``swapped``) is probed before the one
     with ``b`` there.  Returns ``None`` when nothing matches.
     """
-    key = (a.name, b.name) if a.name <= b.name else (b.name, a.name)
-    rule = table.ordinary.get(key)
+    rule = table.ordinary.get(_pair_key(a.name, b.name))
     if rule is not None:
         return Match(rule, rule.left.symbol.name != a.name)
     rule = table.generic.get((a.arity, b.name))
@@ -1063,7 +993,9 @@ def analyze_rules(
 ) -> Analysis:
     """Run every static check in order and build the table if all pass.
 
-    Order: per-rule linearity, ambiguity over the written rules, variadic
+    This is the one checker of a rule set; :func:`expand_variadic` and
+    :func:`build_rule_table` check nothing.  Order: per-rule linearity,
+    ambiguity over the written rules, the expansion cap, variadic
     expansion, generic-overlap check over the expanded set.  Everything
     after expansion reads patterns only: no instance's right-hand side is
     built here, but by the first read of it, when the instance fires (or is
@@ -1077,8 +1009,8 @@ def analyze_rules(
     diagnostics equal those of a full expansion: an overlap between
     ``A >< phi_m`` and ``B >< phi_n`` needs ``n = arity(A)`` and
     ``m = arity(B)``.  ``all_arities`` expands at every arity from 0 to the
-    maximum instead, as ``inet expand`` prints it.  The expansion cap
-    applies to the maximum arity either way.
+    maximum instead, as ``inet expand`` prints it.  Either way, a maximum
+    arity above ``arity_cap`` is an error if any rule is variadic.
     """
     diags: list[Diagnostic] = []
     for r in rules:
@@ -1089,16 +1021,19 @@ def analyze_rules(
 
     arities = {s.arity for s in symbols}
     top = max(arities, default=0)
-    only = None if all_arities else arities
-    expanded: list[Rule] = []
-    try:
-        for r in rules:
-            expanded.extend(expand_variadic(r, top, cap=arity_cap, arities=only))
-    except ExpansionLimitError as exc:
-        diags.append(exc.diagnostic)
+    if top > arity_cap and any(r.kind is RuleKind.VARIADIC for r in rules):
+        diags.append(
+            Diagnostic(
+                "error",
+                "E_EXPAND_OVERFLOW",
+                f"maximum arity {top} exceeds the expansion cap {arity_cap}",
+            )
+        )
         return Analysis(diags, [], None, top)
+    ks = range(top + 1) if all_arities else arities
+    expanded = [x for r in rules for x in expand_variadic(r, ks)]
 
     diags.extend(check_grc(expanded))
     if errors_in(diags):
         return Analysis(diags, expanded, None, top)
-    return Analysis(diags, expanded, build_rule_table(expanded, validate=False), top)
+    return Analysis(diags, expanded, build_rule_table(expanded), top)

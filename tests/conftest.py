@@ -32,7 +32,7 @@ def compile_corpus(name: str):
 def oriented(rule, eq):
     """The two agents of ``eq`` in the order ``lookup`` binds them to
     ``rule``: the one for its left pattern first."""
-    table = build_rule_table([rule], validate=False)
+    table = build_rule_table([rule])
     match = lookup(table, eq.left.symbol, eq.right.symbol)
     assert match is not None and match.rule is rule
     return (eq.right, eq.left) if match.swapped else (eq.left, eq.right)

@@ -133,4 +133,4 @@ def analyze_eagerly(
     diags.extend(check_grc(expanded))
     if errors_in(diags):
         return diags, expanded, None
-    return diags, expanded, build_rule_table(expanded, validate=False)
+    return diags, expanded, build_rule_table(expanded)

@@ -111,7 +111,7 @@ def test_criterion_03_variadic_erase_instantiation():
     out = instantiate_variadic(rule, eq, NameSupply(sup.next_id))
     assert sorted(out, key=lambda e: e.right.id) == expected
     # The shipped path: expand at arity 3, then instantiate the fixed rule.
-    (at3,) = expand_variadic(rule, 3, arities=[3])
+    (at3,) = expand_variadic(rule, [3])
     shipped = instantiate_fixed_generic(at3, eq.left, eq.right, NameSupply(sup.next_id))
     assert sorted(shipped, key=lambda e: e.right.id) == expected
     print("criterion 3: erase rule against a 3-port partner yields one "
@@ -146,7 +146,7 @@ def test_criterion_04_variadic_duplicate_instantiation():
         Configuration(anchor, expected)
     )
     # The shipped path: expand at arity 3, then instantiate the fixed rule.
-    (at3,) = expand_variadic(rule, 3, arities=[3])
+    (at3,) = expand_variadic(rule, [3])
     shipped = instantiate_fixed_generic(at3, eq.left, eq.right, NameSupply(sup.next_id))
     assert len(shipped) == 5
     assert canonicalize(Configuration(anchor, shipped)) == canonicalize(
@@ -217,7 +217,7 @@ def test_criterion_07_expansion_matches_direct_instantiation():
             f = len(rule.generic.fixed_params)
             expanded = {
                 int(r.id.rsplit("@", 1)[1]): r
-                for r in expand_variadic(rule, analysis.max_arity)
+                for r in expand_variadic(rule, range(analysis.max_arity + 1))
             }
             for k in range(0, analysis.max_arity + 1):
                 partner = Symbol(f"Prt{k}", k)

@@ -27,7 +27,6 @@ from inetkit import (
     expand_variadic,
     parse_program,
 )
-from inetkit.core import NetError
 
 import probe_oracle
 import program_gen
@@ -55,18 +54,14 @@ ILL_FORMED = (
 
 def unvalidated(text: str):
     """The net and an unvalidated table of the program's rules, variadic
-    ones expanded at its arities; ``None`` if there is no such table."""
+    ones expanded at its arities; ``None`` if the program does not parse
+    or declares no net."""
     program = parse_program(text)
     if program.net is None or program.has_errors:
         return None
     arities = {s.arity for s in program.symbols.values()}
-    rules = []
-    try:
-        for rule in program.rules:
-            rules.extend(expand_variadic(rule, max(arities, default=0), arities=arities))
-        return program.net, build_rule_table(rules, validate=False)
-    except (NetError, ValueError):
-        return None
+    rules = [x for rule in program.rules for x in expand_variadic(rule, arities)]
+    return program.net, build_rule_table(rules)
 
 
 def _summary(run) -> tuple:
@@ -118,7 +113,7 @@ def test_generated_programs_probe_as_the_oracle():
 
 def test_a_divergence_that_only_seeded_strategies_find():
     program = parse_program(SELF_RULE + SEEDED_ONLY_NET)
-    table = build_rule_table(program.rules, validate=False)
+    table = build_rule_table(program.rules)
     strategies = [Fifo(), Lifo()] + [Seeded(i) for i in range(10)]
     runs, consistent, divergence, traces = same_as_oracle(program.net, table, strategies)
     assert runs[0][1:] == runs[1][1:] == ("normal_form", 10, runs[0][3])
@@ -143,7 +138,7 @@ def test_duplicate_strategies_are_runs_of_their_own(strategies, net):
         config, table = program.net, analysis.table
     else:
         program = parse_program(SELF_RULE + SEEDED_ONLY_NET)
-        config, table = program.net, build_rule_table(program.rules, validate=False)
+        config, table = program.net, build_rule_table(program.rules)
     runs, _, _, _ = same_as_oracle(config, table, strategies)
     assert [run[0] for run in runs] == strategies
 
@@ -161,14 +156,14 @@ def test_duplicate_strategies_are_runs_of_their_own(strategies, net):
 )
 def test_an_ill_formed_rule_raises_as_the_first_strategy_that_fires_it(strategies, name):
     program = parse_program(ILL_FORMED)
-    table = build_rule_table(program.rules, validate=False)
+    table = build_rule_table(program.rules)
     error = same_as_oracle(program.net, table, strategies)
     assert error == (IllFormedError, f"name {name} occurs more than twice")
 
 
 def test_a_run_that_never_reaches_the_ill_formed_rule_does_not_raise():
     program = parse_program(ILL_FORMED)
-    table = build_rule_table(program.rules, validate=False)
+    table = build_rule_table(program.rules)
     runs, consistent, _, _ = same_as_oracle(program.net, table, [Fifo(), Seeded(0), Seeded(3)])
     assert [run[1] for run in runs] == ["normal_form"] * 3 and not consistent
 

@@ -57,10 +57,7 @@ def expanded_rules(text: str):
     or not the program passes its checks."""
     program = parse_program(text)
     arities = {s.arity for s in program.symbols.values()}
-    rules = []
-    for rule in program.rules:
-        rules.extend(expand_variadic(rule, max(arities, default=0), arities=arities))
-    return rules
+    return [x for rule in program.rules for x in expand_variadic(rule, arities)]
 
 
 def _corpus_rules():

@@ -7,18 +7,12 @@ from inetkit import (
     build_rule_table,
     check_grc,
     check_no_ambiguity,
-    collect_symbols,
     expand_variadic,
     lookup,
-    max_arity,
     parse_program,
     validate_linearity,
 )
-from inetkit.rules import (
-    ExpansionLimitError,
-    RuleSetError,
-    errors_in,
-)
+from inetkit.rules import errors_in
 from inetkit.surface import render_rule
 
 from conftest import compile_corpus, corpus_text, eps_dup_text
@@ -208,28 +202,12 @@ def test_no_ambiguity_generic_slot_clashes(first, second, clash):
 
 
 # ---------------------------------------------------------------------------
-# max_arity / expansion
+# expansion
 # ---------------------------------------------------------------------------
-
-def test_max_arity_addition_program():
-    program = parse_program(ADDITION_RULES)
-    assert max_arity(program.symbols.values()) == 2
-
-
-def test_max_arity_trivial():
-    assert max_arity([Symbol("Z", 0)]) == 0
-    assert max_arity([]) == 0
-
-
-def test_max_arity_scans_rules_and_nets():
-    program = parse_program(corpus_text("maybe_pick"))
-    syms = collect_symbols(program.rules, [program.net])
-    assert max_arity(syms) == 3  # PickH/3
-
 
 def test_expand_erase_rule():
     (rule,) = rules_of("Eps >< ANY([x]) => Eps~x';")
-    out = expand_variadic(rule, 3)
+    out = expand_variadic(rule, [3, 1, 2, 0, 3])
     assert [r.id for r in out] == ["r1@0", "r1@1", "r1@2", "r1@3"]
     assert all(r.kind is RuleKind.FIXED_GENERIC for r in out)
     assert out[0].rhs == ()  # arity 0: zero copies
@@ -239,7 +217,7 @@ def test_expand_erase_rule():
 
 def test_expand_duplicator_rule_at_arity_3():
     (rule,) = rules_of(DELTA_RULE)
-    (at3,) = [r for r in expand_variadic(rule, 3) if r.id.endswith("@3")]
+    (at3,) = expand_variadic(rule, [3])
     assert render_rule(at3) == (
         "Dup(d1, d2) >< ANY(x1, x2, x3) => "
         "d1~ANY(y1, y2, y3), d2~ANY(z1, z2, z3), "
@@ -249,20 +227,32 @@ def test_expand_duplicator_rule_at_arity_3():
 
 def test_expand_non_variadic_rule_is_identity():
     rules = rules_of(ADDITION_RULES)
-    assert expand_variadic(rules[0], 5) == [rules[0]]
+    assert expand_variadic(rules[0], range(6)) == [rules[0]]
 
 
 def test_expand_respects_arity_cap():
-    (rule,) = rules_of("Eps >< ANY([x]) => Eps~x';")
-    with pytest.raises(ExpansionLimitError) as exc:
-        expand_variadic(rule, 65)
-    assert exc.value.diagnostic.code == "E_EXPAND_OVERFLOW"
-    assert len(expand_variadic(rule, 64)) == 65
+    program = parse_program("agent Big/65; Eps >< ANY([x]) => Eps~x';")
+    symbols = list(program.symbols.values())
+    for all_arities in (False, True):
+        analysis = analyze_rules(program.rules, symbols, all_arities=all_arities)
+        assert [str(d) for d in analysis.diagnostics] == [
+            "error: E_EXPAND_OVERFLOW: maximum arity 65 exceeds the expansion cap 64"
+        ]
+        assert not analysis.ok and analysis.expanded_rules == []
+        assert analysis.max_arity == 65
+    analysis = analyze_rules(program.rules, symbols, arity_cap=65)
+    assert analysis.ok
+    assert [r.id for r in analysis.expanded_rules] == ["r1@0", "r1@65"]
+    analysis = analyze_rules(program.rules, symbols, arity_cap=65, all_arities=True)
+    assert analysis.ok and len(analysis.expanded_rules) == 66
 
 
 def test_expand_leaves_non_variadic_rules_alone_above_the_cap():
-    (rule,) = rules_of("agent Big/65; agent Z/0; Z >< Z => ();")
-    assert expand_variadic(rule, 65) == [rule]
+    program = parse_program("agent Big/65; agent Z/0; Z >< Z => ();")
+    for all_arities in (False, True):
+        analysis = analyze_rules(program.rules, program.symbols.values(), all_arities=all_arities)
+        assert analysis.ok and analysis.diagnostics == []
+        assert analysis.expanded_rules == program.rules
 
 
 def test_expansion_preserves_linearity():
@@ -305,8 +295,8 @@ def full_expansion_oracle(program):
     rules = program.rules
     diags = [d for r in rules for d in validate_linearity(r)]
     diags += check_no_ambiguity(rules)
-    top = max_arity(program.symbols.values())
-    full = [x for r in rules for x in expand_variadic(r, top)]
+    top = max((s.arity for s in program.symbols.values()), default=0)
+    full = [x for r in rules for x in expand_variadic(r, range(top + 1))]
     return diags + check_grc(full), full
 
 
@@ -354,7 +344,7 @@ def test_expanding_at_occurring_arities_matches_full_expansion(name):
     if errors_in(diags):
         assert not analysis.ok
         return
-    table = build_rule_table(full, validate=False)
+    table = build_rule_table(full)
     for a in symbols:
         for b in symbols:
             assert lookup(analysis.table, a, b) == lookup(table, a, b), (a, b)
@@ -481,10 +471,14 @@ def test_table_refuses_variadic_rules():
 
 
 def test_table_validation_raises_on_errors():
-    rules = rules_of("agent Z/0; G(a, b) >< G(c, d) => a~Z, b~c, d~Z;")
-    with pytest.raises(RuleSetError):
-        build_rule_table(rules)
-    assert build_rule_table(rules, validate=False).ordinary
+    # analyze_rules rejects the asymmetric self rule; build_rule_table,
+    # which checks nothing, still indexes it.
+    program = parse_program("agent Z/0; G(a, b) >< G(c, d) => a~Z, b~c, d~Z;")
+    analysis = analyze_rules(program.rules, program.symbols.values())
+    assert [d.code for d in analysis.diagnostics] == ["E_SELF_ASYM"]
+    assert not analysis.ok
+    (rule,) = program.rules
+    assert build_rule_table(program.rules).ordinary == {("G", "G"): rule}
 
 
 def test_at_most_one_rule_per_pair_after_validation():

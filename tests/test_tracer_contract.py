@@ -5,11 +5,12 @@ step, must fail here, not only in ``perfbench/run.py --smoke``."""
 import importlib
 import pathlib
 import types
+from collections import Counter
 
 import pytest
 
 import inetkit.cli as cli
-from inetkit import Fifo, Reducer
+from inetkit import Fifo, Reducer, analyze_rules
 
 from conftest import CORPUS, compile_corpus
 
@@ -57,3 +58,32 @@ def test_a_traced_run_counts_every_step_and_the_peak(name):
     while reducer.step() is not None:
         peak = max(peak, len(reducer._eqs))
     assert counts["engine.peak_equations"] == peak
+
+
+@pytest.mark.parametrize("name", ["addition", "dup_erase", "maybe_pick", "map"])
+def test_traced_check_and_expand_cover_every_analysis_layer(name, capsys):
+    path = str(CORPUS / f"{name}.inet")
+    tracing = _load_tracing()
+    for command, all_arities in (("check", False), ("expand", True)):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert cli.main([command, path]) == 0
+        finally:
+            assert tracer.restore()
+        capsys.readouterr()
+        assert tracer.missing == []
+        spans = Counter(span[0] for span in tracer.spans)
+        program, _ = compile_corpus(name)
+        analysis = analyze_rules(
+            program.rules, program.symbols.values(), all_arities=all_arities
+        )
+        written = len(program.rules)
+        expected = {
+            "rules.analyze": 1, "rules.ambiguity": 1, "rules.grc": 1, "rules.table": 1,
+            "rules.linearity": written, "rules.expand": written,
+        }
+        assert {layer: spans[layer] for layer in expected} == expected, command
+        g = sum(1 for r in analysis.expanded_rules if r.generic is not None)
+        assert tracer.counts["rules.expanded_rules"] == len(analysis.expanded_rules)
+        assert tracer.counts["rules.generic_pairs"] == g * (g - 1) // 2
