@@ -13,7 +13,6 @@ import functools
 import gc
 import json
 import sys
-from typing import Optional
 
 from .core import NetError
 from .engine import (
@@ -32,6 +31,7 @@ from .rules import (
 )
 from .surface import (
     SourceProgram,
+    config_display,
     parse_program,
     render_configuration,
     render_equation,
@@ -47,22 +47,27 @@ EXIT_BUDGET = 4
 EXIT_DIVERGENT = 5
 
 
+class _Exit(Exception):
+    """Ends a command with the exit code it carries; the reason is printed
+    where it is raised."""
+
+
 def _print_diagnostics(diags) -> None:
     for d in diags:
         print(str(d), file=sys.stderr)
 
 
-def _load(path: str) -> Optional[SourceProgram]:
+def _load(path: str) -> SourceProgram:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None
+        raise _Exit(EXIT_INPUT)
     program = parse_program(text)
     if program.has_errors:
         _print_diagnostics(program.diagnostics)
-        return None
+        raise _Exit(EXIT_INPUT)
     return program
 
 
@@ -96,104 +101,68 @@ def _strategy(spec: str) -> Strategy:
 
 
 def cmd_check(args) -> int:
-    program = _load(args.input)
-    if program is None:
-        return EXIT_INPUT
-    return EXIT_OK if _analyze(program, args.max_arity).ok else EXIT_VALIDATION
+    return EXIT_OK if _analyze(_load(args.input), args.max_arity).ok else EXIT_VALIDATION
 
 
 def _runnable(args):
-    """The program's net, its rule table and its name supply; or, if the
-    program does not load, fails analysis or declares no net, the exit
-    code."""
+    """The program's net, its rule table and its name supply.  Raises
+    :class:`_Exit` if the program does not load, fails analysis or
+    declares no net."""
     program = _load(args.input)
-    if program is None:
-        return EXIT_INPUT
     analysis = _analyze(program, args.max_arity)
     if not analysis.ok:
-        return EXIT_VALIDATION
+        raise _Exit(EXIT_VALIDATION)
     if program.net is None:
         print("error: program declares no net to run", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _Exit(EXIT_VALIDATION)
     return program.net, analysis.table, program.supply
 
 
 def _normalized(args, trace: bool):
-    loaded = _runnable(args)
-    if isinstance(loaded, int):
-        return None, loaded
-    net, table, supply = loaded
-    outcome = normalize(
-        net,
-        table,
-        args.strategy,
-        budget=args.max_steps,
-        trace=trace,
-        supply=supply,
-    )
-    return outcome, EXIT_OK
+    net, table, supply = _runnable(args)
+    return normalize(net, table, args.strategy, budget=args.max_steps, trace=trace, supply=supply)
 
 
 _STATUS_EXIT = {"normal_form": EXIT_OK, "stuck": EXIT_STUCK, "budget_exhausted": EXIT_BUDGET}
 
 
 def cmd_run(args) -> int:
-    outcome, code = _normalized(args, trace=False)
-    if outcome is None:
-        return code
+    outcome = _normalized(args, trace=False)
     print(render_configuration(outcome.final))
     if outcome.status == "stuck":
+        disp = config_display(outcome.final)
         for eq in outcome.stuck_equations:
-            print(f"stuck: {render_equation(eq)}", file=sys.stderr)
+            print(f"stuck: {render_equation(eq, disp)}", file=sys.stderr)
     return _STATUS_EXIT[outcome.status]
 
 
 def cmd_trace(args) -> int:
-    outcome, code = _normalized(args, trace=True)
-    if outcome is None:
-        return code
+    outcome = _normalized(args, trace=True)
     assert outcome.trace is not None
+    body = render_trace(outcome.trace, "jsonLines" if args.json else "text")
+    if body:
+        print(body)
+    final = render_configuration(outcome.final)
     if args.json:
-        body = render_trace(outcome.trace, "jsonLines")
-        if body:
-            print(body)
-        print(
-            json.dumps(
-                {
-                    "status": outcome.status,
-                    "steps": outcome.steps,
-                    "final": render_configuration(outcome.final),
-                }
-            )
-        )
-    else:
-        body = render_trace(outcome.trace, "text")
-        if body:
-            print(body)
-        print(render_configuration(outcome.final))
+        final = json.dumps({"status": outcome.status, "steps": outcome.steps, "final": final})
+    print(final)
     return _STATUS_EXIT[outcome.status]
 
 
 def cmd_expand(args) -> int:
-    program = _load(args.input)
-    if program is None:
-        return EXIT_INPUT
-    analysis = _analyze(program, args.max_arity, all_arities=True)
+    analysis = _analyze(_load(args.input), args.max_arity, all_arities=True)
     # The expansion covers every arity up to the program's maximum, not just
     # those that occur, and is printed whenever the pre-expansion checks
     # pass, even if the expanded set then fails the overlap check; seeing the
     # expanded rules is exactly what helps diagnose that failure.
     for rule in analysis.expanded_rules:
-        origin = rule.origin if rule.origin.startswith("expanded-from") else "source"
+        origin = "source" if rule.instance_of is None else rule.origin
         print(f"{render_rule(rule)}  # {rule.id}: {origin}")
     return EXIT_OK if analysis.ok else EXIT_VALIDATION
 
 
 def cmd_fuzz(args) -> int:
-    loaded = _runnable(args)
-    if isinstance(loaded, int):
-        return loaded
-    net, table, _ = loaded
+    net, table, _ = _runnable(args)
     strategies: list[Strategy] = [Fifo(), Lifo()]
     strategies.extend(Seeded(seed) for seed in range(args.seeds))
     report = confluence_probe(net, table, strategies, budget=args.max_steps)
@@ -290,6 +259,8 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.handler(args)
+    except _Exit as exc:
+        return exc.args[0]
     except NetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

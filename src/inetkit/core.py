@@ -284,20 +284,15 @@ def canonicalize(config: Configuration) -> CanonicalConfiguration:
 
     Invariant under bound-name renaming, equation reordering, and equation
     flipping; idempotent.  Raises :class:`IllFormedError` on an occurrence
-    violation.
+    violation.  One count of the occurrences finds the violations and,
+    being kept in first-occurrence order, the names to colour.
     """
-    bad = occurrence_violations(config)
+    counts = occurrences(config)
+    bad = [(n, c) for n, c in counts.items() if c > 2]
     if bad:
         detail = ", ".join(f"{n.display} x{c}" for n, c in bad)
         raise IllFormedError(f"name(s) occur more than twice: {detail}")
-
-    name_ids = []
-    seen = set()
-    for n in config_names(config):
-        if n.id not in seen:
-            seen.add(n.id)
-            name_ids.append(n.id)
-    return _solve(config, _refine(config, {nid: 0 for nid in name_ids}), [_BRANCH_LIMIT])
+    return _solve(config, _refine(config, {n.id: 0 for n in counts}), [_BRANCH_LIMIT])
 
 
 # The steps of ``canonicalize`` are module functions, not closures over the

@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .core import (
     Agent,
@@ -232,15 +232,6 @@ class Rule:
             return self.left.params + self.right.fixed_params
         return self.left.params + self.right.params
 
-    def lhs_text(self) -> str:
-        if isinstance(self.right, GenericPattern):
-            g = self.right
-            partner = f"{g.generic_name}/{len(g.fixed_params)}"
-            if g.is_variadic:
-                partner += "+"
-            return f"{self.left.symbol.name} >< {partner}"
-        return f"{self.left.symbol.name} >< {self.right.symbol.name}"
-
     @_built_once
     def program(self) -> "RhsProgram":
         """The compiled right-hand side, built the first time it is read.
@@ -251,33 +242,36 @@ class Rule:
         return RhsProgram(self)
 
 
-def _eq_parts(eq: RuleEquation) -> Iterator[RhsTerm]:
+def _eq_parts(eq: RuleEquation) -> list[RhsTerm]:
     """Both sides of ``eq`` and all their subterms, in preorder, the left
-    side first; iterative, so the rule text's depth is unbounded."""
+    side first: one iterative walk, so depth is unbounded, whose list the
+    checks and the expansion read instead of walking again."""
+    parts: list[RhsTerm] = []
     stack = [eq.right, eq.left]
     while stack:
         u = stack.pop()
-        yield u
+        parts.append(u)
         if isinstance(u, RAgent) and u.args:
             stack.extend(u.args[::-1])
+    return parts
 
 
-def _eq_names(eq: RuleEquation) -> Iterator[Name]:
-    for part in _eq_parts(eq):
-        if isinstance(part, Name):
-            yield part
+def _names(parts: list[RhsTerm]) -> list[Name]:
+    return [u for u in parts if isinstance(u, Name)]
 
 
-def _eq_varnames(eq: RuleEquation) -> Iterator[str]:
-    for part in _eq_parts(eq):
-        if isinstance(part, VarName):
-            yield part.range_name
+def _ranges(parts: list[RhsTerm]) -> list[str]:
+    """The ranges spliced into the agents among ``parts``."""
+    return [u.range_tail for u in parts if isinstance(u, RAgent) and u.range_tail is not None]
 
 
-def _eq_ranges(eq: RuleEquation) -> Iterator[str]:
-    for part in _eq_parts(eq):
-        if isinstance(part, RAgent) and part.range_tail is not None:
-            yield part.range_tail
+def _varnames(parts: list[RhsTerm]) -> list[str]:
+    """The ranges of the variadic names among ``parts``."""
+    return [u.range_name for u in parts if isinstance(u, VarName)]
+
+
+def _eq_names(eq: RuleEquation) -> list[Name]:
+    return _names(_eq_parts(eq))
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +463,8 @@ def validate_linearity(rule: Rule) -> list[Diagnostic]:
             err("E_LIN_DUP", f"parameter {name.display} bound more than once in the LHS")
 
     param_set = set(params)
-    name_count: Counter = Counter()
-    for eq in rule.rhs:
-        name_count.update(_eq_names(eq))
+    parts = [_eq_parts(eq) for eq in rule.rhs]
+    name_count = Counter(n for ps in parts for n in _names(ps))
 
     for p in params:
         c = name_count.get(p, 0)
@@ -487,54 +480,50 @@ def validate_linearity(rule: Rule) -> list[Diagnostic]:
         elif c > 2:
             err("E_LIN_DUP", f"name {n.display} occurs {c} times in the RHS")
 
-    # Generic occurrences must agree with the LHS wildcard shape.
+    # Agents: a generic occurrence must agree with the LHS wildcard shape,
+    # a concrete one with its symbol.
     g = rule.generic
-    for eq in rule.rhs:
-        for part in _eq_parts(eq):
-            if isinstance(part, RAgent) and isinstance(part.head, GenericRef):
+    for ps in parts:
+        for part in ps:
+            if not isinstance(part, RAgent):
+                continue
+            head, n = part.head, len(part.args)
+            if isinstance(head, GenericRef):
                 if g is None:
                     err("E_STRAY_GENERIC", "generic agent in the RHS of a non-generic rule")
-                elif g.is_variadic:
-                    if part.range_tail is None:
-                        err("E_GEN_ARITY", "generic occurrence in a variadic rule must carry the range")
-                    elif len(part.args) != len(g.fixed_params):
-                        err(
-                            "E_GEN_ARITY",
-                            f"generic occurrence has {len(part.args)} fixed argument(s), "
-                            f"LHS declares {len(g.fixed_params)}",
-                        )
-                else:
-                    if part.range_tail is not None:
-                        err("E_GEN_ARITY", "range on a generic occurrence of a fixed-generic rule")
-                    elif len(part.args) != len(g.fixed_params):
-                        err(
-                            "E_GEN_ARITY",
-                            f"generic occurrence has {len(part.args)} argument(s), "
-                            f"expected {len(g.fixed_params)}",
-                        )
-            elif isinstance(part, RAgent) and isinstance(part.head, Symbol):
-                if part.range_tail is not None:
-                    # A range stands for the partner's remaining ports, so its
-                    # width varies with the match; a concrete agent cannot
-                    # absorb that.
+                elif g.is_variadic and part.range_tail is None:
+                    err("E_GEN_ARITY", "generic occurrence in a variadic rule must carry the range")
+                elif not g.is_variadic and part.range_tail is not None:
+                    err("E_GEN_ARITY", "range on a generic occurrence of a fixed-generic rule")
+                elif n != len(g.fixed_params) and g.is_variadic:
                     err(
-                        "E_RANGE_CONCRETE",
-                        f"range argument on concrete agent {part.head.name}",
+                        "E_GEN_ARITY",
+                        f"generic occurrence has {n} fixed argument(s), "
+                        f"LHS declares {len(g.fixed_params)}",
                     )
-                elif len(part.args) != part.head.arity:
+                elif n != len(g.fixed_params):
                     err(
-                        "E_ARITY_CONFLICT",
-                        f"agent {part.head.name}/{part.head.arity} applied to "
-                        f"{len(part.args)} argument(s)",
+                        "E_GEN_ARITY",
+                        f"generic occurrence has {n} argument(s), expected {len(g.fixed_params)}",
                     )
+            elif part.range_tail is not None:
+                # A range stands for the partner's remaining ports, so its
+                # width varies with the match; a concrete agent cannot
+                # absorb that.
+                err("E_RANGE_CONCRETE", f"range argument on concrete agent {head.name}")
+            elif n != head.arity:
+                err(
+                    "E_ARITY_CONFLICT",
+                    f"agent {head.name}/{head.arity} applied to {n} argument(s)",
+                )
 
     # Ranges and variadic names.
     variadic = g is not None and g.is_variadic
     lhs_range = g.range_name if variadic else None
     range_count: Counter = Counter()
-    for eq in rule.rhs:
-        ranges = list(_eq_ranges(eq))
-        varnames = list(_eq_varnames(eq))
+    for ps in parts:
+        ranges = _ranges(ps)
+        varnames = _varnames(ps)
         range_count.update(ranges)
         range_count.update(varnames)
         if ranges and varnames:
@@ -545,7 +534,7 @@ def validate_linearity(rule: Rule) -> list[Diagnostic]:
             # A replicated equation is instantiated once per covered port, so
             # a plain name may not wire it to the rest of the rule and the
             # LHS parameters may not be captured by every copy.
-            local = Counter(_eq_names(eq))
+            local = Counter(_names(ps))
             for n, c in local.items():
                 if n in param_set:
                     err("E_VN_SPAN", f"parameter {n.display} inside a replicated equation")
@@ -662,13 +651,8 @@ def check_no_ambiguity(rules: Sequence[Rule]) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 def _rule_max_name_id(rule: Rule) -> int:
-    best = -1
-    for n in rule.params:
-        best = max(best, n.id)
-    for eq in rule.rhs:
-        for n in _eq_names(eq):
-            best = max(best, n.id)
-    return best
+    names = [*rule.params, *(n for eq in rule.rhs for n in _eq_names(eq))]
+    return max((n.id for n in names), default=-1)
 
 
 def expand_variadic(rule: Rule, arities: Iterable[int]) -> list[Rule]:
@@ -765,11 +749,12 @@ def _expand_at(rule: Rule) -> tuple[RuleEquation, ...]:
 
     new_rhs: list[RuleEquation] = []
     for eq in src.rhs:
+        parts = _eq_parts(eq)
         # In reading order, so that ranges first read here draw their names
         # in an order that does not depend on string hashing.
-        vns = dict.fromkeys(_eq_varnames(eq))
+        vns = dict.fromkeys(_varnames(parts))
         if vns:
-            local = [n for n in dict.fromkeys(_eq_names(eq)) if n not in params]
+            local = [n for n in dict.fromkeys(_names(parts)) if n not in params]
             for i in range(m):
                 vn_map = {r: vector(r)[i] for r in vns}
                 names = {n: supply.fresh(n.display) for n in local}
@@ -797,13 +782,14 @@ def _instance_max_name_id(rule: Rule) -> int:
     ranges: set[str] = set()
     per_port = 0
     for eq in src.rhs:
-        vns = set(_eq_varnames(eq))
+        parts = _eq_parts(eq)
+        vns = set(_varnames(parts))
         ranges |= vns
-        ranges.update(_eq_ranges(eq))
+        ranges.update(_ranges(parts))
         if vns:
-            per_port += len(set(_eq_names(eq)) - params)
+            per_port += len(set(_names(parts)) - params)
         else:
-            kept.extend(n.id for n in _eq_names(eq))
+            kept.extend(n.id for n in _names(parts))
     if not lhs_ports:
         return max(kept, default=-1)
     ranges.discard(g.range_name)
@@ -858,9 +844,10 @@ def check_grc(rules: Sequence[Rule]) -> list[Diagnostic]:
                     Diagnostic(
                         "error",
                         "E_GRC_OVERLAP",
-                        f"generic rules {r1.id} ({r1.lhs_text()}) and {r2.id} "
-                        f"({r2.lhs_text()}) both match the active pair "
-                        f"({a_sym.name}, {b_sym.name}) and no ordinary rule covers it",
+                        f"generic rules {r1.id} ({a_sym.name} >< {g1.generic_name}/{m}) "
+                        f"and {r2.id} ({b_sym.name} >< {g2.generic_name}/{n}) both match "
+                        f"the active pair ({a_sym.name}, {b_sym.name}) and no ordinary "
+                        f"rule covers it",
                     )
                 )
     return diags
@@ -971,13 +958,12 @@ def lookup(table: RuleTable, a: Symbol, b: Symbol) -> Optional[Match]:
 class Analysis:
     """What :func:`analyze_rules` found: its diagnostics in order, the rule
     set after expansion (each variadic rule's arity instances in place of
-    it, with their right-hand sides not yet built), the table when every
-    check passed, and the largest arity among the symbols."""
+    it, with their right-hand sides not yet built; empty when a check
+    before expansion failed), and the table when every check passed."""
 
     diagnostics: list[Diagnostic]
     expanded_rules: list[Rule]
     table: Optional[RuleTable]
-    max_arity: int
 
     @property
     def ok(self) -> bool:
@@ -1010,14 +996,16 @@ def analyze_rules(
     ``A >< phi_m`` and ``B >< phi_n`` needs ``n = arity(A)`` and
     ``m = arity(B)``.  ``all_arities`` expands at every arity from 0 to the
     maximum instead, as ``inet expand`` prints it.  Either way, a maximum
-    arity above ``arity_cap`` is an error if any rule is variadic.
+    arity above ``arity_cap`` is an error, which names that arity, if any
+    rule is variadic; the largest arity is the symbols', so callers read it
+    there.
     """
     diags: list[Diagnostic] = []
     for r in rules:
         diags.extend(validate_linearity(r))
     diags.extend(check_no_ambiguity(rules))
     if errors_in(diags):
-        return Analysis(diags, [], None, 0)
+        return Analysis(diags, [], None)
 
     arities = {s.arity for s in symbols}
     top = max(arities, default=0)
@@ -1029,11 +1017,11 @@ def analyze_rules(
                 f"maximum arity {top} exceeds the expansion cap {arity_cap}",
             )
         )
-        return Analysis(diags, [], None, top)
+        return Analysis(diags, [], None)
     ks = range(top + 1) if all_arities else arities
     expanded = [x for r in rules for x in expand_variadic(r, ks)]
 
     diags.extend(check_grc(expanded))
     if errors_in(diags):
-        return Analysis(diags, expanded, None, top)
-    return Analysis(diags, expanded, build_rule_table(expanded), top)
+        return Analysis(diags, expanded, None)
+    return Analysis(diags, expanded, build_rule_table(expanded))

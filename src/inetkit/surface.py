@@ -685,9 +685,15 @@ def render_equation(eq: Union[Equation, RuleEquation],
     return f"{render_term(eq.left, disp)}~{render_term(eq.right, disp)}"
 
 
+def config_display(config: AnyConfiguration) -> dict[Name, str]:
+    """The text :func:`render_configuration` shows for each name of
+    ``config``, to render a part of it, such as a stuck equation, alike."""
+    return _display_names(config_names(config))
+
+
 def render_configuration(config: AnyConfiguration) -> str:
     """ASCII configuration form ``< t1, t2 | e1, e2 >``."""
-    disp = _display_names(config_names(config))
+    disp = config_display(config)
     parts = ["<"]
     if config.interface:
         parts.append(", ".join(render_term(t, disp) for t in config.interface))
@@ -720,21 +726,9 @@ def parse_configuration(text: str) -> Configuration:
     return Configuration(interface, eqs)
 
 
-def _pattern_display(p: Union[OrdinaryPattern, GenericPattern], disp: dict[Name, str]) -> str:
-    if isinstance(p, OrdinaryPattern):
-        if not p.params:
-            return p.symbol.name
-        return f"{p.symbol.name}({', '.join(disp.get(n, n.display) for n in p.params)})"
-    inner = [disp.get(n, n.display) for n in p.fixed_params]
-    if p.range_name is not None:
-        inner.append(f"[{p.range_name}]")
-    if not inner:
-        return p.generic_name
-    return f"{p.generic_name}({', '.join(inner)})"
-
-
 def render_rule(rule: Rule) -> str:
-    """Rule in surface syntax (without its trailing origin annotation)."""
+    """Rule in surface syntax (without its trailing origin annotation); its
+    patterns print through :func:`render_term`, as the agents they match."""
     names = list(rule.params)
     for eq in rule.rhs:
         stack: list[RhsTerm] = [eq.left, eq.right]
@@ -746,7 +740,13 @@ def render_rule(rule: Rule) -> str:
                 stack.extend(part.args)
     disp = _display_names(names)
     body = ", ".join(render_equation(eq, disp) for eq in rule.rhs)
-    lhs = f"{_pattern_display(rule.left, disp)} >< {_pattern_display(rule.right, disp)}"
+    g = rule.generic
+    left = RAgent(rule.left.symbol, rule.left.params)
+    if g is None:
+        right = RAgent(rule.right.symbol, rule.right.params)
+    else:
+        right = RAgent(_WILDCARD, g.fixed_params, g.range_name)
+    lhs = f"{render_term(left, disp)} >< {render_term(right, disp)}"
     return f"{lhs} => {body if body else '()'};"
 
 

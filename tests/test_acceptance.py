@@ -213,13 +213,14 @@ def test_criterion_07_expansion_matches_direct_instantiation():
     for name in CORPUS_NAMES:
         program, analysis = compile_corpus(name)
         variadic = [r for r in program.rules if r.kind is RuleKind.VARIADIC]
+        top = max(s.arity for s in program.symbols.values())
         for rule in variadic:
             f = len(rule.generic.fixed_params)
             expanded = {
                 int(r.id.rsplit("@", 1)[1]): r
-                for r in expand_variadic(rule, range(analysis.max_arity + 1))
+                for r in expand_variadic(rule, range(top + 1))
             }
-            for k in range(0, analysis.max_arity + 1):
+            for k in range(0, top + 1):
                 partner = Symbol(f"Prt{k}", k)
                 if k < f:
                     assert k not in expanded

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
@@ -10,11 +11,12 @@ import sys
 
 import pytest
 
-from inetkit import occurrence_violations, parse_configuration
+from inetkit import analyze_rules, build_rule_table, occurrence_violations, parse_configuration
 from inetkit.cli import build_arg_parser, main
 
 import program_gen
 from conftest import CORPUS, corpus_text
+from test_probe import SEEDED_ONLY_NET, SELF_RULE
 
 CORPUS_NAMES = ["addition", "dup_erase", "maybe_pick", "map"]
 
@@ -120,6 +122,7 @@ def test_escaped_net_error_is_one_error_line(tmp_program, capsys):
         (["run", "x.inet", "--max-steps", "0"], "stderr", 2),
         (["bogus"], "stderr", 2),
         (["fuzz", "--help"], "stdout", 0),
+        (["run", "x.inet", "--max-steps", "abc"], "stderr", 2),
     ],
 )
 def test_usage_and_help_reach_the_current_streams_on_every_call(argv, stream, code):
@@ -195,6 +198,20 @@ def test_run_stuck_pair_exits_3(tmp_program, capsys):
     captured = capsys.readouterr()
     assert "A~B" in captured.err
     assert captured.out == "< | A~B >\n"
+
+
+def test_run_stuck_lines_name_wires_as_the_configuration_does(tmp_program, capsys):
+    # The two x of the stuck pair are different wires; the configuration
+    # shows the second as x_4, and so must the stuck line.
+    path = tmp_program(
+        "agent A/1; agent D/0; agent P/2; agent Q/2; A(r) >< D => r~Q(x, x);"
+        "net () | A(u)~D, u~P(x, x);"
+    )
+    assert main(["run", path]) == 3
+    assert capsys.readouterr() == (
+        "< | P(x, x)~Q(x_4, x_4) >\n",
+        "stuck: P(x, x)~Q(x_4, x_4)\n",
+    )
 
 
 def test_run_without_net_fails(tmp_program, capsys):
@@ -336,6 +353,46 @@ def test_fuzz_trivial_net(tmp_program, capsys):
 def test_fuzz_budget_starvation_exits_4(capsys):
     assert main(["fuzz", corpus_path("map"), "--seeds", "3", "--max-steps", "1"]) == 4
     assert "exhausted" in capsys.readouterr().out
+
+
+def test_fuzz_divergence_exits_5(tmp_program, monkeypatch, capsys):
+    # check rejects the asymmetric self rule (E_SELF_ASYM), so only an
+    # unchecked table lets fuzz reach two strategies that disagree.
+    import inetkit.cli
+
+    def unchecked(rules, symbols, **options):
+        analysis = analyze_rules(rules, symbols, **options)
+        return dataclasses.replace(analysis, diagnostics=[], table=build_rule_table(rules))
+
+    monkeypatch.setattr(inetkit.cli, "analyze_rules", unchecked)
+    path = tmp_program(SELF_RULE + SEEDED_ONLY_NET)
+    assert main(["fuzz", path, "--seeds", "10"]) == 5
+    assert capsys.readouterr() == (
+        "divergence: strategy fifo reached < Z, Z, Z, Z | > in 10 step(s), "
+        "strategy seed:1 reached < Z, Z, n0, n0 | Z~Z > in 9 step(s)\n"
+        "--- trace under fifo\n"
+        "0. ↪com x1~G(p4, w1) => G(p4, w1)~G(p6, w0)\n"
+        "1. ↪com x0~G(p2, p3) => G(p2, p3)~G(w0, w1)\n"
+        "2. ↪int [rule r1] G(p4, w1)~G(p6, w0) => p4~Z, w1~p6, w0~Z\n"
+        "3. ↪int [rule r1] G(p2, p3)~G(w0, w1) => p2~Z, p3~w0, w1~Z\n"
+        "4. ↪col p4~Z => ()\n"
+        "5. ↪com w1~p6 => p6~Z\n"
+        "6. ↪com w0~Z => Z~p3\n"
+        "7. ↪col p2~Z => ()\n"
+        "8. ↪col p6~Z => ()\n"
+        "9. ↪col Z~p3 => ()\n"
+        "--- trace under seed:1\n"
+        "0. ↪com x1~G(p6, w0) => G(p6, w0)~G(p4, w1)\n"
+        "1. ↪int [rule r1] G(p6, w0)~G(p4, w1) => p6~Z, w0~p4, w1~Z\n"
+        "2. ↪com x0~G(p2, p3) => G(p2, p3)~G(w0, w1)\n"
+        "3. ↪col p6~Z => ()\n"
+        "4. ↪sub w1~Z => G(p2, p3)~G(w0, Z)\n"
+        "5. ↪sub w0~p4 => G(p2, p3)~G(p4, Z)\n"
+        "6. ↪int [rule r1] G(p2, p3)~G(p4, Z) => p2~Z, p3~p4, Z~Z\n"
+        "7. ↪col p3~p4 => ()\n"
+        "8. ↪col p2~Z => ()\n",
+        "",
+    )
 
 
 def test_expand_output_reparses_cleanly(capsys):
@@ -529,5 +586,5 @@ def test_output_digest_over_corpus_and_generated_programs(tmp_path, capsys):
             out, err = capsys.readouterr()
             digest.update(repr((i, command, code, out, err)).encode())
     assert digest.hexdigest() == (
-        "01d5ead150dea4b5667f5ad6be59d92ee4b987063d0c93c2a7fe7eb055b93fe1"
+        "6de9f792e6474bbaae141037a18f4589ee26c2c65a581834e42a24cf698b6bc5"
     )

@@ -1,6 +1,11 @@
 import pytest
 
 from inetkit import (
+    Name,
+    OrdinaryPattern,
+    RAgent,
+    Rule,
+    RuleEquation,
     RuleKind,
     Symbol,
     analyze_rules,
@@ -81,6 +86,86 @@ def test_linearity_rejects_parameter_in_replicated_equation():
     (rule,) = rules_of("agent C/2; A(p) >< ANY([x]) => C(p, x')~x';")
     codes = {d.code for d in validate_linearity(rule)}
     assert "E_VN_SPAN" in codes
+
+
+@pytest.mark.parametrize(
+    "text, diags",
+    [
+        (
+            "agent E/0; agent D/1; D(r) >< ANY([x]) => r~ANY, x'~E;",
+            ["E_GEN_ARITY: rule r1: generic occurrence in a variadic rule must carry the range"],
+        ),
+        (
+            "agent E/0; agent D/1; D(r) >< ANY(a, [x]) => r~ANY(a, b, [x]), b~E;",
+            ["E_GEN_ARITY: rule r1: generic occurrence has 2 fixed argument(s), LHS declares 1"],
+        ),
+        (
+            "agent E/0; E >< ANY(a) => a~ANY([y]);",
+            [
+                "E_GEN_ARITY: rule r1: range on a generic occurrence of a fixed-generic rule",
+                "E_STRAY_VARIADIC: rule r1: range or variadic name in a non-variadic rule",
+                "E_LIN_ERASED: rule r1: range [y] occurs only once in the RHS (dangling bundle)",
+            ],
+        ),
+        (
+            "agent E/0; E >< ANY(a) => a~ANY(b, c), b~c;",
+            ["E_GEN_ARITY: rule r1: generic occurrence has 2 argument(s), expected 1"],
+        ),
+        (
+            "agent E/0; agent D/1; D(r) >< E => r~E, x'~E;",
+            [
+                "E_STRAY_VARIADIC: rule r1: range or variadic name in a non-variadic rule",
+                "E_LIN_ERASED: rule r1: range [x] occurs only once in the RHS (dangling bundle)",
+            ],
+        ),
+        (
+            "agent E/0; agent D/2; D(a, a) >< E => a~E;",
+            ["E_LIN_DUP: rule r1: parameter a bound more than once in the LHS"],
+        ),
+        (
+            "agent E/0; agent D/1; D(a) >< E => ();",
+            ["E_LIN_ERASED: rule r1: LHS parameter a is never used in the RHS"],
+        ),
+        (
+            "agent E/0; E >< ANY([x]) => ();",
+            ["E_LIN_ERASED: rule r1: LHS range [x] is never used in the RHS"],
+        ),
+        (
+            "agent E/0; E >< ANY([x]) => x'~y', y'~E, y'~E;",
+            ["E_LIN_DUP: rule r1: range [y] occurs 3 times in the RHS"],
+        ),
+    ],
+    ids=[
+        "generic-without-range",
+        "generic-fixed-count-variadic",
+        "generic-range-fixed",
+        "generic-arg-count-fixed",
+        "stray-variadic",
+        "param-bound-twice",
+        "param-unused",
+        "lhs-range-unused",
+        "range-overused",
+    ],
+)
+def test_linearity_diagnostic_messages(text, diags):
+    (rule,) = rules_of(text)
+    assert [str(d) for d in validate_linearity(rule)] == [f"error: {d}" for d in diags]
+
+
+def test_linearity_rejects_library_agent_at_the_wrong_arity():
+    # The parser gives every agent its program's symbol, so only a rule
+    # built by hand applies one at another arity.
+    r = Name(0, "r")
+    a = Symbol("A", 1)
+    rule = Rule(
+        "r1",
+        OrdinaryPattern(a, (r,)),
+        OrdinaryPattern(Symbol("Z", 0), ()),
+        (RuleEquation(r, RAgent(a, ())),),
+    )
+    assert [str(d) for d in validate_linearity(rule)] == [
+        "error: E_ARITY_CONFLICT: rule r1: agent A/1 applied to 0 argument(s)"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +324,6 @@ def test_expand_respects_arity_cap():
             "error: E_EXPAND_OVERFLOW: maximum arity 65 exceeds the expansion cap 64"
         ]
         assert not analysis.ok and analysis.expanded_rules == []
-        assert analysis.max_arity == 65
     analysis = analyze_rules(program.rules, symbols, arity_cap=65)
     assert analysis.ok
     assert [r.id for r in analysis.expanded_rules] == ["r1@0", "r1@65"]
