@@ -32,12 +32,18 @@ class Symbol:
     arity: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Name:
     """A wire endpoint.  Identity is the id; the display string is cosmetic."""
 
     id: int
     display: str = field(compare=False)
+
+    def __init__(self, id: int, display: str) -> None:
+        # Frozen: the fields go straight into the instance dict, as for Agent.
+        fields = self.__dict__
+        fields["id"] = id
+        fields["display"] = display
 
     def __repr__(self) -> str:
         return f"Name({self.id}:{self.display})"

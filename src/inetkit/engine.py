@@ -87,7 +87,7 @@ from .core import (
     substitute,  # no longer called here; perfbench/tracing.py wraps this name
     term_names,
 )
-from .rules import Match, Rule, RuleTable, lookup
+from .rules import Match, OrdinaryPattern, Rule, RuleTable, lookup
 
 KIND_COMMUNICATION = "communication"
 KIND_SUBSTITUTION = "substitution"
@@ -169,7 +169,9 @@ def instantiate_ordinary(rule: Rule, a: Agent, b: Agent, supply: NameSupply) -> 
     pattern's), oriented as :func:`~inetkit.rules.lookup` orients them, and
     internal names freshened.  Raises :class:`NetError` if the symbols do
     not fit the rule in that orientation."""
-    if a.symbol != rule.left.symbol or b.symbol != rule.right.symbol:
+    left, right = rule.left.symbol, rule.right.symbol
+    if ((a.symbol is not left and a.symbol != left)
+            or (b.symbol is not right and b.symbol != right)):
         raise NetError(f"equation does not match rule {rule.id}")
     return rule.program.run(a.args + b.args, None, supply)
 
@@ -181,7 +183,8 @@ def instantiate_fixed_generic(rule: Rule, a: Agent, b: Agent, supply: NameSupply
     concrete symbol or ``b`` not of the wildcard's arity."""
     g = rule.generic
     assert g is not None and not g.is_variadic
-    if a.symbol != rule.left.symbol:
+    left = rule.left.symbol
+    if a.symbol is not left and a.symbol != left:
         raise NetError(f"equation does not match rule {rule.id}")
     if b.symbol.arity != len(g.fixed_params):
         raise NetError(f"rule {rule.id}: arity mismatch against {b.symbol.name}/{b.symbol.arity}")
@@ -252,6 +255,16 @@ def _side(eq: Equation, side: int) -> Term:
     return eq.left if side == 0 else eq.right
 
 
+def _draw(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for ``n > 0``, drawn as CPython draws it: the
+    same ``getrandbits`` rejection loop, without the calls around it."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 class _Agenda:
     """The reducible equation ids, how each reduces, and the strategy's pick."""
 
@@ -295,7 +308,7 @@ class _Agenda:
         if not self.how:
             return None
         if self._rng is not None:
-            return self._ids[self._rng.randrange(len(self._ids))]
+            return self._ids[_draw(self._rng, len(self._ids))]
         heap, sign = self._heap, self._sign
         while sign * heap[0] not in self.how:
             heapq.heappop(heap)
@@ -526,13 +539,16 @@ class Reducer:
         """The name step for ``eq``: communication over substitution over
         collect, the left side first when both sides qualify."""
         best: Optional[How] = None
+        occ = self._occ
         for side, x in ((0, eq.left), (1, eq.right)):
-            if not isinstance(x, Name):
+            if x.__class__ is not Name:
                 continue
-            other = self._partner(x, eid, side)
+            # x's other site; a free port has none and reads its own.
+            sites = occ[x.id]
+            other = sites[0] if sites[-1] == (eid, side, True) else sites[-1]
             # A free port has no step; nor has a name wired back into its
             # own equation (x=x, or x inside the other side).
-            if other is None or other[0] == eid:
+            if other[0] == eid:
                 continue
             if other[0] == _IFACE:
                 kind = KIND_COLLECT
@@ -569,10 +585,10 @@ class Reducer:
             # resolved in place, this one before the step reads it.
             self._resolved(eid)
         eq = self._eqs.pop(eid)
-        first = self.supply.next_id  # the first id an interaction draws
         touched: set[int] = set()
         if kind == KIND_INTERACTION:
-            after = self._interact(eid, eq, detail, touched)
+            first = self.supply.next_id  # the first id the interaction draws
+            after = self._interact(eid, eq, detail, first, touched)
         else:
             x, t = (eq.left, eq.right) if detail == 0 else (eq.right, eq.left)
             other = self._partner(x, eid, detail)
@@ -615,27 +631,27 @@ class Reducer:
             eq = self._eqs[eid] = _resolve_equation(eq, self._subst)
         return eq
 
-    def _interact(self, eid: int, eq: Equation, match: Match, touched: set[int]) -> list[Equation]:
+    def _interact(self, eid: int, eq: Equation, match: Match, first: int,
+                  touched: set[int]) -> list[Equation]:
         """Fire the rule's program and index the equations it builds.
 
         Every fresh name has both its sites among the new equations, so it
-        is sited straight from the program; only the names that the
-        parameters' argument terms hold move, in reading order, as a walk
-        over the new equations would move them.
+        is sited straight from the program, under the ids the supply issues
+        from ``first`` on; only the names that the parameters' argument
+        terms hold move, in reading order, as a walk over the new equations
+        would move them.
         """
         rule = match.rule
         program = rule.program
         if program.overused is not None:
             raise IllFormedError(f"name {program.overused} occurs more than twice")
-        supply = self.supply
-        first = supply.next_id
         a, b = (eq.right, eq.left) if match.swapped else (eq.left, eq.right)
         if eid in self._holding:
             a, b = self._unbind(a), self._unbind(b)
-        if rule.generic is None:
-            produced = instantiate_ordinary(rule, a, b, supply)
+        if rule.right.__class__ is OrdinaryPattern:
+            produced = instantiate_ordinary(rule, a, b, self.supply)
         else:
-            produced = instantiate_fixed_generic(rule, a, b, supply)
+            produced = instantiate_fixed_generic(rule, a, b, self.supply)
         args = a.args + b.args
         base = self._next_id
         self._next_id = base + len(produced)
@@ -782,7 +798,11 @@ def confluence_probe(
     run together, as one walk of their schedule tree (see
     :func:`_walk_schedules`), so a prefix of steps that several seeds share
     is fired once.  Every run reports exactly what :func:`normalize` under
-    its strategy would.
+    its strategy would.  A seeded strategy ``seed:K`` fires
+    ``ids[Random(K).randrange(len(ids))]`` at each step, ``ids`` being the
+    reducible equation ids in agenda order; :func:`_draw` makes that draw.
+    The probe keeps the previous run's final configuration, whose canonical
+    form a run that ends in an equal configuration reuses.
     """
     seeded = [(position, random.Random(s.seed)) for position, s in enumerate(strategies)
               if isinstance(s, Seeded)]
@@ -796,16 +816,24 @@ def confluence_probe(
         raise ValueError("budget must be positive")
     # Canonical forms by literal final configuration (name ids included):
     # runs that end in the same configuration share one canonicalization.
+    # The previous end's configuration is kept: an end equal to it, as the
+    # seeded ends of a net mostly are, takes its form without a key.
     forms: dict[tuple, CanonicalConfiguration] = {}
+    previous: Optional[tuple[Configuration, CanonicalConfiguration]] = None
 
     def summarize(outcome: NormalizeOutcome) -> _End:
+        nonlocal previous
         canonical = None
         if outcome.status != "budget_exhausted":
             final = outcome.final
-            key = (tuple(final.interface), tuple(final.equations))
-            canonical = forms.get(key)
-            if canonical is None:
-                canonical = forms[key] = canonicalize(final)
+            if previous is not None and final == previous[0]:
+                canonical = previous[1]
+            else:
+                key = (tuple(final.interface), tuple(final.equations))
+                canonical = forms.get(key)
+                if canonical is None:
+                    canonical = forms[key] = canonicalize(final)
+                previous = final, canonical
         return outcome.status, outcome.steps, canonical
 
     ends: dict[int, Union[_End, Exception]] = {}
@@ -856,18 +884,19 @@ def _walk_schedules(
     ``ends`` under its position.
 
     A member is a strategy's position and its own random source, which
-    draws as :meth:`_Agenda.pick` does.  A seeded reducer's state depends
-    only on the ids picked so far, so members that picked the same ids share
-    one reducer.  At each step the members are parted by the id they pick.
-    The largest party goes on in place; each smaller one, smallest first,
-    runs to its ends on a fork of the state before the walk goes on.  A
-    smaller party has at most half the members, so at most
+    draws as :meth:`_Agenda.pick` does, through :func:`_draw`.  A seeded
+    reducer's state depends only on the ids picked so far, so members that
+    picked the same ids share one reducer.  At each step the members are
+    parted by the id they pick.  When all pick the same id, they go on
+    together.  Otherwise the largest party goes on in place; each smaller
+    one, smallest first, runs to its ends on a fork of the state before the
+    walk goes on.  A smaller party has at most half the members, so at most
     floor(log2 k) + 1 reducers are alive for k members, and there are at
     most k - 1 forks.  A lone member runs on with :meth:`Reducer.run`.  Each
-    end is summarized as soon as it is reached and its configuration
-    dropped; an error raised on the way is stored as the end of every
-    member that reached it, without its traceback, which would keep the
-    reducer alive.
+    end is summarized as soon as it is reached; ``summarize`` may keep its
+    final configuration, but not the reducer.  An error raised on the way is
+    stored as the end of every member that reached it, without its
+    traceback, which would keep the reducer alive.
     """
     try:
         while True:
@@ -883,9 +912,13 @@ def _walk_schedules(
             if steps == budget or not ids:
                 outcome = reducer._outcome(steps)
                 break
+            n = len(ids)
             parties: dict[int, list[tuple[int, random.Random]]] = {}
             for member in members:
-                parties.setdefault(ids[member[1].randrange(len(ids))], []).append(member)
+                parties.setdefault(ids[_draw(member[1], n)], []).append(member)
+            if len(parties) == 1:
+                (pending,) = parties
+                continue
             *smaller, (pending, largest) = sorted(parties.items(), key=lambda p: len(p[1]))
             for eid, party in smaller:
                 _walk_schedules(reducer._fork(), party, steps, budget, summarize, ends, eid)

@@ -100,6 +100,8 @@ def test_check_non_variadic_rules_ignore_the_arity_cap(tmp_program, capsys):
             "error: E_PARSE: expected an arity, found ';' (1:10)\n",
         ),
         ("agent A/2²;", "error: E_PARSE: unexpected character '²' (1:10)\n"),
+        # The decimal digits after it are still read, as the arity.
+        ("agent A/²34;", "error: E_PARSE: unexpected character '²' (1:9)\n"),
     ],
 )
 def test_non_decimal_digits_are_unexpected_characters(text, err, tmp_program, capsys):

@@ -217,6 +217,12 @@ def test_canonicalize_distinguishes_interface_positions():
     assert canonicalize(c1) != canonicalize(c2)
 
 
+def test_canonical_form_equals_only_canonical_forms():
+    form = canonicalize(Configuration([Agent(Z)], []))
+    assert form.__eq__(form.sort_key) is NotImplemented
+    assert form != form.sort_key and form == canonicalize(Configuration([Agent(Z)], []))
+
+
 def test_canonicalize_name_chains_alpha_equivalent():
     # {a=b, b=c} and {x=y, x=z} describe the same three-wire net.
     a, b, c = nm(0, "a"), nm(1, "b"), nm(2, "c")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from inetkit import (
@@ -24,8 +26,9 @@ from inetkit import (
     strategy_from_spec,
 )
 from inetkit.core import term_names
-from inetkit.engine import _resolve
+from inetkit.engine import _draw, _resolve
 
+import probe_oracle
 from conftest import compile_corpus, compile_text, oriented
 from variadic_oracle import ArityUnderflowError, instantiate_variadic
 
@@ -624,6 +627,24 @@ def test_strategy_from_spec():
         strategy_from_spec("random")
 
 
+# 1, 2, 3, and each power of two up to 2**20 with its two neighbours,
+# shuffled so that small and large bounds alternate.
+DRAW_BOUNDS = random.Random(99).sample(
+    [1, 2, 3] + [m for e in range(2, 21) for m in (2**e - 1, 2**e, 2**e + 1)], 60
+)
+
+
+def test_draw_is_randrange():
+    """A seeded strategy picks with _draw, which must draw what
+    randrange draws: should randrange change, every seeded schedule and its
+    golden trace would change with it, so this fails first."""
+    for seed in range(10):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        bounds = DRAW_BOUNDS * 3
+        assert [_draw(ours, n) for n in bounds] == [theirs.randrange(n) for n in bounds], seed
+        assert ours.getstate() == theirs.getstate(), seed
+
+
 def test_seeded_runs_are_reproducible():
     program, analysis = compile_corpus("map")
     a = normalize(program.net, analysis.table, Seeded(7), trace=True)
@@ -728,11 +749,15 @@ def test_confluence_probe_detects_divergence_behind_an_equal_interface():
     ],
 )
 def test_confluence_probe_canonicalizes_each_distinct_final_once(text, distinct, monkeypatch):
+    """A final equal to the previous one reuses its canonical form and any
+    other is looked up by its literal configuration.  On both nets some
+    runs take each way."""
     import inetkit.engine
 
     program, analysis = compile_text(text)
     strategies = [Fifo(), Lifo()] + [Seeded(i) for i in range(10)]
     finals = [normalize(program.net, analysis.table, s).final for s in strategies]
+    assert len({(tuple(f.interface), tuple(f.equations)) for f in finals}) == distinct
     calls = []
     monkeypatch.setattr(
         inetkit.engine, "canonicalize", lambda config: calls.append(config) or canonicalize(config)
@@ -741,3 +766,4 @@ def test_confluence_probe_canonicalizes_each_distinct_final_once(text, distinct,
     assert report.consistent
     assert len(calls) == distinct
     assert [run.canonical for run in report.runs] == [canonicalize(f) for f in finals]
+    assert report == probe_oracle.confluence_probe(program.net, analysis.table, strategies)

@@ -2,6 +2,7 @@ import pytest
 
 from inetkit import (
     Name,
+    NetError,
     OrdinaryPattern,
     RAgent,
     Rule,
@@ -166,6 +167,11 @@ def test_linearity_rejects_library_agent_at_the_wrong_arity():
     assert [str(d) for d in validate_linearity(rule)] == [
         "error: E_ARITY_CONFLICT: rule r1: agent A/1 applied to 0 argument(s)"
     ]
+
+
+def test_ordinary_pattern_takes_one_parameter_per_port():
+    with pytest.raises(NetError, match=r"^pattern S/1 has 0 parameter\(s\)$"):
+        OrdinaryPattern(Symbol("S", 1), ())
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +483,14 @@ def test_grc_self_generic_warning():
     analysis = grc_of("agent Eps/0; Eps >< ANY([x]) => Eps~x';")
     assert analysis.ok
     assert any(d.code == "W_SELF_GENERIC" for d in analysis.diagnostics)
+
+
+def test_grc_leaves_an_identical_slot_to_the_ambiguity_check():
+    # Both rules hold A's slot for ANY/1, and A has arity 1, so they would
+    # overlap on (A, A); check_grc skips the pair, which is E_DUP_GENERIC.
+    rules = rules_of("agent A/1; A(p) >< ANY(x) => p~x; A(q) >< ANY(y) => q~y;")
+    assert [d.code for d in check_grc(rules)] == ["W_SELF_GENERIC", "W_SELF_GENERIC"]
+    assert [d.code for d in check_no_ambiguity(rules)] == ["E_DUP_GENERIC"]
 
 
 def test_grc_requires_expanded_rules():

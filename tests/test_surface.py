@@ -22,6 +22,7 @@ from inetkit import (
     render_trace,
 )
 from inetkit.rules import errors_in
+from inetkit.surface import render_term
 
 import program_gen
 from conftest import CORPUS, compile_corpus, corpus_text
@@ -168,6 +169,7 @@ def test_render_configuration_examples():
     no = Agent(Symbol("No", 0))
     assert render_configuration(Configuration([r], [Equation(no, r)])) == "< r | No~r >"
     assert render_configuration(Configuration([], [])) == "< | >"
+    assert render_term(Agent(s, (r,))) == "S(r)"  # no display map: names as they display
 
 
 def test_render_disambiguates_clashing_displays():
@@ -234,6 +236,8 @@ def test_render_trace_single_step():
 def test_parse_configuration_rejects_garbage():
     with pytest.raises(ValueError):
         parse_configuration("< S(Z | >")
+    with pytest.raises(ValueError, match="^symbol A used with conflicting arities$"):
+        parse_configuration("< A(x) | A(y, z)~Z >")
 
 
 def test_parse_configuration_rejects_trailing_input():
