@@ -102,6 +102,28 @@ class Agent:
     def __hash__(self) -> int:
         return hash(_term_key(self))
 
+    def __repr__(self) -> str:
+        # The dataclass's text, written with one explicit stack (a str on it
+        # is literal text), so term depth is not bounded here either.
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            u = stack.pop()
+            if u.__class__ is str:
+                out.append(u)
+            elif u.__class__ is Agent:
+                out.append(f"Agent(symbol={u.symbol!r}, args=(")
+                args = u.args
+                stack.append(",))" if len(args) == 1 else "))")
+                if args:
+                    stack.append(args[-1])
+                    for a in args[-2::-1]:
+                        stack.append(", ")
+                        stack.append(a)
+            else:
+                out.append(repr(u))
+        return "".join(out)
+
 
 Term = Union[Name, Agent]
 
@@ -371,15 +393,8 @@ def _build(config: Configuration, colors: dict[int, int]) -> CanonicalConfigurat
         keyed.append(((ka, kb), eq) if ka <= kb else ((kb, ka), Equation(eq.right, eq.left)))
     keyed.sort(key=itemgetter(0))
     oriented = [e for _, e in keyed]
-    index: dict[int, int] = {}
-    for t in config.interface:
-        for n in term_names(t):
-            index.setdefault(n.id, len(index))
-    for e in oriented:
-        for side in (e.left, e.right):
-            for n in term_names(side):
-                index.setdefault(n.id, len(index))
-    renamed = {nid: Name(i, f"n{i}") for nid, i in index.items()}
+    seen = dict.fromkeys(n.id for n in config_names(Configuration(config.interface, oriented)))
+    renamed = {nid: Name(i, f"n{i}") for i, nid in enumerate(seen)}
     return CanonicalConfiguration(
         tuple(_rebuild(t, renamed) for t in config.interface),
         tuple(Equation(_rebuild(e.left, renamed), _rebuild(e.right, renamed)) for e in oriented),

@@ -339,15 +339,19 @@ class Reducer:
         self._matches = table.matches
         self._interface: list[Term] = list(config.interface)
         self._subst: dict[int, Term] = {}  # bound name id -> its term
+        # _subst cannot stand in for this set: collect bindings keep it
+        # non-empty in most steps, and a build without the set ran the
+        # deep_unary benchmark about 3.5% slower.
         self._holding: set[int] = set()  # ids of equations that may hold one
         self._eqs: dict[int, Equation] = {}
         self._occ: dict[int, list[Site]] = {}  # name id -> its one or two sites
         self._next_id = 0
         self._agenda = _Agenda(strategy)
+        touched: set[int] = set()  # unread: every equation is classified below
         for slot, t in enumerate(self._interface):
-            self._place(t, _IFACE, slot, None, None, inside=True)
+            self._place(t, _IFACE, slot, None, touched, inside=True)
         for eq in config.equations:
-            self._add(eq, None)
+            self._add(eq, touched)
         if supply is None:
             supply = NameSupply(max(max(self._occ, default=-1), table.max_name_id) + 1)
         self.supply = supply
@@ -363,10 +367,8 @@ class Reducer:
             # Every bound name occurs once: in an equation that may hold
             # one, or in the interface, a collected term included.  So
             # resolving both consumes every binding.
-            eqs = self._eqs
-            for eid in self._holding:
-                eqs[eid] = _resolve_equation(eqs[eid], subst)
-            self._holding.clear()
+            for eid in list(self._holding):
+                self._resolved(eid)
             if subst:
                 self._interface = [_resolve(t, subst) for t in self._interface]
         return Configuration(list(self._interface), list(self._eqs.values()))
@@ -426,7 +428,7 @@ class Reducer:
 
     # -- the occurrence index ---------------------------------------------
 
-    def _add(self, eq: Equation, touched: Optional[set[int]],
+    def _add(self, eq: Equation, touched: set[int],
              old_left: Optional[int] = None, old_right: Optional[int] = None) -> None:
         """Store ``eq`` under a new id; its sides' names move from the given
         equations (or are new)."""
@@ -435,11 +437,10 @@ class Reducer:
         self._eqs[eid] = eq
         self._place(eq.left, eid, 0, old_left, touched)
         self._place(eq.right, eid, 1, old_right, touched)
-        if touched is not None:
-            touched.add(eid)
+        touched.add(eid)
 
     def _place(self, t: Term, eid: int, side: int, old: Optional[int],
-               touched: Optional[set[int]], inside: bool = False) -> None:
+               touched: set[int], inside: bool = False) -> None:
         """Record that the names of ``t`` now sit at (``eid``, ``side``), having
         moved from equation ``old``.  ``inside``: ``t`` is not the whole side.
         Subterms of ``t`` that hold no name are not entered; the names
@@ -464,7 +465,7 @@ class Reducer:
                 self._move(n, old, site, touched)
 
     def _move_behind(self, x: Name, old: Optional[int], site: Site,
-                     touched: Optional[set[int]]) -> None:
+                     touched: set[int]) -> None:
         """Move the names behind the bound name ``x``, in the order a walk
         over its resolved term meets them."""
         subst = self._subst
@@ -488,8 +489,7 @@ class Reducer:
                 else:
                     stack.append(t)
 
-    def _move(self, n: Name, old: Optional[int], site: Site,
-              touched: Optional[set[int]]) -> None:
+    def _move(self, n: Name, old: Optional[int], site: Site, touched: set[int]) -> None:
         sites = self._occ.get(n.id)
         if sites is None:
             self._occ[n.id] = [site]
@@ -505,16 +505,8 @@ class Reducer:
             other = sites[0]
         else:
             raise IllFormedError(f"name {n.display} occurs more than twice")
-        if touched is not None and other is not None and other[2]:
+        if other is not None and other[2]:
             touched.add(other[0])
-
-    def _partner(self, x: Name, eid: int, side: int) -> Optional[Site]:
-        """The other site of ``x``, which is the whole ``side`` of ``eid``."""
-        sites = self._occ[x.id]
-        if len(sites) == 1:
-            return None
-        a, b = sites
-        return b if a == (eid, side, True) else a
 
     # -- classification ---------------------------------------------------
 
@@ -562,10 +554,10 @@ class Reducer:
         """An agent pair without a rule, or a name wired into its own equation."""
         if isinstance(eq.left, Agent) and isinstance(eq.right, Agent):
             return eid not in self._agenda.how
-        for side, x in ((0, eq.left), (1, eq.right)):
+        for x in (eq.left, eq.right):
             if isinstance(x, Name):
-                other = self._partner(x, eid, side)
-                if other is not None and other[0] == eid:
+                sites = self._occ[x.id]
+                if len(sites) == 2 and sites[0][0] == sites[1][0]:
                     return True
         return False
 
@@ -591,8 +583,9 @@ class Reducer:
             after = self._interact(eid, eq, detail, first, touched)
         else:
             x, t = (eq.left, eq.right) if detail == 0 else (eq.right, eq.left)
-            other = self._partner(x, eid, detail)
-            del self._occ[x.id]
+            # x's other site, read as _name_step reads it.
+            sites = self._occ.pop(x.id)
+            other = sites[0] if sites[-1] == (eid, detail, True) else sites[-1]
             if kind == KIND_COMMUNICATION:
                 after = step_communication(self, eid, x, t, other, touched)
             elif kind == KIND_SUBSTITUTION:

@@ -349,6 +349,10 @@ class RhsProgram:
                         else:
                             sites = fresh_sites[slot - n_params]
                             if len(sites) == 1 and sites[0] == (k, 0, True):
+                                # Touches no equation the closing marker would
+                                # not, but earlier: where ids share a slot of
+                                # the touched set, that order is classification
+                                # order, which seeded schedules follow.
                                 moves.append((k, None, side, whole))
                             elif len(sites) == 2 and overused is None:
                                 overused = u.display

@@ -40,6 +40,7 @@ from .rules import (
     Span,
     Symbol,
     VarName,
+    _eq_names,
     errors_in,
 )
 
@@ -729,16 +730,9 @@ def parse_configuration(text: str) -> Configuration:
 def render_rule(rule: Rule) -> str:
     """Rule in surface syntax (without its trailing origin annotation); its
     patterns print through :func:`render_term`, as the agents they match."""
-    names = list(rule.params)
-    for eq in rule.rhs:
-        stack: list[RhsTerm] = [eq.left, eq.right]
-        while stack:
-            part = stack.pop()
-            if isinstance(part, Name):
-                names.append(part)
-            elif isinstance(part, RAgent):
-                stack.extend(part.args)
-    disp = _display_names(names)
+    # Each equation's names from its right end: that order decides which of
+    # two names with one text gets the ``_<id>`` suffix.
+    disp = _display_names([*rule.params, *(n for eq in rule.rhs for n in reversed(_eq_names(eq)))])
     body = ", ".join(render_equation(eq, disp) for eq in rule.rhs)
     g = rule.generic
     left = RAgent(rule.left.symbol, rule.left.params)
@@ -762,12 +756,7 @@ def render_trace(trace: Sequence, fmt: str = "text") -> str:
     """Line-oriented trace rendering: ``text`` or ``jsonLines``."""
     lines = []
     for i, step in enumerate(trace):
-        names = list(term_names(step.equation_before.left))
-        names += term_names(step.equation_before.right)
-        for eq in step.equations_after:
-            names += term_names(eq.left)
-            names += term_names(eq.right)
-        disp = _display_names(names)
+        disp = config_display(Configuration([], [step.equation_before, *step.equations_after]))
         before = render_equation(step.equation_before, disp)
         after = [render_equation(eq, disp) for eq in step.equations_after]
         if fmt == "jsonLines":

@@ -327,6 +327,25 @@ def test_expand_prints_even_when_overlap_check_fails(tmp_program, capsys):
     assert "expanded-from" in captured.out  # expansion still shown
 
 
+def test_expand_suffixes_names_from_each_equations_right_end(tmp_program, capsys):
+    """Of two names shown with one text, the one met first walking each
+    equation from its right end keeps the text; the other gets ``_<id>``."""
+    path = tmp_program(
+        "agent E/0; agent P/3; agent Eps/0; agent Q/2;"
+        "E >< ANY([x]) => x'~P(y', y1, y1), Eps~ANY([y]);"
+        "net () | E~Q(a, b), a~b;"
+    )
+    assert main(["expand", path]) == 0
+    assert capsys.readouterr().out == (
+        "E >< ANY => Eps~ANY;  # r1@0: expanded-from(r1, 0)\n"
+        "E >< ANY(x1) => x1~P(y1_2, y1, y1), Eps~ANY(y1_2);  # r1@1: expanded-from(r1, 1)\n"
+        "E >< ANY(x1, x2) => x1~P(y1_3, y1, y1), x2~P(y2, y1_6, y1_6), Eps~ANY(y1_3, y2);"
+        "  # r1@2: expanded-from(r1, 2)\n"
+        "E >< ANY(x1, x2, x3) => x1~P(y1_4, y1, y1), x2~P(y2, y1_8, y1_8),"
+        " x3~P(y3, y1_9, y1_9), Eps~ANY(y1_4, y2, y3);  # r1@3: expanded-from(r1, 3)\n"
+    )
+
+
 def test_expand_duplicator_shape(capsys):
     assert main(["expand", corpus_path("dup_erase")]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -12,7 +12,8 @@ on how deep its terms are.
 
 A third counter counts ``Agent`` nodes: each one built and each read of an
 agent's arguments.  The most nodes one step builds or visits must not
-depend on how deep the net's terms are either.
+depend on how deep the net's terms are either, nor, for a recorded step,
+on how many equations the net holds.
 
 Rule lookups (calls to ``lookup``) are counted too: each happens once per
 rule table, not once per step.  Right-hand-side compilations happen once
@@ -238,6 +239,25 @@ def test_agent_nodes_per_step_are_flat_in_term_depth(strategy, agent_nodes):
         assert charged_small == charged_large
     else:
         assert worst_small == worst_large
+
+
+def most_agent_nodes_in_one_recorded_step(text, strategy, tally) -> int:
+    program, analysis = compile_text(text)
+    reducer = Reducer(program.net, analysis.table, strategy)
+    worst = 0
+    while True:
+        tally["nodes"] = 0
+        if reducer.step() is None:
+            return worst
+        worst = max(worst, tally["nodes"])
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=str)
+def test_agent_nodes_per_recorded_step_are_flat_in_net_width(strategy, agent_nodes):
+    """A recorded step resolves and reads only the equations it touches,
+    however many pairs the net holds."""
+    assert most_agent_nodes_in_one_recorded_step(wide_net(10), strategy, agent_nodes) == \
+        most_agent_nodes_in_one_recorded_step(wide_net(160), strategy, agent_nodes)
 
 
 def substitution_work(text, strategy, tally, monkeypatch) -> list[tuple[int, int]]:

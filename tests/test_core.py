@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 
@@ -15,6 +16,7 @@ from inetkit import (
     NetError,
     Symbol,
     canonicalize,
+    normalize,
     occurrence_violations,
     occurrences,
     substitute,
@@ -139,6 +141,46 @@ def test_agents_know_whether_they_hold_names():
     assert Agent(ADD, (Agent(S, (x,)), Agent(Z))).holds_names
     # The flag is no field: it takes no part in equality, hashing or repr.
     assert "holds_names" not in repr(Agent(S, (x,)))
+
+
+# The text the dataclass would write for Agent, from a recursive mirror of it.
+_DataclassAgent = dataclasses.make_dataclass(
+    "Agent", [("symbol", Symbol), ("args", tuple)], frozen=True
+)
+
+
+def dataclass_repr(t) -> str:
+    def mirror(u):
+        return u if isinstance(u, Name) else _DataclassAgent(u.symbol, tuple(map(mirror, u.args)))
+
+    return repr(mirror(t))
+
+
+def test_agent_repr_is_the_dataclass_text():
+    x, y = nm(0, "x"), nm(1, "y")
+    terms = [Agent(Z), Agent(S, (x,)), Agent(ADD, (Agent(S, (y,)), x)), Agent(ADD, (x, Agent(Z)))]
+    for name in ["addition", "dup_erase", "maybe_pick", "map"]:
+        program, analysis = compile_corpus(name)
+        final = normalize(program.net, analysis.table).final
+        for config in (program.net, final):
+            terms += config.interface
+            terms += [t for eq in config.equations for t in (eq.left, eq.right)]
+    for t in terms:
+        assert repr(t) == dataclass_repr(t)
+    assert repr(Equation(x, Agent(Z))) == f"Equation(left={x!r}, right={dataclass_repr(Agent(Z))})"
+
+
+def test_agent_repr_does_not_recurse_on_deep_terms():
+    n = 100_000
+    # Caught here: pytest's report of a RecursionError compares the locals
+    # of every frame, deep terms included, which takes minutes.
+    try:
+        text = repr(deep(n, Agent(Z)))
+    except RecursionError:
+        text = None
+    assert text is not None, "repr recursed"
+    head = "Agent(symbol=Symbol(name='S', arity=1), args=("
+    assert text == head * n + dataclass_repr(Agent(Z)) + ",))" * n
 
 
 def test_walks_do_not_recurse_on_deep_terms():
