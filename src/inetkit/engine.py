@@ -41,29 +41,28 @@ to choose or fire a step.  It keeps these invariants:
   incrementally.  A step reclassifies only the equations it created or
   changed, plus those whose whole side is the other occurrence of a name
   the step moved.
-- No name step rebuilds a term.  Collect and substitution bind their name
-  to its term, in one map, and leave the name where it occurs: in the
-  interface, or inside an equation term, whose equation keeps its id and
-  its object.  A bound name is never a whole side.  When an interaction
-  passes an argument on, an argument that is a bound name is replaced by
-  its term, following chains of bindings, and those bindings are dropped;
-  every name occurs once, so the map holds only names that still occur.
+- No name step rebuilds the term it binds into.  Collect and substitution
+  bind their name to its term, in one map, and leave the name where it
+  occurs: in the interface, or inside an equation term, whose equation
+  keeps its id and its object.  A bound name is never a whole side.
   Classification and stuck detection read whole sides only.
-- Terms are resolved through the bindings only where they are read: when
-  the configuration is read, and for the equations a recorded step reads
-  or writes.  Both resolve in place and consume the bindings they follow,
-  and only equations that may hold a bound name are resolved.  A run with
-  no substitution binding outstanding pays nothing for any of this.
+- A step resolves the equations it consumes, so no step moves a bound
+  name.  Otherwise terms are resolved through the bindings only where they
+  are read: when the configuration is read, and for the target a recorded
+  substitution shows.  Resolving is done in place and consumes the
+  bindings it follows; every name occurs once, so the map holds only names
+  that still occur.  Only equations that may hold a bound name are
+  resolved, so a run with no substitution binding outstanding pays nothing
+  for any of this.
 - An interaction sites its fresh names directly, from where the rule's
   program says they land, and re-sites only the names its parameters'
   argument terms hold.  Its recorded fresh names are the program's hints
   under the ids it drew.  Classifying an agent pair reads the table's
   memoized lookup for its two symbols.
 - Moving a term re-sites only the names it holds: subterms that hold no
-  name (``Agent.holds_names``) are skipped, and the names behind a bound
-  name move with it.  So no name step depends on the depth or width of the
-  term it binds into.  Re-siting the names of a moved term is the one cost
-  left that grows with the term.
+  name (``Agent.holds_names``) are skipped.  So no name step depends on
+  the depth or width of the term it binds into.  Re-siting the names of a
+  moved term is the one cost left that grows with the term.
 """
 
 from __future__ import annotations
@@ -200,10 +199,12 @@ def instantiate_fixed_generic(rule: Rule, a: Agent, b: Agent, supply: NameSupply
 
 def step_communication(reducer: Reducer, eid: int, x: Name, t: Term, other: Site,
                        touched: set[int]) -> tuple[Equation, ...]:
-    """``x=t`` and ``x=u`` become ``t=u``, appended."""
+    """``x=t`` and ``x=u`` become ``t=u``, appended; ``x=u`` is resolved
+    before ``u`` is taken, as ``x=t`` was."""
     j, j_side, _ = other
     reducer._agenda.drop(j)
-    u = _side(reducer._eqs.pop(j), 1 - j_side)
+    u = _side(reducer._resolved(j), 1 - j_side)
+    del reducer._eqs[j]
     new = Equation(t, u)
     reducer._add(new, touched, eid, j)
     return (new,)
@@ -443,51 +444,18 @@ class Reducer:
                touched: set[int], inside: bool = False) -> None:
         """Record that the names of ``t`` now sit at (``eid``, ``side``), having
         moved from equation ``old``.  ``inside``: ``t`` is not the whole side.
-        Subterms of ``t`` that hold no name are not entered; the names
-        behind its bound names move with it.
+        Subterms of ``t`` that hold no name are not entered.  ``t`` holds no
+        bound name, since a step resolves the equations it consumes.
 
         Each name's other site is added to ``touched`` if it is a whole side,
         since that equation's classification may have changed.
         """
         if t.__class__ is Name:
             self._move(t, old, (eid, side, not inside), touched)
-        elif old in self._holding:
-            site = (eid, side, False)
-            subst = self._subst
-            for n in term_names(t):
-                if n.id in subst:
-                    self._move_behind(n, old, site, touched)
-                else:
-                    self._move(n, old, site, touched)
         else:
             site = (eid, side, False)
             for n in term_names(t):
                 self._move(n, old, site, touched)
-
-    def _move_behind(self, x: Name, old: Optional[int], site: Site,
-                     touched: set[int]) -> None:
-        """Move the names behind the bound name ``x``, in the order a walk
-        over its resolved term meets them."""
-        subst = self._subst
-        if site[0] != _IFACE:
-            self._holding.add(site[0])
-        stack = [subst[x.id]]
-        while stack:
-            u = stack.pop()
-            # As in term_names: descend into the first argument directly.
-            while u.__class__ is Agent:
-                if not u.holds_names:
-                    break
-                args = u.args
-                if len(args) > 1:
-                    stack.extend(args[:0:-1])
-                u = args[0]
-            else:
-                t = subst.get(u.id)
-                if t is None:
-                    self._move(u, old, site, touched)
-                else:
-                    stack.append(t)
 
     def _move(self, n: Name, old: Optional[int], site: Site, touched: set[int]) -> None:
         sites = self._occ.get(n.id)
@@ -566,17 +534,17 @@ class Reducer:
     def _fire(self, eid: int, record: bool) -> Optional[StepResult]:
         """Fire the step the agenda holds for ``eid``; its record if asked.
 
-        Each step kind goes through its module-level function, looked up by
-        name at the call, so a wrapper set on this module sees every step.
+        The step consumes equation ``eid`` resolved, so no step moves a
+        bound name.  Each step kind goes through its module-level function,
+        looked up by name at the call, so a wrapper set on this module sees
+        every step.
         """
         kind, detail = self._agenda.how[eid]
         self._agenda.drop(eid)
-        holding = self._holding
-        if record and holding:
-            # A record shows resolved terms: each equation it reads is
-            # resolved in place, this one before the step reads it.
-            self._resolved(eid)
         eq = self._eqs.pop(eid)
+        if eid in self._holding:  # _resolved, inline: this runs every step
+            self._holding.discard(eid)
+            eq = _resolve_equation(eq, self._subst)
         touched: set[int] = set()
         if kind == KIND_INTERACTION:
             first = self.supply.next_id  # the first id the interaction draws
@@ -592,32 +560,25 @@ class Reducer:
                 after = step_substitution(self, eid, x, t, other, touched)
             else:
                 after = step_collect(self, eid, x, t, other, touched)
-        if holding:
-            # Consumed equations leave the set only now: while the step
-            # moves terms out of them, _place reads it.
-            holding.discard(eid)
-            if kind == KIND_COMMUNICATION:
-                holding.discard(other[0])
         for e in touched:
             if e in self._eqs:
                 self._classify(e)
         if not record:
             return None
-        if holding:
-            # Interaction and communication append what they leave.
-            last = self._next_id
-            ids = (other[0],) if kind == KIND_SUBSTITUTION else range(last - len(after), last)
-            after = [self._resolved(i) for i in ids]
         if kind == KIND_INTERACTION:
             rule = detail.rule
             fresh = tuple(Name(first + i, hint) for i, hint in enumerate(rule.program.hints))
             return StepResult(kind, rule.id, eq, tuple(after), fresh)
+        if kind == KIND_SUBSTITUTION:
+            # The target is the one equation a step leaves holding a bound name.
+            after = (self._resolved(other[0]),)
         return StepResult(kind, None, eq, tuple(after), ())
 
     def _resolved(self, eid: int) -> Equation:
         """Equation ``eid``, resolved in place first if it may hold a bound
         name.  The bindings it follows are dropped: their names occur
-        nowhere else."""
+        nowhere else.  A step resolves each equation it consumes, and a
+        recorded substitution the target it shows."""
         eq = self._eqs[eid]
         if eid in self._holding:
             self._holding.discard(eid)
@@ -639,8 +600,6 @@ class Reducer:
         if program.overused is not None:
             raise IllFormedError(f"name {program.overused} occurs more than twice")
         a, b = (eq.right, eq.left) if match.swapped else (eq.left, eq.right)
-        if eid in self._holding:
-            a, b = self._unbind(a), self._unbind(b)
         if rule.right.__class__ is OrdinaryPattern:
             produced = instantiate_ordinary(rule, a, b, self.supply)
         else:
@@ -661,27 +620,6 @@ class Reducer:
             elif args[slot].holds_names:
                 self._place(args[slot], base + k, side, eid, touched)
         return produced
-
-    def _unbind(self, agent: Agent) -> Agent:
-        """``agent``, or a copy of it in which each argument that is a bound
-        name is replaced by its term, following chains of bindings.
-
-        The rule's program may make an argument a whole side, which a bound
-        name never is.  The names replaced occur nowhere else, so their
-        bindings are dropped.
-        """
-        subst = self._subst
-        args = agent.args
-        resolved = None
-        for i, u in enumerate(args):
-            v = u
-            while v.__class__ is Name and v.id in subst:
-                v = subst.pop(v.id)
-            if v is not u:
-                if resolved is None:
-                    resolved = list(args)
-                resolved[i] = v
-        return agent if resolved is None else Agent(agent.symbol, tuple(resolved))
 
 
 def _resolve_equation(eq: Equation, bound: dict[int, Term]) -> Equation:

@@ -25,6 +25,16 @@ def compile_text(text: str):
     return program, analysis
 
 
+def dup_text(n: int) -> str:
+    """The ``dup_erase`` corpus rules duplicating ``S^n(Z)`` into the
+    interface.  Under lifo every ``Dup`` interaction fires before the
+    substitutions that build the copies, bottom-up, so each substitution
+    consumes an equation whose term holds the name the one before it
+    bound."""
+    rules = [line for line in corpus_text("dup_erase").splitlines() if not line.startswith("net")]
+    return "\n".join(rules) + f"\nnet (p, q) | Dup(p, q)~{'S(' * n}Z{')' * n};\n"
+
+
 def compile_corpus(name: str):
     return compile_text(corpus_text(name))
 

@@ -37,7 +37,7 @@ import inetkit.rules
 from inetkit import Agent, Fifo, Lifo, Name, Reducer, Seeded, confluence_probe, normalize
 from inetkit.cli import main
 
-from conftest import compile_corpus, compile_text, eps_dup_text
+from conftest import compile_corpus, compile_text, dup_text, eps_dup_text
 
 ADD_RULES = """
 agent Add/2; agent S/1; agent Z/0;
@@ -239,6 +239,34 @@ def test_agent_nodes_per_step_are_flat_in_term_depth(strategy, agent_nodes):
         assert charged_small == charged_large
     else:
         assert worst_small == worst_large
+
+
+def most_agent_nodes_in_one_untraced_step(text, strategy, tally) -> int:
+    """The most ``Agent`` nodes one unrecorded step builds or visits, the
+    steps driven as :func:`seeded_interaction_edges` drives them."""
+    program, analysis = compile_text(text)
+    reducer = Reducer(program.net, analysis.table, strategy)
+    worst = 0
+    while (eid := reducer._agenda.pick()) is not None:
+        tally["nodes"] = 0
+        reducer._fire(eid, record=False)
+        worst = max(worst, tally["nodes"])
+    assert reducer._outcome(0).status == "normal_form"
+    return worst
+
+
+@pytest.mark.parametrize("strategy", [Fifo(), Lifo()], ids=str)
+def test_agent_nodes_per_untraced_step_are_flat_in_binding_chains(strategy, agent_nodes):
+    """Duplicating ``S^n(Z)`` under lifo substitutes bottom-up: each
+    substitution consumes an equation whose term holds the name the one
+    before it bound.  A step resolves the equation it consumes, so it
+    follows that one binding, never a chain of them.
+
+    Seeded strategies are left out: a random schedule may leave chains of
+    bindings for one step to resolve whose longest grows with the length of
+    the run, while the nodes per step stay flat on average."""
+    assert most_agent_nodes_in_one_untraced_step(dup_text(50), strategy, agent_nodes) == \
+        most_agent_nodes_in_one_untraced_step(dup_text(400), strategy, agent_nodes)
 
 
 def most_agent_nodes_in_one_recorded_step(text, strategy, tally) -> int:

@@ -29,7 +29,7 @@ from inetkit import (
 
 import program_gen
 import substitution_oracle
-from conftest import compile_corpus, compile_text, eps_dup_text
+from conftest import compile_corpus, compile_text, dup_text, eps_dup_text
 from test_probe import GENERATED, unvalidated
 
 STRATEGIES = [Fifo(), Lifo()] + [Seeded(i) for i in range(10)]
@@ -55,7 +55,8 @@ def compiled_cases():
         program, analysis = compile_corpus(name)
         yield name, program.net, analysis.table
     for label, text in [("eps_dup_16", eps_dup_text(16)), ("eps_dup_64", eps_dup_text(64)),
-                        ("add_50", add_text(50)), ("add_400", add_text(400))]:
+                        ("add_50", add_text(50)), ("add_400", add_text(400)),
+                        ("dup_400", dup_text(400))]:
         program, analysis = compile_text(text)
         yield label, program.net, analysis.table
 
@@ -134,10 +135,12 @@ def normalized(config, table, strategy, budget=100_000, trace=True):
 
 
 def normalized_as_oracle(config, table, strategy, monkeypatch, budget=100_000):
-    """``normalized`` traced, where each recorded step resolves what it
-    reads, after checking that it and the untraced run, where bindings pile
-    up until the end, are the oracle's.  The oracle binds nothing, so its
-    traced run stands for its untraced one too."""
+    """``normalized`` traced, after checking that it and the untraced run
+    are the oracle's.  Both runs resolve each equation a step consumes; the
+    traced one also resolves each substitution's target for its record, so
+    the untraced one leaves more bindings to resolve when the end is read.
+    The oracle's substitution binds nothing, so its traced run stands for
+    its untraced one too."""
     untraced = normalized(config, table, strategy, budget, trace=False)
     traced = normalized(config, table, strategy, budget)
     with monkeypatch.context() as patched:
