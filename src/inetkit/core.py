@@ -32,7 +32,7 @@ class Symbol:
     arity: int
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class Name:
     """A wire endpoint.  Identity is the id; the display string is cosmetic."""
 
@@ -40,16 +40,15 @@ class Name:
     display: str = field(compare=False)
 
     def __init__(self, id: int, display: str) -> None:
-        # Frozen: the fields go straight into the instance dict, as for Agent.
-        fields = self.__dict__
-        fields["id"] = id
-        fields["display"] = display
+        # Frozen: the fields go in through their slot descriptors, bound below.
+        _NAME_ID(self, id)
+        _NAME_DISPLAY(self, display)
 
     def __repr__(self) -> str:
         return f"Name({self.id}:{self.display})"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class Agent:
     """An agent symbol applied to exactly ``symbol.arity`` argument terms.
 
@@ -60,22 +59,22 @@ class Agent:
 
     symbol: Symbol
     args: tuple["Term", ...] = ()
+    holds_names: bool = field(default=False, compare=False, repr=False)
 
     def __init__(self, symbol: Symbol, args: tuple["Term", ...] = ()) -> None:
         if len(args) != symbol.arity:
             raise NetError(
                 f"agent {symbol.name}/{symbol.arity} applied to {len(args)} argument(s)"
             )
-        # Frozen: the fields go straight into the instance dict.
-        fields = self.__dict__
-        fields["symbol"] = symbol
-        fields["args"] = args
+        # Frozen: the fields go in through their slot descriptors, bound below.
+        _AGENT_SYMBOL(self, symbol)
+        _AGENT_ARGS(self, args)
         for a in args:
             if a.__class__ is Name or a.holds_names:
-                fields["holds_names"] = True
+                _AGENT_HOLDS_NAMES(self, True)
                 break
         else:
-            fields["holds_names"] = False
+            _AGENT_HOLDS_NAMES(self, False)
 
     # Equality walks both terms with one explicit stack and hashing goes
     # through the flat key of _term_key, so term depth is not bounded by the
@@ -128,7 +127,7 @@ class Agent:
 Term = Union[Name, Agent]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class Equation:
     """An undirected connection between two terms (t=s means the same as s=t)."""
 
@@ -136,10 +135,21 @@ class Equation:
     right: Term
 
     def __init__(self, left: Term, right: Term) -> None:
-        # Frozen: the fields go straight into the instance dict, as for Agent.
-        fields = self.__dict__
-        fields["left"] = left
-        fields["right"] = right
+        # Frozen: the fields go in through their slot descriptors, bound below.
+        _EQUATION_LEFT(self, left)
+        _EQUATION_RIGHT(self, right)
+
+
+# Terms are slotted, frozen records.  Their __init__ methods fill the fields
+# through these slot descriptors: frozen forbids plain attribute stores, and
+# object.__setattr__ looks the field up by name on every call.
+_NAME_ID = Name.id.__set__
+_NAME_DISPLAY = Name.display.__set__
+_AGENT_SYMBOL = Agent.symbol.__set__
+_AGENT_ARGS = Agent.args.__set__
+_AGENT_HOLDS_NAMES = Agent.holds_names.__set__
+_EQUATION_LEFT = Equation.left.__set__
+_EQUATION_RIGHT = Equation.right.__set__
 
 
 @dataclass

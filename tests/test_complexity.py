@@ -39,6 +39,10 @@ from inetkit.cli import main
 
 from conftest import compile_corpus, compile_text, dup_text, eps_dup_text
 
+# The slot descriptor of ``Agent.args``, bound before ``agent_nodes``
+# replaces it with a counting property, so the counters read the slot itself.
+ARGS = Agent.__dict__["args"]
+
 ADD_RULES = """
 agent Add/2; agent S/1; agent Z/0;
 Add(y, r) >< S(x) => Add(y, w)~x, r~S(w);
@@ -167,10 +171,10 @@ def agent_nodes(monkeypatch):
 
     def read_args(self):
         tally["nodes"] += 1
-        return self.__dict__["args"]
+        return ARGS.__get__(self)
 
     def write_args(self, value):  # for construction through object.__setattr__
-        self.__dict__["args"] = value
+        ARGS.__set__(self, value)
 
     monkeypatch.setattr(Agent, "__init__", counting_init)
     monkeypatch.setattr(Agent, "args", property(read_args, write_args))
@@ -186,7 +190,7 @@ def agents_holding_names(t) -> int:
         u, done = stack.pop()
         if not isinstance(u, Agent):
             continue
-        args = u.__dict__["args"]  # not counted
+        args = ARGS.__get__(u)  # not counted
         if done:
             holds[id(u)] = any(isinstance(a, Name) or holds[id(a)] for a in args)
         else:

@@ -203,3 +203,12 @@ def test_program_fails_like_the_walk(text, partner):
         lambda s: instantiate_rhs(rule, args, partner, s),
     )
 
+
+def test_program_without_faults_has_none_to_report():
+    # ``run`` calls ``_fail`` only when a fault is certain; asked anyway, a
+    # fault-free program says it has none rather than returning.
+    (rule,) = parse_program("agent Jst/1; Ret(r) >< ANY(x) => r~Jst(ANY(x));").rules
+    program = RhsProgram(rule)
+    program.run((Name(0, "r"), Name(1, "x")), Symbol("P", 1), NameSupply(2))
+    with pytest.raises(AssertionError, match="no fault to report"):
+        program._fail(Symbol("P", 1))

@@ -32,6 +32,9 @@ import substitution_oracle
 from conftest import compile_corpus, compile_text, dup_text, eps_dup_text
 from test_probe import GENERATED, unvalidated
 
+# Reads an agent's arguments straight from their slot descriptor.
+agent_args = Agent.__dict__["args"].__get__
+
 STRATEGIES = [Fifo(), Lifo()] + [Seeded(i) for i in range(10)]
 # Generated programs may grow terms without end, and a step re-sites the
 # names of every term it moves, so longer budgets cost more than they find.
@@ -85,11 +88,11 @@ class Numbering:
             if isinstance(u, Name):
                 shape = ("N", u.id)
             else:
-                pending = [a for a in u.__dict__["args"] if id(a) not in nodes]
+                pending = [a for a in agent_args(u) if id(a) not in nodes]
                 if pending:
                     stack.extend(pending)
                     continue
-                shape = (u.symbol, tuple(nodes[id(a)][1] for a in u.__dict__["args"]))
+                shape = (u.symbol, tuple(nodes[id(a)][1] for a in agent_args(u)))
             nodes[id(u)] = (u, shapes.setdefault(shape, len(shapes)))
             stack.pop()
         return nodes[id(t)][1]
