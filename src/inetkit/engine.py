@@ -54,11 +54,12 @@ to choose or fire a step.  It keeps these invariants:
   that still occur.  Only equations that may hold a bound name are
   resolved, so a run with no substitution binding outstanding pays nothing
   for any of this.
-- An interaction sites its fresh names directly, from where the rule's
-  program says they land, and re-sites only the names its parameters'
-  argument terms hold.  Its recorded fresh names are the program's hints
-  under the ids it drew.  Classifying an agent pair reads the table's
-  memoized lookup for its two symbols.
+- An interaction indexes the equations its rule's program builds as
+  every new equation is indexed, one at a time through
+  :meth:`Reducer._add`, so the site format and the order in which
+  equations are touched are known in this module alone.  Its recorded
+  fresh names are the program's hints under the ids it drew.  Classifying
+  an agent pair reads the table's memoized lookup for its two symbols.
 - Moving a term re-sites only the names it holds: subterms that hold no
   name (``Agent.holds_names``) are skipped.  So no name step depends on
   the depth or width of the term it binds into.  Re-siting the names of a
@@ -548,7 +549,7 @@ class Reducer:
         touched: set[int] = set()
         if kind == KIND_INTERACTION:
             first = self.supply.next_id  # the first id the interaction draws
-            after = self._interact(eid, eq, detail, first, touched)
+            after = self._interact(eid, eq, detail, touched)
         else:
             x, t = (eq.left, eq.right) if detail == 0 else (eq.right, eq.left)
             # x's other site, read as _name_step reads it.
@@ -585,40 +586,21 @@ class Reducer:
             eq = self._eqs[eid] = _resolve_equation(eq, self._subst)
         return eq
 
-    def _interact(self, eid: int, eq: Equation, match: Match, first: int,
+    def _interact(self, eid: int, eq: Equation, match: Match,
                   touched: set[int]) -> list[Equation]:
-        """Fire the rule's program and index the equations it builds.
-
-        Every fresh name has both its sites among the new equations, so it
-        is sited straight from the program, under the ids the supply issues
-        from ``first`` on; only the names that the parameters' argument
-        terms hold move, in reading order, as a walk over the new equations
-        would move them.
-        """
+        """Fire the rule's program and index the equations it builds, each
+        under a new id through :meth:`_add`, in order.  The names that the
+        parameters' argument terms hold move from ``eid``; a fresh name is
+        new where it first occurs and finds its other site where it next
+        does."""
         rule = match.rule
-        program = rule.program
-        if program.overused is not None:
-            raise IllFormedError(f"name {program.overused} occurs more than twice")
         a, b = (eq.right, eq.left) if match.swapped else (eq.left, eq.right)
         if rule.right.__class__ is OrdinaryPattern:
             produced = instantiate_ordinary(rule, a, b, self.supply)
         else:
             produced = instantiate_fixed_generic(rule, a, b, self.supply)
-        args = a.args + b.args
-        base = self._next_id
-        self._next_id = base + len(produced)
-        eqs, occ = self._eqs, self._occ
-        for k, new in enumerate(produced):
-            eqs[base + k] = new
-        for i, sites in enumerate(program.fresh_sites):
-            occ[first + i] = [(base + k, side, whole) for k, side, whole in sites]
-        for k, slot, side, whole in program.moves:
-            if slot is None:
-                touched.add(base + k)
-            elif args[slot].__class__ is Name:
-                self._move(args[slot], eid, (base + k, side, whole), touched)
-            elif args[slot].holds_names:
-                self._place(args[slot], base + k, side, eid, touched)
+        for new in produced:
+            self._add(new, touched, eid, eid)
         return produced
 
 

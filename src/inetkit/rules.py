@@ -21,11 +21,10 @@ from its patterns only, which is all the checks and the rule table read;
 its right-hand side is built the first time it is read, so an instance
 that never fires never has one (:attr:`Rule.rhs`).  A non-variadic
 right-hand side is compiled once into a flat :class:`RhsProgram`, which
-builds its net equations directly and knows where each of their names
-lands; it serves the engine's interactions and the self-rule swap check
-alike.  Each rule compiles itself the first time its program is read
-(:attr:`Rule.program`), and the rule table memoizes lookups per symbol
-pair.
+builds its net equations directly; it serves the engine's interactions and
+the self-rule swap check alike.  Each rule compiles itself the first time
+its program is read (:attr:`Rule.program`), and the rule table memoizes
+lookups per symbol pair.
 """
 
 from __future__ import annotations
@@ -298,21 +297,10 @@ class RhsProgram:
     push the agent; a ``None`` symbol is the wildcard agent, which becomes
     the matched partner), or ``None`` (pop two sides and emit their
     equation).  The ops run on an explicit stack, so a right-hand side may
-    be as deep as it likes.
-
-    The program also records where its values land, for the reducer's
-    occurrence index.  ``fresh_sites`` gives each fresh name's sites as
-    (equation, side, whole side) in reading order.  ``moves`` gives the
-    parameters' sites in reading order, as (equation, slot, side, whole
-    side).  A ``None`` slot marks where an equation touches itself: where
-    the second occurrence of a fresh name that is its whole left side is
-    read, and after its last parameter.
+    be as deep as it likes.  Where the names land is the engine's to index.
     """
 
-    __slots__ = (
-        "rule_id", "hints", "code", "fresh_sites", "moves", "overused",
-        "_need", "_faults",
-    )
+    __slots__ = ("rule_id", "hints", "code", "_need", "_faults")
 
     def __init__(self, rule: Rule):
         self.rule_id = rule.id
@@ -320,43 +308,25 @@ class RhsProgram:
         n_params = len(params)
         slots = {p.id: i for i, p in enumerate(params)}  # name id -> slot
         hints: list[str] = []
-        fresh_sites: list[list[tuple[int, int, bool]]] = []
         faults: list[tuple] = []
         # The partner arity the wildcard agents take, checked before the
         # program runs: -1 with no wildcard, None when a fault always occurs
         # (a range, or wildcards of two arities).  A concrete agent at the
         # wrong arity fails as it is built, in reading order.
         need: Optional[int] = -1
-        overused = None
         code: list = []
-        moves: list[tuple] = []
 
-        for k, eq in enumerate(rule.rhs):
-            for side, t in ((0, eq.left), (1, eq.right)):
+        for eq in rule.rhs:
+            for t in (eq.left, eq.right):
                 todo: list = [t]  # terms to read; a tuple closes an agent
                 while todo:
                     u = todo.pop()
                     cls = u.__class__
                     if cls is Name:
                         slot = slots.get(u.id)
-                        whole = u is t
                         if slot is None:
                             slot = slots[u.id] = n_params + len(hints)
                             hints.append(u.display)
-                            fresh_sites.append([(k, side, whole)])
-                        elif slot < n_params:
-                            moves.append((k, slot, side, whole))
-                        else:
-                            sites = fresh_sites[slot - n_params]
-                            if len(sites) == 1 and sites[0] == (k, 0, True):
-                                # Touches no equation the closing marker would
-                                # not, but earlier: where ids share a slot of
-                                # the touched set, that order is classification
-                                # order, which seeded schedules follow.
-                                moves.append((k, None, side, whole))
-                            elif len(sites) == 2 and overused is None:
-                                overused = u.display
-                            sites.append((k, side, whole))
                         code.append(slot)
                     elif cls is RAgent and u.range_tail is None:
                         if u.head.__class__ is GenericRef:
@@ -377,13 +347,9 @@ class RhsProgram:
                         faults.append((_RANGE,))
                         need = None
             code.append(None)
-            moves.append((k, None, 1, False))
 
         self.hints = tuple(hints)
         self.code = tuple(code)
-        self.fresh_sites = tuple(map(tuple, fresh_sites))
-        self.moves = tuple(moves)
-        self.overused = overused  # the hint of a fresh name used more than twice
         self._need = need
         self._faults = tuple(faults)
 

@@ -25,14 +25,18 @@ def compile_text(text: str):
     return program, analysis
 
 
+def corpus_rules(name: str) -> str:
+    """The rules of a corpus program, without its net."""
+    return "\n".join(line for line in corpus_text(name).splitlines() if not line.startswith("net"))
+
+
 def dup_text(n: int) -> str:
     """The ``dup_erase`` corpus rules duplicating ``S^n(Z)`` into the
     interface.  Under lifo every ``Dup`` interaction fires before the
     substitutions that build the copies, bottom-up, so each substitution
     consumes an equation whose term holds the name the one before it
     bound."""
-    rules = [line for line in corpus_text("dup_erase").splitlines() if not line.startswith("net")]
-    return "\n".join(rules) + f"\nnet (p, q) | Dup(p, q)~{'S(' * n}Z{')' * n};\n"
+    return corpus_rules("dup_erase") + f"\nnet (p, q) | Dup(p, q)~{'S(' * n}Z{')' * n};\n"
 
 
 def compile_corpus(name: str):

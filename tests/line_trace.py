@@ -5,11 +5,12 @@ that no test executed.  Standard library only (``sys.settrace``)::
 
 The report comes at the end of the run, one line per module, as line
 numbers and ranges.  A range covers consecutive executable lines, so it
-may span blank lines and comments.  Not seen: lines run only in a
-subprocess (the tests that start ``python -m inetkit``), and functions
-that run only while a module is imported, before tracing starts (such as
-a descriptor's ``__set_name__``).  Tracing every line makes the suite
-about five times slower, so the plugin is not loaded by default.
+may span blank lines and comments.  Tracing starts when pytest imports
+the plugin, before the conftest imports ``inetkit``, so functions that run
+only while a module is imported (such as a descriptor's ``__set_name__``)
+count as run.  Not seen: lines run only in a subprocess (the tests that
+start ``python -m inetkit``).  Tracing every line makes the suite about
+five times slower, so the plugin is not loaded by default.
 """
 
 from __future__ import annotations
@@ -91,7 +92,9 @@ class LineTrace:
                 )
 
 
+_TRACE = LineTrace()
+_TRACE.install()
+
+
 def pytest_configure(config) -> None:
-    trace = LineTrace()
-    config.pluginmanager.register(trace, "line_trace_recorder")
-    trace.install()
+    config.pluginmanager.register(_TRACE, "line_trace_recorder")

@@ -15,6 +15,10 @@ agent's arguments.  The most nodes one step builds or visits must not
 depend on how deep the net's terms are either, nor, for a recorded step,
 on how many equations the net holds.
 
+A fourth counter counts re-sites: ``Reducer._move`` calls that replace
+one of a name's sites.  Under fifo and lifo, the most one step makes must
+not depend on n, over six families of nets sized by n.
+
 Rule lookups (calls to ``lookup``) are counted too: each happens once per
 rule table, not once per step.  Right-hand-side compilations happen once
 per rule: a self rule's program serves both the analysis's swap check and
@@ -36,8 +40,9 @@ import inetkit.engine
 import inetkit.rules
 from inetkit import Agent, Fifo, Lifo, Name, Reducer, Seeded, confluence_probe, normalize
 from inetkit.cli import main
+from inetkit.surface import render_term
 
-from conftest import compile_corpus, compile_text, dup_text, eps_dup_text
+from conftest import compile_corpus, compile_text, corpus_rules, dup_text, eps_dup_text
 
 # The slot descriptor of ``Agent.args``, bound before ``agent_nodes``
 # replaces it with a counting property, so the counters read the slot itself.
@@ -56,10 +61,10 @@ def unary(n: int) -> str:
     return "S(" * n + "Z" + ")" * n
 
 
-def wide_net(k: int) -> str:
-    """``k`` independent ``Add 3+3`` pairs."""
+def wide_net(k: int, m: int = 3) -> str:
+    """``k`` independent ``Add m+m`` pairs."""
     interface = ", ".join(f"r{i}" for i in range(k))
-    pairs = ", ".join(f"Add({unary(3)}, r{i})~{unary(3)}" for i in range(k))
+    pairs = ", ".join(f"Add({unary(m)}, r{i})~{unary(m)}" for i in range(k))
     return ADD_RULES + f"net ({interface}) | {pairs};"
 
 
@@ -323,6 +328,78 @@ def test_substitution_is_flat_in_target_width_and_depth(strategy, agent_nodes, m
         assert all(built == 0 for built, _ in calls), label
         reads[label] = max((read for _, read in calls), default=0)
     assert reads["arity 16"] == reads["arity 64"]
+
+
+def cons_list(items: list[str]) -> str:
+    return "".join(f"Cons({item}, " for item in items) + "Nil" + ")" * len(items)
+
+
+def resite_family(family: str, n: int) -> tuple[str, list[str]]:
+    """The net of ``family`` sized by ``n``, and its normal form's interface."""
+    if family == "addition":
+        return deep_net(n), [unary(2 * n)]
+    if family == "dup":
+        return dup_text(n), [unary(n)] * 2
+    if family == "erase":
+        return corpus_rules("dup_erase") + f"\nnet () | Eps~{unary(n)};", []
+    if family == "map":
+        net = f"\nnet (res) | Map(Inc(res))~{cons_list(['Z'] * n)};"
+        return corpus_rules("map") + net, [cons_list(["S(Z)"] * n)]
+    if family == "pick":
+        items = ["Z"] * (n - 1) + ["S(Z)"]
+        net = f"\nnet (r) | Pick(r, {unary(n - 1)})~{cons_list(items)};"
+        return corpus_rules("maybe_pick") + net, ["Jst(S(Z))"]
+    assert family == "wide"
+    return wide_net(n, 1), [unary(2)] * n
+
+
+# The reversal of n free ports is left out: re-siting a moved term's names
+# grows with the term there (ROADMAP direction 4).
+RESITE_FAMILIES = ["addition", "dup", "erase", "map", "pick", "wide"]
+
+
+@pytest.fixture
+def resites(monkeypatch):
+    """Counts ``Reducer._move`` calls that replace one of a name's sites,
+    rather than giving a name its first or second one."""
+    tally = {"resites": 0}
+    move = Reducer._move
+
+    def counting_move(self, n, old, site, touched):
+        sites = self._occ.get(n.id)
+        if sites is not None and any(s[0] == old for s in sites):
+            tally["resites"] += 1
+        return move(self, n, old, site, touched)
+
+    monkeypatch.setattr(Reducer, "_move", counting_move)
+    return tally
+
+
+def most_resites_in_one_step(family: str, n: int, strategy, tally) -> int:
+    """The most sites one unrecorded step replaces while ``family``'s net
+    of size ``n`` is reduced to its normal form."""
+    text, interface = resite_family(family, n)
+    program, analysis = compile_text(text)
+    reducer = Reducer(program.net, analysis.table, strategy)
+    worst = 0
+    while (eid := reducer._agenda.pick()) is not None:
+        tally["resites"] = 0
+        reducer._fire(eid, record=False)
+        worst = max(worst, tally["resites"])
+    outcome = reducer._outcome(0)
+    assert outcome.status == "normal_form"
+    assert [render_term(t) for t in outcome.final.interface] == interface
+    assert not outcome.final.equations
+    return worst
+
+
+@pytest.mark.parametrize("strategy", [Fifo(), Lifo()], ids=str)
+@pytest.mark.parametrize("family", RESITE_FAMILIES)
+def test_resites_per_step_are_flat_in_n(family, strategy, resites):
+    """Seeded strategies are left out: under a random schedule the most
+    sites one step replaces creeps up with the length of the run."""
+    assert most_resites_in_one_step(family, 50, strategy, resites) == \
+        most_resites_in_one_step(family, 400, strategy, resites)
 
 
 CORPUS_NAMES = ["addition", "dup_erase", "maybe_pick", "map"]

@@ -15,6 +15,7 @@ from inetkit import (
     Reducer,
     Seeded,
     Symbol,
+    analyze_rules,
     build_rule_table,
     canonicalize,
     confluence_probe,
@@ -29,6 +30,7 @@ from inetkit.core import term_names
 from inetkit.engine import _draw, _resolve
 
 import probe_oracle
+import program_gen
 from conftest import compile_corpus, compile_text, oriented
 from variadic_oracle import ArityUnderflowError, instantiate_variadic
 
@@ -474,20 +476,73 @@ def _bound_names_in_net(reducer) -> set[int]:
     return met
 
 
-@pytest.mark.parametrize("name", ["addition", "dup_erase", "maybe_pick", "map"])
-def test_occurrence_index_matches_a_walk_after_every_step(name):
-    # Interactions site fresh names from the rule's program, not by a walk.
-    program, analysis = compile_corpus(name)
-    for strategy in [Fifo(), Lifo()] + [Seeded(s) for s in range(5)]:
+# Interactions the corpus does not show: a fresh name that is a whole left
+# side and recurs in its own equation, a name both agents of the active pair
+# hold, and argument terms that hold names.
+INDEX_RULES = {
+    "self_wired": """agent A/1; agent B/0; agent C/1; agent D/0;
+A(x) >< B => w~C(w), x~D, v~C(u), u~v;
+net (r) | A(r)~B;""",
+    "shared_name": """agent A/2; agent B/2; agent C/1; agent D/0;
+A(p, s) >< B(q, t) => C(p)~q, s~t;
+net (r) | A(x, r)~B(x, D), A(y, z)~B(y, z);""",
+    "named_args": """agent A/1; agent B/1; agent C/1; agent D/2; agent Z/0;
+A(p) >< B(q) => p~C(w), D(w, v)~q, v~Z;
+C(a) >< C(b) => a~b;
+net (r, s) | A(C(D(r, Z)))~B(C(D(Z, s)));""",
+}
+
+
+def _accepted_generated(count: int) -> list:
+    """The nets and tables of the first ``count`` generated programs that
+    pass analysis and fire an interaction under fifo."""
+    found, seed = [], 0
+    while len(found) < count:
+        program = parse_program(program_gen.program(random.Random(seed)))
+        seed += 1
+        if program.has_errors or program.net is None:
+            continue
+        analysis = analyze_rules(program.rules, program.symbols.values())
+        if not analysis.ok:
+            continue
+        trace = normalize(program.net, analysis.table, budget=60, trace=True).trace
+        if any(step.kind == "interaction" for step in trace):
+            found.append((program.net, analysis.table))
+    return found
+
+
+def _assert_index_matches_a_walk(net, table, strategies, records, budget=None):
+    for strategy in strategies:
         # A recorded step resolves what it reads; unrecorded, bindings stay.
-        for record in (True, False):
-            reducer = Reducer(program.net, analysis.table, strategy)
-            while (eid := reducer._agenda.pick()) is not None:
+        for record in records:
+            reducer = Reducer(net, table, strategy)
+            steps = 0
+            while steps != budget and (eid := reducer._agenda.pick()) is not None:
                 reducer._fire(eid, record)
+                steps += 1
                 index = {i: sorted(sites) for i, sites in reducer._occ.items()}
                 assert index == _index_by_walk(reducer), strategy
                 # The binding map holds only names that still occur.
                 assert set(reducer._subst) <= _bound_names_in_net(reducer), strategy
+
+
+@pytest.mark.parametrize(
+    "name", ["addition", "dup_erase", "maybe_pick", "map", "generated"] + sorted(INDEX_RULES)
+)
+def test_occurrence_index_matches_a_walk_after_every_step(name):
+    # Interactions and communications index the equations they create
+    # through Reducer._add, the names they hold moving from the equations
+    # the step consumed; substitution and collect re-site a bound term's.
+    if name == "generated":
+        for net, table in _accepted_generated(12):
+            _assert_index_matches_a_walk(net, table, [Fifo(), Lifo(), Seeded(0)], (False,), 60)
+        return
+    if name in INDEX_RULES:
+        program, analysis = compile_text(INDEX_RULES[name])
+    else:
+        program, analysis = compile_corpus(name)
+    strategies = [Fifo(), Lifo()] + [Seeded(s) for s in range(5)]
+    _assert_index_matches_a_walk(program.net, analysis.table, strategies, (True, False))
 
 
 def test_reducer_rejects_a_third_occurrence():

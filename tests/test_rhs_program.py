@@ -24,7 +24,6 @@ from inetkit import (
     instantiate_ordinary,
     parse_program,
 )
-from inetkit.core import term_names
 from inetkit.rules import RhsProgram
 
 import program_gen
@@ -147,31 +146,6 @@ def test_program_matches_the_walk_on_generated_rules(kind):
     assert sum(r.generic is not None for r in rules) > 50
     for rule in rules:
         _check_rule(rule, kind)
-
-
-def test_program_sites_every_value_where_its_equations_hold_it():
-    for rule in _corpus_rules() + _generated_rules():
-        program = RhsProgram(rule)
-        supply = NameSupply(10_000)
-        args = tuple(supply.fresh() for _ in rule.params)
-        slot_of = {a.id: i for i, a in enumerate(args)}
-        first = supply.next_id
-        partner = None if rule.generic is None else Symbol("Prt", len(rule.generic.fixed_params))
-        try:
-            eqs = program.run(args, partner, supply)
-        except NetError:
-            continue  # an ill-formed rule; the tests above compare its error
-        fresh: dict[int, list] = {i: [] for i in range(first, supply.next_id)}
-        for k, eq in enumerate(eqs):
-            moves = []
-            for side, t in ((0, eq.left), (1, eq.right)):
-                for n in term_names(t):
-                    if n.id in slot_of:
-                        moves.append((slot_of[n.id], side, n is t))
-                    else:
-                        fresh[n.id].append((k, side, n is t))
-            assert [m[1:] for m in program.moves if m[0] == k and m[1] is not None] == moves, rule.id
-        assert [list(s) for s in program.fresh_sites] == list(fresh.values()), rule.id
 
 
 @pytest.mark.parametrize(
