@@ -17,14 +17,15 @@ given, so tests can build ill-formed tables.
 Variadic rules never reach the reduction engine directly: they are expanded
 into one fixed generic rule per arity that occurs in the program, which also
 makes the static overlap checks finite.  Analysis makes an arity instance
-from its patterns only, which is all the checks and the rule table read;
-its right-hand side is built the first time it is read, so an instance
-that never fires never has one (:attr:`Rule.rhs`).  A non-variadic
-right-hand side is compiled once into a flat :class:`RhsProgram`, which
-builds its net equations directly; it serves the engine's interactions and
-the self-rule swap check alike.  Each rule compiles itself the first time
-its program is read (:attr:`Rule.program`), and the rule table memoizes
-lookups per symbol pair.
+from its patterns only, which is all the checks and the rule table read.
+Every rule compiles its right-hand side into a flat :class:`RhsProgram` the
+first time its program is read (:attr:`Rule.program`), which builds its net
+equations directly; it serves the engine's interactions and the self-rule
+swap check alike.  It is stamped from a template of the written rule
+(:attr:`Rule.template`), an arity instance's from its written rule's, so
+``check``, ``run`` and ``fuzz`` build no instance's right-hand side; only
+``inet expand``, which prints them, does (:attr:`Rule.rhs`).  The rule
+table memoizes lookups per symbol pair.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import (
@@ -193,7 +194,9 @@ class Rule:
     An arity instance of a variadic rule is made from its patterns alone,
     with the written rule as ``instance_of`` and no ``rhs``: its right-hand
     side is built by :func:`_expand_at` the first time it is read, the way
-    :attr:`program` is.  Equality, hashing and ``repr`` read it too.
+    :attr:`program` is.  Equality, hashing and ``repr`` read it too, but
+    firing does not: the instance's program is stamped from the written
+    rule's :attr:`template`.
     """
 
     id: str
@@ -240,6 +243,13 @@ class Rule:
         """
         return RhsProgram(self)
 
+    @_built_once
+    def template(self) -> tuple:
+        """The written right-hand side as template ops, walked once the
+        first time it is read; every program stamped from this rule reads
+        it, an arity instance's included (:class:`RhsProgram`)."""
+        return _template(self)
+
 
 def _eq_parts(eq: RuleEquation) -> list[RhsTerm]:
     """Both sides of ``eq`` and all their subterms, in preorder, the left
@@ -282,11 +292,71 @@ def _eq_names(eq: RuleEquation) -> list[Name]:
 # close of an agent (it must have its symbol's arity).
 _RANGE, _WILD, _CLOSE = range(3)
 
+# Template ops.  A :class:`Name` is a name every copy of its equation
+# shares; any other op is a 4-tuple tagged by its first item: a name local
+# to each copy of a replicated equation, a variadic name (with its range),
+# the open of a wildcard or range-tail agent (whether it is the wildcard,
+# its range, and how many ops follow up to its close), and the close of any
+# agent (its symbol, ``None`` for the wildcard, its explicit argument count
+# and its range).
+_LOCAL, _VAR, _OPEN, _SHUT = range(4)
+
+
+def _template(rule: Rule) -> tuple[tuple[bool, tuple], ...]:
+    """The written right-hand side of ``rule`` as template ops, one entry
+    per equation: whether a variadic name replicates it, and its ops, the
+    left side's before the right's, depth first, each agent's arguments
+    before its close.  Read it as :attr:`Rule.template`."""
+    out = []
+    for eq in rule.rhs:
+        ops: list = []
+        replicated = False
+        for t in (eq.left, eq.right):
+            todo: list = [t]  # terms to read; a tuple closes an agent
+            while todo:
+                u = todo.pop()
+                cls = u.__class__
+                if cls is Name:
+                    ops.append(u)
+                elif cls is VarName:
+                    ops.append((_VAR, u.range_name, None, None))
+                    replicated = True
+                elif cls is RAgent:
+                    opened = -1
+                    if u.head.__class__ is GenericRef or u.range_tail is not None:
+                        opened = len(ops)
+                        ops.append(None)  # filled in at the close
+                    todo.append((u, opened))
+                    todo.extend(reversed(u.args))
+                else:
+                    u, opened = u
+                    wild = u.head.__class__ is GenericRef
+                    ops.append((_SHUT, None if wild else u.head, len(u.args), u.range_tail))
+                    if opened >= 0:
+                        ops[opened] = (_OPEN, wild, u.range_tail, len(ops) - opened - 1)
+        if replicated:  # rare: a second pass keeps the common walk lean
+            params = {p.id for p in rule.params}
+            ops = [
+                (_LOCAL, op, None, None) if op.__class__ is Name and op.id not in params else op
+                for op in ops
+            ]
+        out.append((replicated, tuple(ops)))
+    return tuple(out)
+
 
 class RhsProgram:
-    """The right-hand side of a non-variadic rule, compiled once into a flat
-    instantiation program; read it as :attr:`Rule.program`.  It keeps only
-    its rule's id, for fault messages, so rule and program form no cycle.
+    """A rule's right-hand side, compiled once into a flat instantiation
+    program; read it as :attr:`Rule.program`.  It keeps only its rule's
+    id, for fault messages, so rule and program form no cycle.
+
+    The program is stamped from a template of the written rule
+    (:attr:`Rule.template`).  An ordinary or fixed-generic rule is stamped
+    from its own, as written.  An arity instance of a variadic rule is
+    stamped from its written rule's at its ``m`` extra ports, into the
+    program of what :func:`_expand_at` would build: each range splices
+    ``m`` names behind the explicit arguments, and each equation that holds
+    a variadic name is copied once per extra port, with fresh locals per
+    copy.  Stamped as written, a range or variadic name is a fault.
 
     Values live in numbered slots: first the rule's parameters, in the order
     of ``rule.params``, then its other names, each freshened on first sight
@@ -304,9 +374,19 @@ class RhsProgram:
 
     def __init__(self, rule: Rule):
         self.rule_id = rule.id
-        params = rule.params
-        n_params = len(params)
-        slots = {p.id: i for i, p in enumerate(params)}  # name id -> slot
+        src = rule.instance_of
+        if src is None:
+            src, m = rule, None  # as written: a range is a fault
+        else:
+            m = len(rule.right.fixed_params) - len(src.generic.fixed_params)
+        written = src.params
+        slots: dict = {p.id: i for i, p in enumerate(written)}  # name key -> slot
+        n_params = len(written)
+        # The left-hand range's ports are the instance's last parameters.
+        if m:
+            lhs_range = src.generic.range_name
+            slots.update(((lhs_range, j), n_params + j) for j in range(m))
+            n_params += m
         hints: list[str] = []
         faults: list[tuple] = []
         # The partner arity the wildcard agents take, checked before the
@@ -316,37 +396,56 @@ class RhsProgram:
         need: Optional[int] = -1
         code: list = []
 
-        for eq in rule.rhs:
-            for t in (eq.left, eq.right):
-                todo: list = [t]  # terms to read; a tuple closes an agent
-                while todo:
-                    u = todo.pop()
-                    cls = u.__class__
-                    if cls is Name:
-                        slot = slots.get(u.id)
+        def see(key, hint: Optional[str]) -> None:
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = n_params + len(hints)
+                # A name a range stands for is hinted by the range and port.
+                hints.append(f"{key[0]}{key[1] + 1}" if hint is None else hint)
+            code.append(slot)
+
+        # A written name is keyed by its id, a copy's local by its id and
+        # port, and a name a range stands for by the range and port.
+        for replicated, ops in src.template:
+            for i in range(m) if replicated and m is not None else (None,):
+                it = iter(ops)
+                for op in it:
+                    if op.__class__ is Name:  # see(), inline for the common op
+                        slot = slots.get(op.id)
                         if slot is None:
-                            slot = slots[u.id] = n_params + len(hints)
-                            hints.append(u.display)
+                            slot = slots[op.id] = n_params + len(hints)
+                            hints.append(op.display)
                         code.append(slot)
-                    elif cls is RAgent and u.range_tail is None:
-                        if u.head.__class__ is GenericRef:
+                        continue
+                    tag, a, b, c = op
+                    if tag == _SHUT:
+                        if c is not None:
+                            for j in range(m):
+                                see((c, j), None)
+                            b += m
+                        if a is None:
+                            faults.append((_CLOSE, None, b))
+                            need = b if need in (-1, b) else None
+                        elif a.arity != b:
+                            faults.append((_CLOSE, a, b))
+                        code.append((a, b))
+                    elif tag == _OPEN:
+                        if b is not None and m is None:
+                            # As written, the program never runs; the
+                            # range's agent is not read.
+                            faults.append((_RANGE,))
+                            need = None
+                            next(islice(it, c, c), None)
+                        elif a:
                             faults.append((_WILD,))
-                        todo.append((u,))
-                        todo.extend(reversed(u.args))
-                    elif cls is tuple:
-                        u = u[0]
-                        head, n = u.head, len(u.args)
-                        if head.__class__ is GenericRef:
-                            faults.append((_CLOSE, None, n))
-                            need = n if need in (-1, n) else None
-                            head = None
-                        elif head.arity != n:
-                            faults.append((_CLOSE, head, n))
-                        code.append((head, n))
-                    else:  # a range or a variadic name: the program never runs
+                    elif tag == _LOCAL:
+                        see(a.id if i is None else (a.id, i), a.display)
+                    elif i is not None:  # a variadic name, in its copy
+                        see((a, i), None)
+                    else:  # a variadic name as written: the program never runs
                         faults.append((_RANGE,))
                         need = None
-            code.append(None)
+                code.append(None)
 
         self.hints = tuple(hints)
         self.code = tuple(code)
@@ -364,10 +463,10 @@ class RhsProgram:
         names are drawn from ``supply`` in slot order.  The wildcard agent
         becomes ``partner``, the matched symbol.
 
-        Raises :class:`NetError` on a range or variadic name (expand
-        variadic rules first), on a wildcard when ``partner`` is ``None``,
-        and on an agent applied at the wrong arity, whichever comes first in
-        reading order.
+        Raises :class:`NetError` on a range or variadic name (a variadic
+        rule compiled as written, not its instances), on a wildcard when
+        ``partner`` is ``None``, and on an agent applied at the wrong arity,
+        whichever comes first in reading order.
         """
         need = self._need
         if need != -1 and (partner is None or partner.arity != need):
@@ -848,9 +947,9 @@ class RuleTable:
     What fills lazily as the table is used: ``matches`` holds the
     :func:`lookup` result, an oriented :class:`Match` or ``None``, per
     ordered pair of symbols (the name and arity of each), filled by the
-    reducer; and each rule builds its own body the first time it fires,
-    an arity instance its right-hand side (:attr:`Rule.rhs`) and every
-    rule its compiled program (:attr:`Rule.program`).  Sharing a table
+    reducer; and each rule compiles its program the first time it fires
+    (:attr:`Rule.program`), from the template of its written rule
+    (:attr:`Rule.template`).  Sharing a table
     across threads stays safe: each of these is a pure function of its
     key or rule, so a repeated fill writes an equal value.
     ``max_name_id`` is the largest name id in the rules, instances'
@@ -954,8 +1053,7 @@ def analyze_rules(
     ambiguity over the written rules, the expansion cap, variadic
     expansion, generic-overlap check over the expanded set.  Everything
     after expansion reads patterns only: no instance's right-hand side is
-    built here, but by the first read of it, when the instance fires (or is
-    printed).
+    built here, and a firing instance builds its program without one.
 
     Each variadic rule is expanded at exactly the arities of the given
     ``symbols`` (those at or above its fixed-port count), so the table

@@ -22,8 +22,9 @@ not depend on n, over six families of nets sized by n.
 Rule lookups (calls to ``lookup``) are counted too: each happens once per
 rule table, not once per step.  Right-hand-side compilations happen once
 per rule: a self rule's program serves both the analysis's swap check and
-every interaction.  An arity instance's right-hand side is built only when
-the instance first fires, so ``check`` builds none.
+every interaction.  An arity instance's program is stamped from its
+written rule's template when the instance first fires, so ``check`` builds
+none, and only ``expand`` builds an instance's right-hand side.
 
 A confluence probe fires each interaction of its seeded strategies'
 schedule tree once, and for k seeds makes at most k - 1 reducer forks and
@@ -38,7 +39,17 @@ import pytest
 import inetkit.core
 import inetkit.engine
 import inetkit.rules
-from inetkit import Agent, Fifo, Lifo, Name, Reducer, Seeded, confluence_probe, normalize
+from inetkit import (
+    Agent,
+    Fifo,
+    Lifo,
+    Name,
+    Reducer,
+    RuleKind,
+    Seeded,
+    confluence_probe,
+    normalize,
+)
 from inetkit.cli import main
 from inetkit.surface import render_term
 
@@ -442,26 +453,34 @@ def test_each_rule_is_compiled_once_per_table(name, monkeypatch):
 
 
 @pytest.fixture
-def rhs_builds(monkeypatch):
-    """Counts the right-hand sides built for arity instances, by rule id."""
-    calls = Counter()
-    build = inetkit.rules._expand_at
+def builds(monkeypatch):
+    """Counts by rule id what is built: the right-hand sides of arity
+    instances (``rhs``), the templates of written rules (``template``)
+    and the programs of all rules (``program``)."""
+    calls = {"rhs": Counter(), "template": Counter(), "program": Counter()}
+    for kind, attr in (("rhs", "_expand_at"), ("template", "_template")):
+        def counting_build(rule, _kind=kind, _build=getattr(inetkit.rules, attr)):
+            calls[_kind][rule.id] += 1
+            return _build(rule)
 
-    def counting_build(rule):
-        calls[rule.id] += 1
-        return build(rule)
+        monkeypatch.setattr(inetkit.rules, attr, counting_build)
+    compile_rule = inetkit.rules.RhsProgram.__init__
 
-    monkeypatch.setattr(inetkit.rules, "_expand_at", counting_build)
+    def counting_compile(self, rule):
+        calls["program"][rule.id] += 1
+        compile_rule(self, rule)
+
+    monkeypatch.setattr(inetkit.rules.RhsProgram, "__init__", counting_compile)
     return calls
 
 
-def fired_instances(text: str, strategies) -> set[str]:
-    """The arity instances that fire under any of ``strategies``."""
+def fired_rules(text: str, strategies) -> set[str]:
+    """The ids of the rules that fire under any of ``strategies``."""
     fired = set()
     for strategy in strategies:
         program, analysis = compile_text(text)
         outcome = normalize(program.net, analysis.table, strategy, trace=True)
-        fired |= {s.rule_id for s in outcome.trace if s.rule_id and "@" in s.rule_id}
+        fired |= {s.rule_id for s in outcome.trace if s.rule_id}
     return fired
 
 
@@ -475,19 +494,43 @@ def fired_instances(text: str, strategies) -> set[str]:
     ids=["check", "run", "fuzz"],
 )
 def test_each_fired_instance_is_built_once_per_command(
-    command, strategies, rhs_builds, tmp_path, capsys
+    command, strategies, builds, tmp_path, capsys
 ):
-    """``check`` builds no instance's right-hand side.  ``run`` builds each
-    instance that fires once, and ``fuzz`` each that fires under any of its
-    strategies once, since they share one table."""
+    """``check`` compiles no program.  ``run`` compiles each rule that
+    fires once, and ``fuzz`` each that fires under any of its strategies
+    once, since they share one table.  An arity instance's program is
+    stamped from its written rule's template, walked once per written rule
+    that fires, so no command builds an instance's right-hand side."""
     text = eps_dup_text(64)
-    fired = fired_instances(text, strategies)
+    fired = fired_rules(text, strategies)
     assert bool(fired) == bool(strategies)
+    assert all("@" in rule_id for rule_id in fired)
     path = tmp_path / "eps_dup.inet"
     path.write_text(text, encoding="utf-8")
-    rhs_builds.clear()
+    for calls in builds.values():
+        calls.clear()
     assert main([command[0], str(path), *command[1:]]) == 0
-    assert rhs_builds == Counter(dict.fromkeys(fired, 1))
+    assert builds["rhs"] == Counter()
+    assert builds["program"] == Counter(dict.fromkeys(fired, 1))
+    written = {rule_id.partition("@")[0] for rule_id in fired}
+    assert builds["template"] == Counter(dict.fromkeys(written, 1))
+
+
+def test_expand_builds_each_instance_once(builds, tmp_path, capsys):
+    """``expand`` prints every instance, from 0 up to the largest arity,
+    and so builds each one's right-hand side once; it compiles nothing."""
+    text = eps_dup_text(64)
+    program, _ = compile_text(text)
+    variadic = [rule.id for rule in program.rules if rule.kind is RuleKind.VARIADIC]
+    assert len(variadic) == 2
+    path = tmp_path / "eps_dup.inet"
+    path.write_text(text, encoding="utf-8")
+    for calls in builds.values():
+        calls.clear()
+    assert main(["expand", str(path)]) == 0
+    instances = [f"{rule_id}@{k}" for rule_id in variadic for k in range(65)]
+    assert builds["rhs"] == Counter(dict.fromkeys(instances, 1))
+    assert builds["template"] == builds["program"] == Counter()
 
 
 def test_a_self_rule_is_compiled_once_across_analysis_and_reduction(monkeypatch):

@@ -6,8 +6,15 @@ its program uses, is fired through ``instantiate_ordinary`` or
 instantiated by ``rhs_oracle.instantiate_rhs``.  Both must build the same
 equations, fresh-name ids and display hints included, draw the same number
 of names, and fail with the same error.
+
+An arity instance's program is stamped from its written rule's template,
+without building the instance's right-hand side.  It must equal the program
+compiled from that right-hand side as :func:`inetkit.rules._expand_at`
+builds it, slot for slot.
 """
 
+import ast
+import pathlib
 import random
 
 import pytest
@@ -18,16 +25,18 @@ from inetkit import (
     Name,
     NameSupply,
     NetError,
+    RuleKind,
     Symbol,
+    analyze_rules,
     expand_variadic,
     instantiate_fixed_generic,
     instantiate_ordinary,
     parse_program,
 )
-from inetkit.rules import RhsProgram
+from inetkit.rules import _CLOSE, _RANGE, _WILD, RhsProgram, Rule, _expand_at
 
 import program_gen
-from conftest import corpus_text, oriented
+from conftest import corpus_text, eps_dup_text, oriented
 from rhs_oracle import instantiate_rhs
 
 CORPUS_NAMES = ["addition", "dup_erase", "maybe_pick", "map"]
@@ -159,6 +168,8 @@ def test_program_matches_the_walk_on_generated_rules(kind):
         ("agent Z/0; G(a, b) >< G(c, d) => a~ANY(c, d), b~Z;", None),
         ("G(a, b) >< G(c, d) => a~H(c, d), b~ANY(H(Z));", None),
         ("G(a, b) >< G(c, d) => b~ANY(H(Z)), a~H(c, d);", None),
+        # ... and around one: the wildcard is read before its arguments.
+        ("agent H/1; G(a, b) >< G(c, d) => a~c, b~ANY(H(d, Z));", None),
         # An agent at the wrong arity, with a partner.
         ("G(a, b) >< G(c, d) => a~H(c, d), b~H(Z);", None),
         ("G(a, b) >< G(c, d) => b~H(Z), a~H(c, d);", None),
@@ -186,3 +197,94 @@ def test_program_without_faults_has_none_to_report():
     program.run((Name(0, "r"), Name(1, "x")), Symbol("P", 1), NameSupply(2))
     with pytest.raises(AssertionError, match="no fault to report"):
         program._fail(Symbol("P", 1))
+
+
+def _fields(program: RhsProgram) -> tuple:
+    return program.hints, program.code, program._need, program._faults
+
+
+def _check_stamped(instances) -> int:
+    """Each instance's program equals the one compiled from a plain rule
+    that holds the instance's expansion as its right-hand side."""
+    count = 0
+    for rule in instances:
+        if rule.instance_of is None:
+            continue
+        expanded = Rule(rule.id, rule.left, rule.right, _expand_at(rule))
+        assert _fields(rule.program) == _fields(RhsProgram(expanded)), rule.id
+        count += 1
+    return count
+
+
+def _accepted_instances(text: str):
+    """The rules of ``text`` expanded at every arity up to its largest, or
+    ``None`` if ``analyze_rules`` rejects it."""
+    program = parse_program(text)
+    analysis = analyze_rules(program.rules, program.symbols.values(), all_arities=True)
+    if program.has_errors or not analysis.ok:
+        return None
+    return analysis.expanded_rules
+
+
+def test_stamped_instances_match_their_expansion_on_the_corpus():
+    instances = [x for name in CORPUS_NAMES for x in _accepted_instances(corpus_text(name))]
+    assert _check_stamped(instances) >= 20
+
+
+def test_stamped_instances_match_their_expansion_on_generated_programs():
+    accepted, seed, count = 0, 0, 0
+    while accepted < 400:
+        instances = _accepted_instances(program_gen.program(random.Random(seed)))
+        seed += 1
+        if instances is not None:
+            accepted += 1
+            count += _check_stamped(instances)
+    assert count > 400
+
+
+def _variadic_test_programs() -> list[str]:
+    """Every program with a variadic rule that the tests spell out in a
+    string literal, with a wide and a deep one besides."""
+    texts = {eps_dup_text(64)}
+    deep = "S(" * 500 + "ANY(k, [y])" + ")" * 500
+    texts.add(f"D(r) >< ANY([x]) => r~{deep}, x'~P(y', u, u), k~Z;")
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "[" in node.value:
+                texts.add(node.value)
+    return [
+        text for text in sorted(texts)
+        if any(r.kind is RuleKind.VARIADIC for r in parse_program(text).rules)
+    ]
+
+
+def test_stamped_instances_match_their_expansion_on_the_tests_programs():
+    """Accepted or not, at every arity up to their largest and at least 3:
+    an ill-formed rule, too, must stamp what it expands to."""
+    texts = _variadic_test_programs()
+    assert len(texts) >= 30
+    count = 0
+    for text in texts:
+        program = parse_program(text)
+        arities = range(max([3, *(s.arity for s in program.symbols.values())]) + 1)
+        count += _check_stamped(x for r in program.rules for x in expand_variadic(r, arities))
+    assert count > 300
+
+
+def test_a_written_variadic_rule_faults_at_each_range_without_reading_its_agent():
+    """Compiled as written, a range-tail agent is one range fault: its
+    wildcard and its arguments are not read, so ``k`` is first seen in the
+    second equation.  Each variadic name is another range fault."""
+    (rule,) = parse_program(
+        "agent H/1; agent Q/2; agent Z/0;"
+        "G(a, b) >< ANY([x]) => a~ANY(k, [y]), b~H(ANY(k)), x'~Q(y', w), w~Z;"
+    ).rules
+    H, Q, Z = Symbol("H", 1), Symbol("Q", 2), Symbol("Z", 0)
+    assert _fields(rule.program) == (
+        ("k", "w"),
+        (0, None, 1, 2, (None, 1), (H, 1), None, 3, (Q, 2), None, 3, (Z, 0), None),
+        None,
+        ((_RANGE,), (_WILD,), (_CLOSE, None, 1), (_RANGE,), (_RANGE,)),
+    )
+    with pytest.raises(NetError, match="range or variadic name in an unexpanded RHS"):
+        rule.program.run((Name(0, "a"), Name(1, "b")), None, NameSupply(10))
