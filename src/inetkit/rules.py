@@ -12,7 +12,10 @@ multiset of right-hand-side equations.  Three kinds exist:
 static check in order and builds the table only if all pass.  The steps it
 calls are plain building blocks: :func:`expand_variadic` expands at the
 arities it is given and :func:`build_rule_table` indexes whatever it is
-given, so tests can build ill-formed tables.
+given, so tests can build ill-formed tables.  All of them read a written
+rule's right-hand side from one walk over it, its summary
+(:attr:`Rule.summary`): name counts, the largest name id, each equation's
+ranges, variadic names and names, and every agent.
 
 Variadic rules never reach the reduction engine directly: they are expanded
 into one fixed generic rule per arity that occurs in the program, which also
@@ -33,7 +36,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import (
@@ -197,6 +201,10 @@ class Rule:
     :attr:`program` is.  Equality, hashing and ``repr`` read it too, but
     firing does not: the instance's program is stamped from the written
     rule's :attr:`template`.
+
+    The checks, the expansion and the rule table read the right-hand side
+    through :attr:`summary`, one walk over it, and the wildcard through
+    :attr:`generic`, read off the patterns once.
     """
 
     id: str
@@ -215,8 +223,9 @@ class Rule:
             assert self.instance_of is not None, "only an arity instance comes without a RHS"
             object.__delattr__(self, "rhs")
 
-    @property
+    @_built_once
     def generic(self) -> Optional[GenericPattern]:
+        """The wildcard pattern, or ``None``; read off once."""
         return self.right if isinstance(self.right, GenericPattern) else None
 
     @property
@@ -244,6 +253,12 @@ class Rule:
         return RhsProgram(self)
 
     @_built_once
+    def summary(self) -> tuple:
+        """The right-hand side walked once, the first time it is read; the
+        checks, the expansion and the rule table read it (:func:`_summary`)."""
+        return _summary(self)
+
+    @_built_once
     def template(self) -> tuple:
         """The written right-hand side as template ops, walked once the
         first time it is read; every program stamped from this rule reads
@@ -251,36 +266,60 @@ class Rule:
         return _template(self)
 
 
-def _eq_parts(eq: RuleEquation) -> list[RhsTerm]:
-    """Both sides of ``eq`` and all their subterms, in preorder, the left
-    side first: one iterative walk, so depth is unbounded, whose list the
-    checks and the expansion read instead of walking again."""
-    parts: list[RhsTerm] = []
-    stack = [eq.right, eq.left]
-    while stack:
-        u = stack.pop()
-        parts.append(u)
-        if isinstance(u, RAgent) and u.args:
-            stack.extend(u.args[::-1])
-    return parts
+_ID = attrgetter("id")
 
 
-def _names(parts: list[RhsTerm]) -> list[Name]:
-    return [u for u in parts if isinstance(u, Name)]
+def _summary(rule: Rule) -> tuple[dict[int, int], int, tuple, list[RAgent]]:
+    """What the checks, the expansion and the rule table read of the
+    right-hand side of ``rule``, from one walk in preorder, the left side of
+    each equation first, on an explicit stack, so depth is unbounded.  Read
+    it as :attr:`Rule.summary`: ``(counts, max_id, eqs, agents)``.
+
+    * ``counts``: the occurrences of each name id, in first-seen order;
+    * ``max_id``: the largest name id, the parameters' included;
+    * ``eqs``: per equation, its ranges, its variadic names and its names;
+    * ``agents``: every agent, for its head, argument count and range tail.
+    """
+    counts: dict[int, int] = {}
+    top = -1
+    for p in rule.params:
+        if p.id > top:
+            top = p.id
+    eqs = []
+    agents: list[RAgent] = []
+    for eq in rule.rhs:
+        names: list[Name] = []
+        ranges: list[str] = []
+        varnames: list[str] = []
+        todo = [eq.right, eq.left]
+        while todo:
+            u = todo.pop()
+            cls = u.__class__
+            if cls is Name:
+                names.append(u)
+                i = u.id
+                c = counts.get(i)
+                if c is None:
+                    counts[i] = 1
+                    if i > top:
+                        top = i
+                else:
+                    counts[i] = c + 1
+            elif cls is RAgent:
+                agents.append(u)
+                if u.range_tail is not None:
+                    ranges.append(u.range_tail)
+                if u.args:
+                    todo.extend(u.args[::-1])
+            else:
+                varnames.append(u.range_name)
+        eqs.append((ranges, varnames, names))
+    return counts, top, tuple(eqs), agents
 
 
-def _ranges(parts: list[RhsTerm]) -> list[str]:
-    """The ranges spliced into the agents among ``parts``."""
-    return [u.range_tail for u in parts if isinstance(u, RAgent) and u.range_tail is not None]
-
-
-def _varnames(parts: list[RhsTerm]) -> list[str]:
-    """The ranges of the variadic names among ``parts``."""
-    return [u.range_name for u in parts if isinstance(u, VarName)]
-
-
-def _eq_names(eq: RuleEquation) -> list[Name]:
-    return _names(_eq_parts(eq))
+def _first(names: Iterable[Name], name_id: int) -> Name:
+    """The first of ``names`` with id ``name_id``: the one a message shows."""
+    return next(n for n in names if n.id == name_id)
 
 
 # ---------------------------------------------------------------------------
@@ -304,23 +343,23 @@ _LOCAL, _VAR, _OPEN, _SHUT = range(4)
 
 def _template(rule: Rule) -> tuple[tuple[bool, tuple], ...]:
     """The written right-hand side of ``rule`` as template ops, one entry
-    per equation: whether a variadic name replicates it, and its ops, the
-    left side's before the right's, depth first, each agent's arguments
-    before its close.  Read it as :attr:`Rule.template`."""
+    per equation: whether a variadic name replicates it, as its summary
+    says (:attr:`Rule.summary`), and its ops, the left side's before the
+    right's, depth first, each agent's arguments before its close.  Read it
+    as :attr:`Rule.template`."""
+    params = {p.id for p in rule.params}
     out = []
-    for eq in rule.rhs:
+    for eq, (_, replicated, _) in zip(rule.rhs, rule.summary[2]):
         ops: list = []
-        replicated = False
         for t in (eq.left, eq.right):
             todo: list = [t]  # terms to read; a tuple closes an agent
             while todo:
                 u = todo.pop()
                 cls = u.__class__
                 if cls is Name:
-                    ops.append(u)
+                    ops.append((_LOCAL, u, None, None) if replicated and u.id not in params else u)
                 elif cls is VarName:
                     ops.append((_VAR, u.range_name, None, None))
-                    replicated = True
                 elif cls is RAgent:
                     opened = -1
                     if u.head.__class__ is GenericRef or u.range_tail is not None:
@@ -334,13 +373,7 @@ def _template(rule: Rule) -> tuple[tuple[bool, tuple], ...]:
                     ops.append((_SHUT, None if wild else u.head, len(u.args), u.range_tail))
                     if opened >= 0:
                         ops[opened] = (_OPEN, wild, u.range_tail, len(ops) - opened - 1)
-        if replicated:  # rare: a second pass keeps the common walk lean
-            params = {p.id for p in rule.params}
-            ops = [
-                (_LOCAL, op, None, None) if op.__class__ is Name and op.id not in params else op
-                for op in ops
-            ]
-        out.append((replicated, tuple(ops)))
+        out.append((bool(replicated), tuple(ops)))
     return tuple(out)
 
 
@@ -519,7 +552,8 @@ def validate_linearity(rule: Rule) -> list[Diagnostic]:
     Every left-hand parameter must be used exactly once on the right, every
     other right-hand name exactly twice; ranges and variadic names follow the
     same discipline (a left-hand range is a parameter, a right-hand-only
-    range is an internal wire bundle).
+    range is an internal wire bundle).  It reads :attr:`Rule.summary`, and
+    reports names by id, each as its first occurrence shows it.
     """
     diags: list[Diagnostic] = []
 
@@ -527,90 +561,91 @@ def validate_linearity(rule: Rule) -> list[Diagnostic]:
         diags.append(Diagnostic("error", code, f"rule {rule.id}: {message}"))
 
     params = rule.params
-    for name, count in Counter(params).items():
-        if count > 1:
-            err("E_LIN_DUP", f"parameter {name.display} bound more than once in the LHS")
+    param_ids = {p.id for p in params}
+    if len(param_ids) < len(params):
+        for i, count in Counter(map(_ID, params)).items():
+            if count > 1:
+                shown = _first(params, i).display
+                err("E_LIN_DUP", f"parameter {shown} bound more than once in the LHS")
 
-    param_set = set(params)
-    parts = [_eq_parts(eq) for eq in rule.rhs]
-    name_count = Counter(n for ps in parts for n in _names(ps))
-
+    counts, _, eqs, agents = rule.summary
     for p in params:
-        c = name_count.get(p, 0)
+        c = counts.get(p.id, 0)
         if c == 0:
             err("E_LIN_ERASED", f"LHS parameter {p.display} is never used in the RHS")
         elif c > 1:
             err("E_LIN_DUP", f"LHS parameter {p.display} used {c} times in the RHS")
-    for n, c in name_count.items():
-        if n in param_set:
+    for i, c in counts.items():
+        if c == 2 or i in param_ids:
             continue
+        shown = _first(chain.from_iterable(names for _, _, names in eqs), i).display
         if c == 1:
-            err("E_LIN_ERASED", f"name {n.display} occurs only once in the RHS (dangling wire)")
-        elif c > 2:
-            err("E_LIN_DUP", f"name {n.display} occurs {c} times in the RHS")
+            err("E_LIN_ERASED", f"name {shown} occurs only once in the RHS (dangling wire)")
+        else:
+            err("E_LIN_DUP", f"name {shown} occurs {c} times in the RHS")
 
     # Agents: a generic occurrence must agree with the LHS wildcard shape,
     # a concrete one with its symbol.
     g = rule.generic
-    for ps in parts:
-        for part in ps:
-            if not isinstance(part, RAgent):
-                continue
-            head, n = part.head, len(part.args)
-            if isinstance(head, GenericRef):
-                if g is None:
-                    err("E_STRAY_GENERIC", "generic agent in the RHS of a non-generic rule")
-                elif g.is_variadic and part.range_tail is None:
-                    err("E_GEN_ARITY", "generic occurrence in a variadic rule must carry the range")
-                elif not g.is_variadic and part.range_tail is not None:
-                    err("E_GEN_ARITY", "range on a generic occurrence of a fixed-generic rule")
-                elif n != len(g.fixed_params) and g.is_variadic:
-                    err(
-                        "E_GEN_ARITY",
-                        f"generic occurrence has {n} fixed argument(s), "
-                        f"LHS declares {len(g.fixed_params)}",
-                    )
-                elif n != len(g.fixed_params):
-                    err(
-                        "E_GEN_ARITY",
-                        f"generic occurrence has {n} argument(s), expected {len(g.fixed_params)}",
-                    )
-            elif part.range_tail is not None:
-                # A range stands for the partner's remaining ports, so its
-                # width varies with the match; a concrete agent cannot
-                # absorb that.
-                err("E_RANGE_CONCRETE", f"range argument on concrete agent {head.name}")
-            elif n != head.arity:
+    for part in agents:
+        head, n = part.head, len(part.args)
+        if head.__class__ is GenericRef:
+            if g is None:
+                err("E_STRAY_GENERIC", "generic agent in the RHS of a non-generic rule")
+            elif g.is_variadic and part.range_tail is None:
+                err("E_GEN_ARITY", "generic occurrence in a variadic rule must carry the range")
+            elif not g.is_variadic and part.range_tail is not None:
+                err("E_GEN_ARITY", "range on a generic occurrence of a fixed-generic rule")
+            elif n != len(g.fixed_params) and g.is_variadic:
                 err(
-                    "E_ARITY_CONFLICT",
-                    f"agent {head.name}/{head.arity} applied to {n} argument(s)",
+                    "E_GEN_ARITY",
+                    f"generic occurrence has {n} fixed argument(s), "
+                    f"LHS declares {len(g.fixed_params)}",
                 )
+            elif n != len(g.fixed_params):
+                err(
+                    "E_GEN_ARITY",
+                    f"generic occurrence has {n} argument(s), expected {len(g.fixed_params)}",
+                )
+        elif part.range_tail is not None:
+            # A range stands for the partner's remaining ports, so its
+            # width varies with the match; a concrete agent cannot
+            # absorb that.
+            err("E_RANGE_CONCRETE", f"range argument on concrete agent {head.name}")
+        elif n != head.arity:
+            err(
+                "E_ARITY_CONFLICT",
+                f"agent {head.name}/{head.arity} applied to {n} argument(s)",
+            )
 
     # Ranges and variadic names.
     variadic = g is not None and g.is_variadic
     lhs_range = g.range_name if variadic else None
-    range_count: Counter = Counter()
-    for ps in parts:
-        ranges = _ranges(ps)
-        varnames = _varnames(ps)
-        range_count.update(ranges)
-        range_count.update(varnames)
+    range_count: dict[str, int] = {}
+    for ranges, varnames, names in eqs:
+        if not (ranges or varnames):
+            continue
+        for rng in ranges + varnames:
+            range_count[rng] = range_count.get(rng, 0) + 1
         if ranges and varnames:
             err("E_MIXED", "an equation may not contain both a range and a variadic name")
-        if not variadic and (ranges or varnames):
+        if not variadic:
             err("E_STRAY_VARIADIC", "range or variadic name in a non-variadic rule")
         if varnames:
             # A replicated equation is instantiated once per covered port, so
             # a plain name may not wire it to the rest of the rule and the
             # LHS parameters may not be captured by every copy.
-            local = Counter(_names(ps))
-            for n, c in local.items():
-                if n in param_set:
-                    err("E_VN_SPAN", f"parameter {n.display} inside a replicated equation")
-                elif name_count[n] != c or c != 2:
+            local: dict[int, int] = {}
+            for n in names:
+                local[n.id] = local.get(n.id, 0) + 1
+            for i, c in local.items():
+                shown = _first(names, i).display
+                if i in param_ids:
+                    err("E_VN_SPAN", f"parameter {shown} inside a replicated equation")
+                elif counts[i] != c or c != 2:
                     err(
                         "E_VN_SPAN",
-                        f"name {n.display} is shared between a replicated equation and the rest of the rule",
+                        f"name {shown} is shared between a replicated equation and the rest of the rule",
                     )
 
     for rng, c in range_count.items():
@@ -622,7 +657,7 @@ def validate_linearity(rule: Rule) -> list[Diagnostic]:
                 err("E_LIN_ERASED", f"range [{rng}] occurs only once in the RHS (dangling bundle)")
             elif c > 2:
                 err("E_LIN_DUP", f"range [{rng}] occurs {c} times in the RHS")
-    if variadic and lhs_range is not None and range_count.get(lhs_range, 0) == 0:
+    if variadic and range_count.get(lhs_range, 0) == 0:
         err("E_LIN_ERASED", f"LHS range [{lhs_range}] is never used in the RHS")
 
     return diags
@@ -670,14 +705,9 @@ def check_no_ambiguity(rules: Sequence[Rule]) -> list[Diagnostic]:
         a, b = rule.left.symbol.name, rule.right.symbol.name
         key = _pair_key(a, b)
         if key in seen_pairs:
-            diags.append(
-                Diagnostic(
-                    "error",
-                    "E_DUP_PAIR",
-                    f"rules {seen_pairs[key].id} and {rule.id} both rewrite the pair "
-                    f"({key[0]}, {key[1]})",
-                )
-            )
+            message = (f"rules {seen_pairs[key].id} and {rule.id} both rewrite the pair "
+                       f"({key[0]}, {key[1]})")
+            diags.append(Diagnostic("error", "E_DUP_PAIR", message))
         else:
             seen_pairs[key] = rule
         if a == b:
@@ -686,14 +716,9 @@ def check_no_ambiguity(rules: Sequence[Rule]) -> list[Diagnostic]:
             except NetError:
                 continue  # nonlinear rule; validate_linearity reports it
             if not symmetric:
-                diags.append(
-                    Diagnostic(
-                        "error",
-                        "E_SELF_ASYM",
-                        f"rule {rule.id}: self rule on {a} is not invariant under "
-                        f"swapping its two parameter vectors",
-                    )
-                )
+                message = (f"rule {rule.id}: self rule on {a} is not invariant under "
+                           f"swapping its two parameter vectors")
+                diags.append(Diagnostic("error", "E_SELF_ASYM", message))
 
     generics = [(r, r.generic) for r in rules if r.generic is not None]
     for (r1, g1), (r2, g2) in combinations(generics, 2):
@@ -704,14 +729,8 @@ def check_no_ambiguity(rules: Sequence[Rule]) -> list[Diagnostic]:
         # one of them is a fixed slot for a smaller arity.
         top = max(len(g1.fixed_params), len(g2.fixed_params))
         if all(g.is_variadic or len(g.fixed_params) == top for g in (g1, g2)):
-            diags.append(
-                Diagnostic(
-                    "error",
-                    "E_DUP_GENERIC",
-                    f"rules {r1.id} and {r2.id} occupy the same generic slot for "
-                    f"symbol {symbol}",
-                )
-            )
+            message = f"rules {r1.id} and {r2.id} occupy the same generic slot for symbol {symbol}"
+            diags.append(Diagnostic("error", "E_DUP_GENERIC", message))
     return diags
 
 
@@ -720,8 +739,7 @@ def check_no_ambiguity(rules: Sequence[Rule]) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 def _rule_max_name_id(rule: Rule) -> int:
-    names = [*rule.params, *(n for eq in rule.rhs for n in _eq_names(eq))]
-    return max((n.id for n in names), default=-1)
+    return rule.summary[1]
 
 
 def expand_variadic(rule: Rule, arities: Iterable[int]) -> list[Rule]:
@@ -817,13 +835,12 @@ def _expand_at(rule: Rule) -> tuple[RuleEquation, ...]:
                 frames[-1][2].append(out)
 
     new_rhs: list[RuleEquation] = []
-    for eq in src.rhs:
-        parts = _eq_parts(eq)
+    for eq, (_, varnames, eq_names) in zip(src.rhs, src.summary[2]):
         # In reading order, so that ranges first read here draw their names
         # in an order that does not depend on string hashing.
-        vns = dict.fromkeys(_varnames(parts))
+        vns = dict.fromkeys(varnames)
         if vns:
-            local = [n for n in dict.fromkeys(_names(parts)) if n not in params]
+            local = [n for n in dict.fromkeys(eq_names) if n not in params]
             for i in range(m):
                 vn_map = {r: vector(r)[i] for r in vns}
                 names = {n: supply.fresh(n.display) for n in local}
@@ -846,21 +863,17 @@ def _instance_max_name_id(rule: Rule) -> int:
     rule's names outside its replicated equations.
     """
     src, g, lhs_ports = _instance_parts(rule)
-    params = set(src.params)
-    kept = [n.id for n in params]
+    _, _, eqs, _ = src.summary
+    if not lhs_ports:
+        kept = [n.id for _, varnames, names in eqs if not varnames for n in names]
+        return max([*map(_ID, src.params), *kept], default=-1)
+    params = set(map(_ID, src.params))
     ranges: set[str] = set()
     per_port = 0
-    for eq in src.rhs:
-        parts = _eq_parts(eq)
-        vns = set(_varnames(parts))
-        ranges |= vns
-        ranges.update(_ranges(parts))
-        if vns:
-            per_port += len(set(_names(parts)) - params)
-        else:
-            kept.extend(n.id for n in _names(parts))
-    if not lhs_ports:
-        return max(kept, default=-1)
+    for rngs, varnames, names in eqs:
+        ranges.update(rngs, varnames)
+        if varnames:
+            per_port += len(set(map(_ID, names)) - params)
     ranges.discard(g.range_name)
     return lhs_ports[-1].id + len(lhs_ports) * (len(ranges) + per_port)
 
@@ -884,41 +897,26 @@ def check_grc(rules: Sequence[Rule]) -> list[Diagnostic]:
         if isinstance(r.right, OrdinaryPattern):
             ordinary_pairs.add(_pair_key(r.left.symbol.name, r.right.symbol.name))
 
-    generics = [r for r in rules if r.generic is not None]
-    for r in generics:
-        g = r.generic
-        assert g is not None
+    generics = [(r, r.generic) for r in rules if r.generic is not None]
+    for r, g in generics:
         if r.left.symbol.arity == len(g.fixed_params):
-            diags.append(
-                Diagnostic(
-                    "warning",
-                    "W_SELF_GENERIC",
-                    f"rule {r.id} can match its own symbol pair "
-                    f"({r.left.symbol.name}, {r.left.symbol.name}); the two-probe "
-                    f"lookup order makes the binding deterministic",
-                )
-            )
-    for r1, r2 in combinations(generics, 2):
-        a_sym = r1.left.symbol
-        b_sym = r2.left.symbol
-        g1 = r1.generic
-        g2 = r2.generic
-        assert g1 is not None and g2 is not None
+            a = r.left.symbol.name
+            message = (f"rule {r.id} can match its own symbol pair ({a}, {a}); "
+                       f"the two-probe lookup order makes the binding deterministic")
+            diags.append(Diagnostic("warning", "W_SELF_GENERIC", message))
+    for (r1, g1), (r2, g2) in combinations(generics, 2):
+        a_sym, b_sym = r1.left.symbol, r2.left.symbol
         m, n = len(g1.fixed_params), len(g2.fixed_params)
         if (a_sym.name, m) == (b_sym.name, n):
             continue  # identical slot: reported as E_DUP_GENERIC elsewhere
         if a_sym.arity == n and b_sym.arity == m:
             if _pair_key(a_sym.name, b_sym.name) not in ordinary_pairs:
-                diags.append(
-                    Diagnostic(
-                        "error",
-                        "E_GRC_OVERLAP",
-                        f"generic rules {r1.id} ({a_sym.name} >< {g1.generic_name}/{m}) "
-                        f"and {r2.id} ({b_sym.name} >< {g2.generic_name}/{n}) both match "
-                        f"the active pair ({a_sym.name}, {b_sym.name}) and no ordinary "
-                        f"rule covers it",
-                    )
+                message = (
+                    f"generic rules {r1.id} ({a_sym.name} >< {g1.generic_name}/{m}) "
+                    f"and {r2.id} ({b_sym.name} >< {g2.generic_name}/{n}) both match the "
+                    f"active pair ({a_sym.name}, {b_sym.name}) and no ordinary rule covers it"
                 )
+                diags.append(Diagnostic("error", "E_GRC_OVERLAP", message))
     return diags
 
 
@@ -1078,13 +1076,8 @@ def analyze_rules(
     arities = {s.arity for s in symbols}
     top = max(arities, default=0)
     if top > arity_cap and any(r.kind is RuleKind.VARIADIC for r in rules):
-        diags.append(
-            Diagnostic(
-                "error",
-                "E_EXPAND_OVERFLOW",
-                f"maximum arity {top} exceeds the expansion cap {arity_cap}",
-            )
-        )
+        message = f"maximum arity {top} exceeds the expansion cap {arity_cap}"
+        diags.append(Diagnostic("error", "E_EXPAND_OVERFLOW", message))
         return Analysis(diags, [], None)
     ks = range(top + 1) if all_arities else arities
     expanded = [x for r in rules for x in expand_variadic(r, ks)]

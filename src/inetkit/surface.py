@@ -40,7 +40,6 @@ from .rules import (
     Span,
     Symbol,
     VarName,
-    _eq_names,
     errors_in,
 )
 
@@ -62,62 +61,65 @@ _TOKEN = re.compile(
     r"(?:(><|=>|[()\[\],;~|'/<>])|([A-Za-z_]\w*)|(\d+)|(\w+|.)|\Z)",
     re.S,
 )
-_KIND = (None, "op", "ident", "nat")  # by group; group 4 goes through _scan
+_KIND = (None, "op", "ident", "nat")  # by group; group 4 goes through _pieces
 
 
 class _Tokens:
     """``text`` cut into tokens, as parallel lists of ``kinds`` ("ident",
-    "nat", "op" or "eof"), ``texts`` and start offsets; characters that
-    start no token are reported in ``diags``."""
+    "nat", "op" or "eof") and ``texts``; characters that start no token are
+    reported in ``diags``.  Start offsets are kept only for the tokens that
+    open an item, the first and each right after a ``;``: outside a
+    diagnostic, no other token's span is read.  :meth:`start` finds any
+    other by cutting the text again, once."""
 
     def __init__(self, text: str):
         self.text = text
         self.kinds: list[str] = []
         self.texts: list[str] = []
-        self.starts: list[int] = []
         self.diags: list[Diagnostic] = []
         self._newlines: Optional[list[int]] = None
-        kinds, texts, starts = self.kinds, self.texts, self.starts
+        self._every: Optional[list[int]] = None  # every token's start, once another is asked for
+        # By token index: the starts of the tokens that open an item, and of "eof".
+        self._starts: dict[int, int] = {}
+        kinds, texts, starts = self.kinds, self.texts, self._starts
+        opens = True  # the next token opens an item
         for m in _TOKEN.finditer(text):
             group = m.lastindex
             if group is None:  # end of input
                 break
             if group < 4:
+                if opens:
+                    starts[len(texts)] = m.start(group)
+                token = m[group]
+                opens = token == ";"
                 kinds.append(_KIND[group])
-                texts.append(m[group])
-                starts.append(m.start(group))
-            else:
-                self._scan(m[group], m.start(group))
+                texts.append(token)
+                continue
+            for kind, token, offset in _pieces(m):
+                if kind is None:
+                    message = f"unexpected character {token!r}"
+                    self.diags.append(Diagnostic("error", "E_PARSE", message, self.span(offset)))
+                    continue
+                if opens:
+                    starts[len(texts)] = offset
+                opens = False
+                kinds.append(kind)
+                texts.append(token)
         # A comment does not advance the column, so input ending in a comment
         # ends where that comment starts.
         comment = text.find("#", text.rfind("\n") + 1)
+        starts[len(texts)] = len(text) if comment < 0 else comment
         kinds.append("eof")
         texts.append("")
-        starts.append(len(text) if comment < 0 else comment)
 
-    def _scan(self, chunk: str, start: int) -> None:
-        """Tokens of a run of word characters whose first is not ASCII, or of
-        one character that starts no token, taken a character at a time."""
-        i = 0
-        while i < len(chunk) and not (chunk[i].isalpha() or chunk[i] == "_"):
-            j = i + 1
-            if chunk[i].isdecimal():
-                while j < len(chunk) and chunk[j].isdecimal():
-                    j += 1
-                self.kinds.append("nat")
-                self.texts.append(chunk[i:j])
-                self.starts.append(start + i)
-            else:
-                self.diags.append(
-                    Diagnostic(
-                        "error", "E_PARSE", f"unexpected character {chunk[i]!r}", self.span(start + i)
-                    )
-                )
-            i = j
-        if i < len(chunk):
-            self.kinds.append("ident")
-            self.texts.append(chunk[i:])
-            self.starts.append(start + i)
+    def start(self, at: int) -> int:
+        """The offset at which token ``at`` starts."""
+        if at in self._starts:
+            return self._starts[at]
+        if self._every is None:
+            found = (_pieces(m) for m in _TOKEN.finditer(self.text) if m.lastindex)
+            self._every = [offset for pieces in found for kind, _, offset in pieces if kind]
+        return self._every[at]
 
     def span(self, offset: int) -> Span:
         """Line and column of ``offset``; both count from 1."""
@@ -128,6 +130,32 @@ class _Tokens:
         return Span(line + 1, offset - line_start + 1)
 
 
+def _pieces(m: re.Match) -> list[tuple[Optional[str], str, int]]:
+    """The tokens of the match ``m`` of :data:`_TOKEN`, as (kind, text,
+    offset); the kind is None for a character that starts no token.  A run
+    of word characters whose first is not ASCII, or one character that
+    starts no token, is taken a character at a time."""
+    group = m.lastindex
+    start = m.start(group)
+    if group < 4:
+        return [(_KIND[group], m[group], start)]
+    chunk = m[group]
+    out: list[tuple[Optional[str], str, int]] = []
+    i = 0
+    while i < len(chunk) and not (chunk[i].isalpha() or chunk[i] == "_"):
+        j = i + 1
+        if chunk[i].isdecimal():
+            while j < len(chunk) and chunk[j].isdecimal():
+                j += 1
+            out.append(("nat", chunk[i:j], start + i))
+        else:
+            out.append((None, chunk[i], start + i))
+        i = j
+    if i < len(chunk):
+        out.append(("ident", chunk[i:], start + i))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -135,9 +163,10 @@ class _Tokens:
 # The parser builds typed terms as it reads: ``Agent``s and ``Equation``s in
 # nets, patterns, ``RAgent``s and ``RuleEquation``s in rules.  An agent gets
 # the symbol of the arity it is written with; ``parse_program`` settles the
-# program's symbols once every item is read.  While parsing, every agent used
-# without a range tail is recorded in preorder as (symbol, arity, at), ``at``
-# being the index of its head's token.
+# program's symbols once every item is read.  While parsing, each symbol and
+# arity that an agent without a range tail is written at is recorded once per
+# item, with ``at``, the index of the head token of its first use in reading
+# order; then once for the declarations, once for the rules and once per net.
 #
 # Each rule draws its name ids from where the rules before it stopped: its
 # concrete pattern's parameters first, then the other pattern's, then the
@@ -158,19 +187,17 @@ class _Parser:
         self.texts = tokens.texts
         self.pos = 0
         self.diags = tokens.diags
-        self.decls: list[tuple[str, int, int]] = []
         # Per rule: its patterns, right-hand side, span and the concrete
         # agents of its right-hand side with their head tokens.  Per net:
         # the configuration (None if it holds what nets forbid), its span,
         # the id of its first name, its names and its agent uses.
         self.rules: list[tuple] = []
         self.nets: list[tuple] = []
-        # Agent uses (symbol, arity, at): of the item being parsed, with None
-        # for agents that turned out to have a range tail, and of the rules
-        # and nets parsed so far.
-        self.uses: list[Optional[tuple[str, int, int]]] = []
-        self.rule_uses: list[tuple[str, int, int]] = []
-        self.net_uses: list[tuple[str, int, int]] = []
+        # Agent uses, the first ``at`` by (symbol, arity): of the
+        # declarations, of the item being parsed and of the rules so far.
+        self.decls: dict[tuple[str, int], int] = {}
+        self.uses: dict[tuple[str, int], int] = {}
+        self.rule_uses: dict[tuple[str, int], int] = {}
         self.interned: dict[tuple[str, int], Symbol] = {}
         self.next_id = 0  # of the first name of the next rule
         # Of the item being parsed: names by identifier, where they are
@@ -184,7 +211,7 @@ class _Parser:
     # -- token helpers ------------------------------------------------------
 
     def span(self, at: int) -> Span:
-        return self.tokens.span(self.tokens.starts[at])
+        return self.tokens.span(self.tokens.start(at))
 
     def take(self) -> int:
         at = self.pos
@@ -218,9 +245,6 @@ class _Parser:
             if self.texts[self.take()] == ";":
                 return
 
-    def item_uses(self) -> list[tuple[str, int, int]]:
-        return [u for u in self.uses if u is not None]
-
     # -- typed construction -------------------------------------------------
 
     def begin_item(self) -> None:
@@ -235,25 +259,28 @@ class _Parser:
             name = self.scope[ident] = self.supply.fresh(ident)
         return name
 
-    def symbol(self, ident: str, arity: int) -> Symbol:
-        """One shared ``Symbol`` per symbol and arity."""
-        sym = self.interned.get((ident, arity))
+    def symbol(self, key: tuple[str, int]) -> Symbol:
+        """One shared ``Symbol`` per (symbol, arity) ``key``."""
+        sym = self.interned.get(key)
         if sym is None:
-            sym = self.interned[ident, arity] = Symbol(ident, arity)
+            sym = self.interned[key] = Symbol(*key)
         return sym
 
-    def agent(self, head: int, args: tuple, range_tail: Optional[str], rhs: bool, slot: int):
-        """The agent headed by token ``head``: an ``RAgent`` in a rule's
-        right-hand side, else an ``Agent``.  Its use goes into ``slot`` of
-        ``self.uses``."""
+    def agent(self, head: int, args: tuple, range_tail: Optional[str], rhs: bool):
+        """The agent headed by token ``head``, made once its arguments are
+        read: an ``RAgent`` in a rule's right-hand side, else an ``Agent``."""
         text = self.texts[head]
+        key = (text, len(args))
         if text == GENERIC_KEYWORD:
             if rhs:
                 return RAgent(_WILDCARD, args, range_tail)
             self._not_allowed(f"{GENERIC_KEYWORD} is not allowed here", head)
         elif range_tail is None:
-            self.uses[slot] = (text, len(args), head)
-        sym = self.symbol(text, len(args))
+            # An agent is made after the agents inside it: keep the use read first.
+            at = self.uses.get(key)
+            if at is None or head < at:
+                self.uses[key] = head
+        sym = self.symbol(key)
         if not rhs:
             return Agent(sym, args)
         # A range-tailed agent's symbol is known once the program is read.
@@ -265,7 +292,7 @@ class _Parser:
 
     def parse_program(self) -> None:
         while self.kinds[self.pos] != "eof":
-            self.uses = []
+            self.uses = {}
             try:
                 self.parse_item()
             except _ParseFail:
@@ -292,7 +319,7 @@ class _Parser:
             self.fail("expected an arity")
         arity = self.take()
         self.expect_op(";")
-        self.decls.append((self.texts[name], int(self.texts[arity]), name))
+        self.decls.setdefault((self.texts[name], int(self.texts[arity])), name)
 
     def parse_rule_decl(self) -> None:
         span = self.span(self.pos)
@@ -307,7 +334,8 @@ class _Parser:
         rhs = self.parse_eq_list(rhs=True)
         self.expect_op(";")
         self.rules.append((left, right, tuple(rhs), span, self.heads))
-        self.rule_uses += self.item_uses()
+        for key, at in self.uses.items():
+            self.rule_uses.setdefault(key, at)
         self.next_id = self.supply.next_id
 
     def parse_net_decl(self) -> None:
@@ -320,9 +348,7 @@ class _Parser:
         eqs = [] if self.at_op(";") else self.parse_eq_list(rhs=False)
         self.expect_op(";")
         config = None if self.forbidden else Configuration(interface, eqs)
-        uses = self.item_uses()
-        self.nets.append((config, span, self.next_id, self.scope, uses))
-        self.net_uses += uses
+        self.nets.append((config, span, self.next_id, self.scope, self.uses))
 
     def parse_pattern(self) -> tuple[str, list[str], Optional[str]]:
         """A pattern's symbol, parameters and range; its names are drawn
@@ -358,28 +384,22 @@ class _Parser:
                 self.take()
                 params.append(self.parse_pattern_name())
             self.expect_op(")")
-        self.uses.append((text, len(params), head))
+        self.uses.setdefault((text, len(params)), head)
         return text, params, None
 
     def pattern(self, text: str, params: list[str], range_name: Optional[str]):
         names = tuple(self.name(p) for p in params)
         if text == GENERIC_KEYWORD:
             return GenericPattern(GENERIC_KEYWORD, names, range_name)
-        return OrdinaryPattern(self.symbol(text, len(names)), names)
+        return OrdinaryPattern(self.symbol((text, len(names))), names)
 
     def parse_pattern_name(self) -> str:
         if not self.at_name():
             self.fail("expected a name (lowercase-initial) as a pattern parameter")
         name = self.texts[self.take()]
         if self.at_op("'"):
-            self.diags.append(
-                Diagnostic(
-                    "error",
-                    "E_VN_IN_LHS",
-                    "variadic names may only appear in a rule right-hand side",
-                    self.span(self.take()),
-                )
-            )
+            message = "variadic names may only appear in a rule right-hand side"
+            self.diags.append(Diagnostic("error", "E_VN_IN_LHS", message, self.span(self.take())))
         return name
 
     def parse_list(self, item: Callable[[], object], end: Optional[str]) -> list:
@@ -409,10 +429,10 @@ class _Parser:
     def parse_term(self, rhs: bool) -> Union[Term, RhsTerm]:
         """A right-hand-side term with ``rhs``, else a net term."""
         # Agents whose argument lists are open wait on a stack, each as
-        # [head, arguments so far, slot in self.uses], so term depth is not
-        # bounded by the interpreter's recursion limit.  The position lives
-        # in a local and is stored back before any call that reads it.
-        kinds, texts, uses, scope = self.kinds, self.texts, self.uses, self.scope
+        # [head, arguments so far], so term depth is not bounded by the
+        # interpreter's recursion limit.  The position lives in a local and
+        # is stored back before any call that reads it.
+        kinds, texts, scope = self.kinds, self.texts, self.scope
         pos = self.pos
         open_agents: list[list] = []
         while True:
@@ -434,11 +454,9 @@ class _Parser:
                     term = scope.get(text) or self.name(text)
             elif texts[pos] == "(":
                 pos += 1
-                open_agents.append([head, [], len(uses)])
-                uses.append(None)
+                open_agents.append([head, []])
             else:
-                uses.append(None)
-                term = self.agent(head, (), None, rhs, len(uses) - 1)
+                term = self.agent(head, (), None, rhs)
             # Hand finished terms to their agents until an argument is due.
             while True:
                 if term is not None:
@@ -456,7 +474,7 @@ class _Parser:
                 elif texts[pos] != ")" and texts[pos] != "[":
                     break
                 # Close the innermost agent, after its range tail if it has one.
-                head, args, slot = open_agents.pop()
+                head, args = open_agents.pop()
                 range_tail = None
                 if texts[pos] == "[":
                     self.pos = pos
@@ -465,7 +483,7 @@ class _Parser:
                     if texts[pos] != ")":
                         self.fail("expected ')'")
                 pos += 1
-                term = self.agent(head, tuple(args), range_tail, rhs, slot)
+                term = self.agent(head, tuple(args), range_tail, rhs)
 
     def _not_allowed(self, message: str, at: int) -> None:
         self.forbidden = True
@@ -491,14 +509,8 @@ class _Parser:
         two wildcards, a pattern at another arity than its symbol's, or a
         range-tailed agent whose arity cannot be inferred."""
         if isinstance(left, GenericPattern):
-            self.diags.append(
-                Diagnostic(
-                    "error",
-                    "E_TWO_GENERIC",
-                    f"rule {rule_id}: at most one side of an active pair may be generic",
-                    span,
-                )
-            )
+            message = f"rule {rule_id}: at most one side of an active pair may be generic"
+            self.diags.append(Diagnostic("error", "E_TWO_GENERIC", message, span))
             return None
         for p in (left, right):
             if isinstance(p, OrdinaryPattern) and symbols[p.symbol.name] != p.symbol:
@@ -506,14 +518,8 @@ class _Parser:
         unknown = [at for _, at in heads if self.texts[at] not in symbols]
         if unknown:
             at = min(unknown)  # the first in reading order
-            self.diags.append(
-                Diagnostic(
-                    "error",
-                    "E_ARITY_CONFLICT",
-                    f"arity of {self.texts[at]} cannot be inferred",
-                    self.span(at),
-                )
-            )
+            message = f"arity of {self.texts[at]} cannot be inferred"
+            self.diags.append(Diagnostic("error", "E_ARITY_CONFLICT", message, self.span(at)))
             return None
         # Right-hand-side agents take the program's symbol, even where they
         # are written at a conflicting arity.  Only such agents and those
@@ -526,10 +532,10 @@ class _Parser:
 
     def finish_net(self, symbols: dict[str, Symbol], config: Optional[Configuration],
                    span: Span, start: int, scope: dict[str, Name],
-                   uses: list[tuple[str, int, int]]) -> Optional[Configuration]:
+                   uses: dict[tuple[str, int], int]) -> Optional[Configuration]:
         """The net, its names numbered behind every rule's; None if it
         holds a construct nets forbid or an agent at a conflicting arity."""
-        if config is None or any(symbols[ident].arity != arity for ident, arity, _ in uses):
+        if config is None or any(symbols[ident].arity != arity for ident, arity in uses):
             return None
         shift = self.next_id - start  # ids drawn by rules read after the net
         if shift:
@@ -540,24 +546,12 @@ class _Parser:
         interface_names = {n for t in config.interface for n in term_names(t)}
         for name, count in counts.items():
             if count > 2:
-                self.diags.append(
-                    Diagnostic(
-                        "error",
-                        "E_NAME_COUNT",
-                        f"name {name.display} occurs {count} times in the net "
-                        f"(at most twice allowed)",
-                        span,
-                    )
-                )
+                message = (f"name {name.display} occurs {count} times in the net "
+                           f"(at most twice allowed)")
+                self.diags.append(Diagnostic("error", "E_NAME_COUNT", message, span))
             elif count == 1 and name not in interface_names:
-                self.diags.append(
-                    Diagnostic(
-                        "warning",
-                        "W_DANGLING_NAME",
-                        f"name {name.display} occurs once outside the interface",
-                        span,
-                    )
-                )
+                message = f"name {name.display} occurs once outside the interface"
+                self.diags.append(Diagnostic("warning", "W_DANGLING_NAME", message, span))
         return config
 
 
@@ -591,21 +585,17 @@ def parse_program(text: str) -> SourceProgram:
 
     symbols: dict[str, Symbol] = {}
     by_symbol: dict[str, dict[int, int]] = {}
-    for ident, arity, at in parser.decls + parser.rule_uses + parser.net_uses:
-        by_symbol.setdefault(ident, {}).setdefault(arity, at)
+    for uses in (parser.decls, parser.rule_uses, *(net[-1] for net in parser.nets)):
+        for (ident, arity), at in uses.items():
+            by_symbol.setdefault(ident, {}).setdefault(arity, at)
     for ident in sorted(by_symbol):
         arities = sorted(by_symbol[ident])
         if len(arities) > 1:
             listed = ", ".join(str(a) for a in arities)
-            diags.append(
-                Diagnostic(
-                    "error",
-                    "E_ARITY_CONFLICT",
-                    f"symbol {ident} used with conflicting arities: {listed}",
-                    parser.span(by_symbol[ident][arities[-1]]),
-                )
-            )
-        symbols[ident] = parser.symbol(ident, arities[0])
+            message = f"symbol {ident} used with conflicting arities: {listed}"
+            at = parser.span(by_symbol[ident][arities[-1]])
+            diags.append(Diagnostic("error", "E_ARITY_CONFLICT", message, at))
+        symbols[ident] = parser.symbol((ident, arities[0]))
 
     rules: list[Rule] = []
     for idx, item in enumerate(parser.rules, start=1):
@@ -614,14 +604,8 @@ def parse_program(text: str) -> SourceProgram:
             rules.append(rule)
 
     if len(parser.nets) > 1:
-        diags.append(
-            Diagnostic(
-                "error",
-                "E_PARSE",
-                "a program may declare at most one net",
-                parser.nets[1][1],
-            )
-        )
+        message = "a program may declare at most one net"
+        diags.append(Diagnostic("error", "E_PARSE", message, parser.nets[1][1]))
     net = parser.finish_net(symbols, *parser.nets[0]) if parser.nets else None
     return SourceProgram(symbols, rules, net, NameSupply(parser.next_id), diags)
 
@@ -721,7 +705,8 @@ def parse_configuration(text: str) -> Configuration:
     if errors_in(parser.diags):
         raise ValueError("; ".join(str(d) for d in errors_in(parser.diags)))
     arities: dict[str, int] = {}
-    for ident, arity, _ in parser.item_uses():
+    uses = parser.uses
+    for ident, arity in sorted(uses, key=uses.get):  # in reading order
         if arities.setdefault(ident, arity) != arity:
             raise ValueError(f"symbol {ident} used with conflicting arities")
     return Configuration(interface, eqs)
@@ -732,7 +717,8 @@ def render_rule(rule: Rule) -> str:
     patterns print through :func:`render_term`, as the agents they match."""
     # Each equation's names from its right end: that order decides which of
     # two names with one text gets the ``_<id>`` suffix.
-    disp = _display_names([*rule.params, *(n for eq in rule.rhs for n in reversed(_eq_names(eq)))])
+    _, _, eqs, _ = rule.summary
+    disp = _display_names([*rule.params, *(n for _, _, names in eqs for n in reversed(names))])
     body = ", ".join(render_equation(eq, disp) for eq in rule.rhs)
     g = rule.generic
     left = RAgent(rule.left.symbol, rule.left.params)

@@ -7,6 +7,11 @@ mostly linear and well-arity'd, so many programs pass ``check`` and run; now
 and then a declaration is left out or gives a wrong arity, and two generic
 rules may overlap, so the static checks fire too.
 
+``variadic_program(rng)`` writes variadic rules of a shape ``program`` never
+writes: a replicated equation holding local names, and wildcards that take
+explicit arguments before their range.  ``program`` stays as it is, since
+digests over its seeds are pinned.
+
 ``soup(rng)`` writes a token soup over the grammar's alphabet plus a few
 non-ASCII letters: either tokens drawn at random or a generated program with
 tokens spliced in, dropped and swapped.
@@ -158,6 +163,34 @@ class _Writer:
                            "r", "~", j, "(", "ANY", "(", "[", "x", "]", ")", ")", ";"])
         return rng.choice(shapes) if shapes else None
 
+    def replicating_rule(self, sym: str) -> list[str]:
+        """``sym >< ANY(p.., [x])`` whose right-hand side copies the
+        partner's fixed ports through ``sym`` and sends each of ``sym``'s
+        ports a wildcard with explicit arguments before its range; the one
+        replicated equation holds ``x'``, a variadic name per port and one
+        or two local names, twice each."""
+        rng = self.rng
+        lp = self.params(sym)
+        fixed = [self.name() for _ in range(rng.randint(1, 2))]
+        x, ys = self.name(), [self.name() for _ in lp]
+        qs = [[self.name() for _ in fixed] for _ in lp]
+        body: list[str] = []
+        for a, y, q in zip(lp, ys, qs):
+            wild = ["ANY", "("] + [t for n in q for t in (n, ",")] + ["[", y, "]", ")"]
+            if rng.random() < 0.3:
+                wild = [rng.choice(self.symbols(lambda k: k == 1)), "("] + wild + [")"]
+            body += [a, "~"] + wild + [","]
+        for i, p in enumerate(fixed):
+            body += [p, "~"] + self.pattern(sym, [q[i] for q in qs]) + [","]
+        occ = self.wired([x + "'"] + [y + "'" for y in ys], rng.randint(1, 2))
+        rng.shuffle(occ)
+        left = rng.randint(1, len(occ) - 1)
+        right = len(occ) - left
+        body += self.term(occ, left) + ["~"] + self.term(occ, right) + [";"]
+        sides = [self.pattern(sym, lp), ["ANY", "("] + [t for p in fixed for t in (p, ",")] + ["[", x, "]", ")"]]
+        rng.shuffle(sides)
+        return sides[0] + ["><"] + sides[1] + ["=>"] + body
+
     def net(self) -> list[str]:
         rng = self.rng
         free = [self.name() for _ in range(rng.randint(0, 2))]
@@ -199,6 +232,24 @@ def program(rng: random.Random) -> str:
     if rng.random() < 0.2:
         text += "# trailing comment"
     return text
+
+
+def variadic_program(rng: random.Random) -> str:
+    """Declarations, one or two variadic rules (``replicating_rule``) and
+    a net: what ``program`` never writes, a local name inside a replicated
+    equation and a range behind explicit arguments."""
+    arities = {"Z": 0, "S": 1, "P": 2, "T": 3, "W": rng.randint(2, 5)}
+    heads = rng.sample(["D", "E", "Q"], rng.randint(1, 2))
+    arities.update((h, rng.randint(0, 3)) for h in heads)
+    w = _Writer(rng, arities)
+    items = [["agent", s, "/", str(a), ";"] for s, a in arities.items()]
+    items += [w.replicating_rule(h) for h in heads]
+    ports = w.params(heads[0])
+    interface = [t for i, p in enumerate(ports) for t in [","] * bool(i) + [p]]
+    items.append(["net", "("] + interface + [")", "|"] + w.pattern(heads[0], ports)
+                 + ["~"] + w.pattern("W", ["Z"] * arities["W"]) + [";"])
+    rng.shuffle(items)
+    return "".join(_join(rng, item) + rng.choice(SEPS) for item in items)
 
 
 _TOKEN = re.compile(r"\s+|#[^\n]*|><|=>|\w+|.", re.S)

@@ -72,10 +72,10 @@ def _corpus_rules():
     return [rule for name in CORPUS_NAMES for rule in expanded_rules(corpus_text(name))]
 
 
-def _generated_rules():
+def _generated_rules(make=program_gen.program):
     rules, programs, seed = [], 0, 0
     while programs < GENERATED:
-        found = expanded_rules(program_gen.program(random.Random(seed)))
+        found = expanded_rules(make(random.Random(seed)))
         seed += 1
         if found:
             rules.extend(found)
@@ -157,6 +157,16 @@ def test_program_matches_the_walk_on_generated_rules(kind):
         _check_rule(rule, kind)
 
 
+@pytest.mark.parametrize("kind", ARG_KINDS)
+def test_program_matches_the_walk_on_generated_variadic_rules(kind):
+    """Instances whose replicated equations hold local names and whose
+    wildcards take explicit arguments before their range."""
+    rules = _generated_rules(program_gen.variadic_program)
+    assert sum(r.instance_of is not None for r in rules) > 500
+    for rule in rules:
+        _check_rule(rule, kind)
+
+
 @pytest.mark.parametrize(
     "text, partner",
     [
@@ -231,15 +241,25 @@ def test_stamped_instances_match_their_expansion_on_the_corpus():
     assert _check_stamped(instances) >= 20
 
 
-def test_stamped_instances_match_their_expansion_on_generated_programs():
+def _check_stamped_generated(make) -> int:
+    """The stamped instances of the first 400 programs ``make`` writes
+    that ``analyze_rules`` accepts, checked and counted."""
     accepted, seed, count = 0, 0, 0
     while accepted < 400:
-        instances = _accepted_instances(program_gen.program(random.Random(seed)))
+        instances = _accepted_instances(make(random.Random(seed)))
         seed += 1
         if instances is not None:
             accepted += 1
             count += _check_stamped(instances)
-    assert count > 400
+    return count
+
+
+def test_stamped_instances_match_their_expansion_on_generated_programs():
+    assert _check_stamped_generated(program_gen.program) > 400
+
+
+def test_stamped_instances_match_their_expansion_on_generated_variadic_programs():
+    assert _check_stamped_generated(program_gen.variadic_program) > 1000
 
 
 def _variadic_test_programs() -> list[str]:

@@ -355,14 +355,14 @@ def test_validated_rules_have_exact_occurrence_profile():
     # every LHS parameter once, every internal wire exactly twice
     from collections import Counter
 
-    from inetkit.rules import _eq_names
+    from linearity_oracle import eq_names
 
     for name in ["addition", "dup_erase", "maybe_pick", "map"]:
         program, analysis = compile_corpus(name)
         for rule in analysis.expanded_rules:
             counts = Counter()
             for eq in rule.rhs:
-                counts.update(_eq_names(eq))
+                counts.update(eq_names(eq))
             params = set(rule.params)
             for n, c in counts.items():
                 assert c == (1 if n in params else 2), (name, rule.id, n)

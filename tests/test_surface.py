@@ -157,6 +157,58 @@ def test_arity_conflict_set_is_order_independent():
     assert len(results) == 1 and results.pop()
 
 
+# Spans read off token offsets: a diagnostic deep in a long program, and
+# the first use of a symbol at an arity, in reading order.
+
+_LONG_RULES = "".join(f"A{i}(x) >< Z => x~Éta(Z);\n" for i in range(200))
+_LONG_PAIRS = ",\n".join(f"Add(S(Z), r{i})~S(Éta)" for i in range(300))
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            "agent Éta/1; ²\n" + _LONG_RULES + "B(x) >< Z => x~S(Z, ;\n" + _LONG_RULES,
+            ["error: E_PARSE: unexpected character '²' (1:14)",
+             "error: E_PARSE: expected a term, found ';' (202:21)"],
+        ),
+        (
+            "agent Éta/0;\nnet (r) | " + _LONG_PAIRS + ",\n Add(S(Z) r)~S(Z),\n" + _LONG_PAIRS + ";",
+            ["error: E_PARSE: expected ')', found 'r' (302:11)"],
+        ),
+        # The arity-3 use of C opens before the arity-2 use inside it.
+        (
+            "agent C/2;net (C(C(Z, Z), Z, Z)) | ;",
+            ["error: E_ARITY_CONFLICT: symbol C used with conflicting arities: 2, 3 (1:16)"],
+        ),
+        # ... and before another arity-3 use inside it.
+        (
+            "agent C/2;net (C(C(Z, Z, Z), Z, Z)) | ;",
+            ["error: E_ARITY_CONFLICT: symbol C used with conflicting arities: 2, 3 (1:16)"],
+        ),
+        # A net before the rules: a rule's use comes first all the same.
+        (
+            "net (q, p) | A(q, p)~Z;\nA(r) >< Z => r~Z;\nB(x) >< Z => x~A(Z, Z);",
+            ["error: E_ARITY_CONFLICT: symbol A used with conflicting arities: 1, 2 (3:16)"],
+        ),
+        (
+            "net (q) | A(q, q)~Z; A(r) >< Z => r~Z;",
+            ["error: E_ARITY_CONFLICT: symbol A used with conflicting arities: 1, 2 (1:11)"],
+        ),
+    ],
+    ids=["rule", "net", "nested", "nested_same_arity", "net_first", "net_only"],
+)
+def test_diagnostic_spans_are_pinned(text, expected):
+    assert [str(d) for d in parse_program(text).diagnostics] == expected
+
+
+def test_parse_configuration_names_the_first_conflict_in_reading_order():
+    # B is read at arity 1, then A at 1, then B at 2: B conflicts first,
+    # though the A inside the second B closes before it.
+    with pytest.raises(ValueError, match="^symbol B used with conflicting arities$"):
+        parse_configuration("< B(A(x)) | B(x, A(y, w))~Z >")
+
+
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
