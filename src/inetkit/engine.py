@@ -123,15 +123,17 @@ Strategy = Union[Fifo, Lifo, Seeded]
 
 
 def strategy_from_spec(spec: str) -> Strategy:
-    """Parse ``fifo``, ``lifo`` or ``seed:<u64>``, the seed in ASCII decimal
-    digits and below 2**64; anything else raises :class:`ValueError`."""
+    """Parse ``fifo``, ``lifo`` or ``seed:<u64>``, the seed in at most 20
+    ASCII decimal digits and below 2**64; anything else raises
+    :class:`ValueError`.  The length is checked first, so that ``int`` never
+    meets a literal past the interpreter's digit limit."""
     if spec == "fifo":
         return Fifo()
     if spec == "lifo":
         return Lifo()
     if spec.startswith("seed:"):
         digits = spec[5:]
-        if digits.isascii() and digits.isdigit() and int(digits) < 2**64:
+        if len(digits) <= 20 and digits.isascii() and digits.isdigit() and int(digits) < 2**64:
             return Seeded(int(digits))
         raise ValueError(f"invalid seed {digits!r}: expected a decimal u64")
     raise ValueError(f"unknown strategy {spec!r}")

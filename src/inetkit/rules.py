@@ -60,21 +60,31 @@ DEFAULT_ARITY_CAP = 64
 # Diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Span:
     line: int
     col: int
+
+    def __init__(self, line: int, col: int) -> None:
+        _SPAN_LINE(self, line)
+        _SPAN_COL(self, col)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Diagnostic:
     severity: str  # "error" | "warning"
     code: str
     message: str
     span: Optional[Span] = None
+
+    def __init__(self, severity: str, code: str, message: str, span: Optional[Span] = None) -> None:
+        _DIAGNOSTIC_SEVERITY(self, severity)
+        _DIAGNOSTIC_CODE(self, code)
+        _DIAGNOSTIC_MESSAGE(self, message)
+        _DIAGNOSTIC_SPAN(self, span)
 
     def __str__(self) -> str:
         where = f" ({self.span})" if self.span else ""
@@ -89,22 +99,23 @@ def errors_in(diags: Iterable[Diagnostic]) -> list[Diagnostic]:
 # Rule shapes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class OrdinaryPattern:
     """A concrete agent pattern: symbol plus one parameter name per port."""
 
     symbol: Symbol
     params: tuple[Name, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.params) != self.symbol.arity:
+    def __init__(self, symbol: Symbol, params: tuple[Name, ...]) -> None:
+        if len(params) != symbol.arity:
             raise NetError(
-                f"pattern {self.symbol.name}/{self.symbol.arity} has "
-                f"{len(self.params)} parameter(s)"
+                f"pattern {symbol.name}/{symbol.arity} has {len(params)} parameter(s)"
             )
+        _ORDINARY_SYMBOL(self, symbol)
+        _ORDINARY_PARAMS(self, params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class GenericPattern:
     """A wildcard agent pattern.
 
@@ -118,26 +129,38 @@ class GenericPattern:
     fixed_params: tuple[Name, ...] = ()
     range_name: Optional[str] = None
 
+    def __init__(self, generic_name: str, fixed_params: tuple[Name, ...] = (),
+                 range_name: Optional[str] = None) -> None:
+        _GENERIC_NAME(self, generic_name)
+        _GENERIC_FIXED_PARAMS(self, fixed_params)
+        _GENERIC_RANGE_NAME(self, range_name)
+
     @property
     def is_variadic(self) -> bool:
         return self.range_name is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class GenericRef:
     """Occurrence of the rule's wildcard agent inside a right-hand side."""
 
     name: str
 
+    def __init__(self, name: str) -> None:
+        _GENERIC_REF_NAME(self, name)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False, slots=True)
 class VarName:
     """One arbitrary port of a range: ``x'`` stands for a single port of [x]."""
 
     range_name: str
 
+    def __init__(self, range_name: str) -> None:
+        _VAR_NAME_RANGE(self, range_name)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False, slots=True)
 class RAgent:
     """Right-hand-side agent application.
 
@@ -149,14 +172,48 @@ class RAgent:
     args: tuple["RhsTerm", ...] = ()
     range_tail: Optional[str] = None
 
+    def __init__(self, head: Union[Symbol, GenericRef], args: tuple["RhsTerm", ...] = (),
+                 range_tail: Optional[str] = None) -> None:
+        _RAGENT_HEAD(self, head)
+        _RAGENT_ARGS(self, args)
+        _RAGENT_RANGE_TAIL(self, range_tail)
+
 
 RhsTerm = Union[Name, VarName, RAgent]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class RuleEquation:
     left: RhsTerm
     right: RhsTerm
+
+    def __init__(self, left: RhsTerm, right: RhsTerm) -> None:
+        _RULE_EQUATION_LEFT(self, left)
+        _RULE_EQUATION_RIGHT(self, right)
+
+
+# Diagnostics and the rule-text records are slotted, frozen records, as
+# core's terms are.  Their __init__ methods fill the fields through these slot
+# descriptors: frozen forbids plain attribute stores, and
+# object.__setattr__ looks the field up by name on every call.
+_SPAN_LINE = Span.line.__set__
+_SPAN_COL = Span.col.__set__
+_DIAGNOSTIC_SEVERITY = Diagnostic.severity.__set__
+_DIAGNOSTIC_CODE = Diagnostic.code.__set__
+_DIAGNOSTIC_MESSAGE = Diagnostic.message.__set__
+_DIAGNOSTIC_SPAN = Diagnostic.span.__set__
+_ORDINARY_SYMBOL = OrdinaryPattern.symbol.__set__
+_ORDINARY_PARAMS = OrdinaryPattern.params.__set__
+_GENERIC_NAME = GenericPattern.generic_name.__set__
+_GENERIC_FIXED_PARAMS = GenericPattern.fixed_params.__set__
+_GENERIC_RANGE_NAME = GenericPattern.range_name.__set__
+_GENERIC_REF_NAME = GenericRef.name.__set__
+_VAR_NAME_RANGE = VarName.range_name.__set__
+_RAGENT_HEAD = RAgent.head.__set__
+_RAGENT_ARGS = RAgent.args.__set__
+_RAGENT_RANGE_TAIL = RAgent.range_tail.__set__
+_RULE_EQUATION_LEFT = RuleEquation.left.__set__
+_RULE_EQUATION_RIGHT = RuleEquation.right.__set__
 
 
 class RuleKind(str, Enum):

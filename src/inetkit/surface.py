@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -45,6 +46,9 @@ from .rules import (
 
 GENERIC_KEYWORD = "ANY"
 
+# The most digits int() reads; 0, as on Pythons before 3.10.7, for no limit.
+_int_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
 
 # ---------------------------------------------------------------------------
 # Lexer
@@ -54,34 +58,109 @@ GENERIC_KEYWORD = "ANY"
 # isalnum() characters or "_": exactly the characters of \w, so a run of \w
 # that does not start with a decimal digit is one identifier, unless its
 # first character is numeric but not decimal (such as "²").  Arities are runs
-# of decimal digits (\d), which are what int() accepts.
+# of decimal digits (\d), which are what int() accepts.  So a token's kind is
+# its first character's: an operator character, a letter or "_" (an
+# identifier), or a decimal digit (an arity); the parser reads it from there.
+#
+# Text is cut on one of two paths, which give the same tokens.  Plain text,
+# which is all the shipped and generated programs, is cut by str methods:
+# outside comments it holds only ASCII whitespace, letters, digits, "_" and
+# the operator characters; "<", ">" and "=" only inside "><" and "=>", and
+# no "=><", whose cut depends on reading from the left; and no digit run
+# that runs into a letter, such as "1a", which is a number and a name.
+# Spaced around every operator, such text splits into its tokens.  Any
+# other text goes through _TOKEN a token at a time: only that loop cuts
+# non-ASCII identifiers, reports characters that start no token, and finds
+# the offset of a token that opens no item (_Tokens.start).
 
 _TOKEN = re.compile(
     r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"  # whitespace and comments
     r"(?:(><|=>|[()\[\],;~|'/<>])|([A-Za-z_]\w*)|(\d+)|(\w+|.)|\Z)",
     re.S,
 )
-_KIND = (None, "op", "ident", "nat")  # by group; group 4 goes through _pieces
+_COMMENT = re.compile(r"#[^\n]*")
+_ITEM_END = re.compile(r";[ \t\r\n]*")  # a ";" and the space after it
+_NUMBER_NAME = re.compile(r"\b[0-9]+[A-Za-z_]")
+_OPERATORS = ("(", ")", "[", "]", ",", ";", "~", "|", "'", "/")
+# Each ASCII character's class in plain text: "a" a letter or "_", "0" a
+# digit, " " a space or an operator character, "?" any other.
+_SHAPE = str.maketrans({
+    **dict.fromkeys(map(chr, range(128)), "?"),
+    **dict.fromkeys(" \t\r\n()[],;~|'/<>=", " "),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "a"),
+    **dict.fromkeys("0123456789", "0"),
+})
+
+
+def _plain(text: str) -> Optional[str]:
+    """``text`` with its comments blanked out, if it is plain (see above),
+    else None."""
+    if "#" in text:
+        text = _COMMENT.sub(lambda comment: " " * len(comment[0]), text)
+    if not text.isascii():
+        return None
+    shape = text.translate(_SHAPE)
+    # A digit before a letter is mostly inside a name, such as "x1a".
+    if "?" in shape or "0a" in shape and _NUMBER_NAME.search(text):
+        return None
+    cuts, arrows = text.count("><"), text.count("=>")
+    if (text.count("<") != cuts or text.count("=") != arrows
+            or text.count(">") != cuts + arrows or "=><" in text):
+        return None
+    return text
 
 
 class _Tokens:
-    """``text`` cut into tokens, as parallel lists of ``kinds`` ("ident",
-    "nat", "op" or "eof") and ``texts``; characters that start no token are
-    reported in ``diags``.  Start offsets are kept only for the tokens that
-    open an item, the first and each right after a ``;``: outside a
-    diagnostic, no other token's span is read.  :meth:`start` finds any
-    other by cutting the text again, once."""
+    """``text`` cut into the token ``texts``, the last of them "" for the
+    end of input; characters that start no token are reported in
+    ``diags``.  Start offsets are kept only for the tokens that open an
+    item, the first and each right after a ``;``: outside a diagnostic, no
+    other token's span is read.  :meth:`start` finds any other by cutting
+    its item again.
+
+    Plain text (see above) is cut by str methods: spaced around every
+    operator, then split.  Any other text is cut a token at a time by
+    :data:`_TOKEN`, the one path that knows every character; it stays for
+    such text, for its diagnostics, and to find the offsets the split does
+    not record."""
 
     def __init__(self, text: str):
         self.text = text
-        self.kinds: list[str] = []
-        self.texts: list[str] = []
         self.diags: list[Diagnostic] = []
         self._newlines: Optional[list[int]] = None
-        self._every: Optional[list[int]] = None  # every token's start, once another is asked for
-        # By token index: the starts of the tokens that open an item, and of "eof".
+        # By token index: the starts of the tokens that open an item, of
+        # "eof", and of those :meth:`start` found; their indices in order.
         self._starts: dict[int, int] = {}
-        kinds, texts, starts = self.kinds, self.texts, self._starts
+        self._known: Optional[list[int]] = None
+        plain = _plain(text)
+        if plain is None:
+            self._scan(text)
+        else:
+            self._cut(plain)
+        # A comment does not advance the column, so input ending in a comment
+        # ends where that comment starts.
+        comment = text.find("#", text.rfind("\n") + 1)
+        self._starts[len(self.texts)] = len(text) if comment < 0 else comment
+        self.texts.append("")
+
+    def _cut(self, plain: str) -> None:
+        """Cut ``plain``, text as :func:`_plain` returns it."""
+        spaced = plain.replace("><", " >< ").replace("=>", " => ")
+        for op in _OPERATORS:
+            spaced = spaced.replace(op, f" {op} ")
+        self.texts = texts = spaced.split()
+        starts = self._starts
+        if texts:
+            starts[0] = len(plain) - len(plain.lstrip())
+        at = 0
+        for m in _ITEM_END.finditer(plain):
+            at = texts.index(";", at) + 1
+            starts[at] = m.end()
+
+    def _scan(self, text: str) -> None:
+        """Cut ``text`` a token at a time."""
+        self.texts = texts = []
+        starts = self._starts
         opens = True  # the next token opens an item
         for m in _TOKEN.finditer(text):
             group = m.lastindex
@@ -92,34 +171,44 @@ class _Tokens:
                     starts[len(texts)] = m.start(group)
                 token = m[group]
                 opens = token == ";"
-                kinds.append(_KIND[group])
                 texts.append(token)
                 continue
-            for kind, token, offset in _pieces(m):
-                if kind is None:
+            for is_token, token, offset in _pieces(m):
+                if not is_token:
                     message = f"unexpected character {token!r}"
                     self.diags.append(Diagnostic("error", "E_PARSE", message, self.span(offset)))
                     continue
                 if opens:
                     starts[len(texts)] = offset
                 opens = False
-                kinds.append(kind)
                 texts.append(token)
-        # A comment does not advance the column, so input ending in a comment
-        # ends where that comment starts.
-        comment = text.find("#", text.rfind("\n") + 1)
-        starts[len(texts)] = len(text) if comment < 0 else comment
-        kinds.append("eof")
-        texts.append("")
 
     def start(self, at: int) -> int:
         """The offset at which token ``at`` starts."""
-        if at in self._starts:
-            return self._starts[at]
-        if self._every is None:
-            found = (_pieces(m) for m in _TOKEN.finditer(self.text) if m.lastindex)
-            self._every = [offset for pieces in found for kind, _, offset in pieces if kind]
-        return self._every[at]
+        starts = self._starts
+        if at in starts:
+            return starts[at]
+        # Both paths cut alike, so _TOKEN cuts again from the nearest start
+        # known before ``at``.  The starts of ``at`` and of every 64th token
+        # on the way are kept, so that many diagnostics in one long item, in
+        # any order, cut it about once.
+        if self._known is None:
+            self._known = list(starts)  # in token order
+        known = self._known
+        i = bisect.bisect(known, at)
+        index = known[i - 1]
+        passed: list[int] = []
+        for m in _TOKEN.finditer(self.text, starts[index]):
+            for is_token, _, offset in _pieces(m):
+                if not is_token:
+                    continue
+                if index == at or index & 63 == 0 and index not in starts:
+                    starts[index] = offset
+                    passed.append(index)
+                    if index == at:
+                        known[i:i] = passed
+                        return offset
+                index += 1
 
     def span(self, offset: int) -> Span:
         """Line and column of ``offset``; both count from 1."""
@@ -130,29 +219,29 @@ class _Tokens:
         return Span(line + 1, offset - line_start + 1)
 
 
-def _pieces(m: re.Match) -> list[tuple[Optional[str], str, int]]:
-    """The tokens of the match ``m`` of :data:`_TOKEN`, as (kind, text,
-    offset); the kind is None for a character that starts no token.  A run
+def _pieces(m: re.Match) -> list[tuple[bool, str, int]]:
+    """The tokens of the match ``m`` of :data:`_TOKEN`, as (whether it is a
+    token, text, offset); a character that starts no token is not.  A run
     of word characters whose first is not ASCII, or one character that
     starts no token, is taken a character at a time."""
     group = m.lastindex
     start = m.start(group)
     if group < 4:
-        return [(_KIND[group], m[group], start)]
+        return [(True, m[group], start)]
     chunk = m[group]
-    out: list[tuple[Optional[str], str, int]] = []
+    out: list[tuple[bool, str, int]] = []
     i = 0
     while i < len(chunk) and not (chunk[i].isalpha() or chunk[i] == "_"):
         j = i + 1
         if chunk[i].isdecimal():
             while j < len(chunk) and chunk[j].isdecimal():
                 j += 1
-            out.append(("nat", chunk[i:j], start + i))
+            out.append((True, chunk[i:j], start + i))
         else:
-            out.append((None, chunk[i], start + i))
+            out.append((False, chunk[i], start + i))
         i = j
     if i < len(chunk):
-        out.append(("ident", chunk[i:], start + i))
+        out.append((True, chunk[i:], start + i))
     return out
 
 
@@ -183,7 +272,6 @@ _WILDCARD = GenericRef(GENERIC_KEYWORD)
 class _Parser:
     def __init__(self, tokens: _Tokens):
         self.tokens = tokens
-        self.kinds = tokens.kinds
         self.texts = tokens.texts
         self.pos = 0
         self.diags = tokens.diags
@@ -215,16 +303,21 @@ class _Parser:
 
     def take(self) -> int:
         at = self.pos
-        if self.kinds[at] != "eof":
+        if self.texts[at]:  # not at the end
             self.pos += 1
         return at
 
     def at_op(self, text: str) -> bool:
         return self.texts[self.pos] == text
 
+    def at_symbol(self) -> bool:
+        """At an uppercase-initial identifier."""
+        return self.texts[self.pos][:1].isupper()
+
     def at_name(self) -> bool:
-        """At a lowercase-initial identifier."""
-        return self.kinds[self.pos] == "ident" and not self.texts[self.pos][0].isupper()
+        """At an identifier that is not uppercase-initial."""
+        first = self.texts[self.pos][:1]
+        return first == "_" or first.isalpha() and not first.isupper()
 
     def expect_op(self, text: str) -> int:
         if self.texts[self.pos] == text:
@@ -240,7 +333,7 @@ class _Parser:
 
     def recover(self) -> None:
         while True:
-            if self.kinds[self.pos] == "eof":
+            if not self.texts[self.pos]:
                 return
             if self.texts[self.take()] == ";":
                 return
@@ -277,10 +370,9 @@ class _Parser:
             self._not_allowed(f"{GENERIC_KEYWORD} is not allowed here", head)
         elif range_tail is None:
             # An agent is made after the agents inside it: keep the use read first.
-            at = self.uses.get(key)
-            if at is None or head < at:
+            if self.uses.get(key, head) >= head:
                 self.uses[key] = head
-        sym = self.symbol(key)
+        sym = self.interned.get(key) or self.symbol(key)
         if not rhs:
             return Agent(sym, args)
         # A range-tailed agent's symbol is known once the program is read.
@@ -291,7 +383,7 @@ class _Parser:
     # -- grammar ------------------------------------------------------------
 
     def parse_program(self) -> None:
-        while self.kinds[self.pos] != "eof":
+        while self.texts[self.pos]:
             self.uses = {}
             try:
                 self.parse_item()
@@ -309,17 +401,22 @@ class _Parser:
 
     def parse_agent_decl(self) -> None:
         self.take()  # agent
-        if self.kinds[self.pos] != "ident" or self.at_name():
+        if not self.at_symbol():
             self.fail("expected an agent symbol (uppercase-initial)")
         if self.texts[self.pos] == GENERIC_KEYWORD:
             self.fail(f"{GENERIC_KEYWORD} is reserved for the wildcard agent")
         name = self.take()
         self.expect_op("/")
-        if self.kinds[self.pos] != "nat":
+        if not self.texts[self.pos].isdecimal():
             self.fail("expected an arity")
         arity = self.take()
         self.expect_op(";")
-        self.decls.setdefault((self.texts[name], int(self.texts[arity])), name)
+        digits, limit = self.texts[arity], _int_digits()
+        if limit and len(digits) > limit:  # int() would refuse it
+            message = f"arity literal too long: {len(digits)} digits (at most {limit})"
+            self.diags.append(Diagnostic("error", "E_PARSE", message, self.span(arity)))
+            return
+        self.decls.setdefault((self.texts[name], int(digits)), name)
 
     def parse_rule_decl(self) -> None:
         span = self.span(self.pos)
@@ -353,7 +450,7 @@ class _Parser:
     def parse_pattern(self) -> tuple[str, list[str], Optional[str]]:
         """A pattern's symbol, parameters and range; its names are drawn
         once both patterns are read."""
-        if self.kinds[self.pos] != "ident" or self.at_name():
+        if not self.at_symbol():
             self.fail("expected an agent symbol or ANY in a rule pattern")
         head = self.take()
         text = self.texts[head]
@@ -432,18 +529,22 @@ class _Parser:
         # [head, arguments so far], so term depth is not bounded by the
         # interpreter's recursion limit.  The position lives in a local and
         # is stored back before any call that reads it.
-        kinds, texts, scope = self.kinds, self.texts, self.scope
+        texts, scope = self.texts, self.scope
         pos = self.pos
         open_agents: list[list] = []
         while True:
-            if kinds[pos] != "ident":
-                self.pos = pos
-                self.fail("expected a term")
             head = pos
             text = texts[pos]
+            first = text[:1]
             pos += 1
             term = None
-            if not text[0].isupper():
+            if first.isupper():  # an agent
+                if texts[pos] == "(":
+                    pos += 1
+                    open_agents.append([head, []])
+                else:
+                    term = self.agent(head, (), None, rhs)
+            elif first.isalpha() or first == "_":  # a name
                 if texts[pos] == "'":
                     if rhs:
                         term = VarName(text)
@@ -452,11 +553,9 @@ class _Parser:
                     pos += 1
                 if term is None:
                     term = scope.get(text) or self.name(text)
-            elif texts[pos] == "(":
-                pos += 1
-                open_agents.append([head, []])
             else:
-                term = self.agent(head, (), None, rhs)
+                self.pos = head
+                self.fail("expected a term")
             # Hand finished terms to their agents until an argument is due.
             while True:
                 if term is not None:
@@ -698,7 +797,7 @@ def parse_configuration(text: str) -> Configuration:
         parser.expect_op("|")
         eqs = parser.parse_list(lambda: parser.parse_equation(rhs=False), ">")
         parser.expect_op(">")
-        if parser.kinds[parser.pos] != "eof":
+        if parser.texts[parser.pos]:
             parser.fail("expected end of input")
     except _ParseFail:
         pass

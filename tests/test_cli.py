@@ -72,6 +72,16 @@ def test_check_parse_failure_exits_2(tmp_program, capsys):
     assert "E_PARSE" in capsys.readouterr().err
 
 
+def test_check_reports_an_arity_past_the_int_digit_limit(tmp_program, capsys):
+    # 5,000 digits used to reach int(), which raised past its 4,300-digit
+    # limit; 4,000 are still read.
+    assert main(["check", tmp_program("agent S/" + "9" * 5000 + ";")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: E_PARSE: arity literal too long: 5000 digits (at most 4300) (1:9)\n"
+    assert main(["check", tmp_program("agent S/" + "9" * 4000 + ";")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_check_missing_file_exits_2(capsys):
     assert main(["check", "/nonexistent/x.inet"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -178,6 +188,17 @@ def test_seed_spec_takes_every_u64(capsys):
     for seed in ["0", "5", "18446744073709551615"]:
         assert main(["trace", corpus_path("addition"), "--strategy", f"seed:{seed}"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_seed_spec_past_the_int_digit_limit_is_a_usage_error(capsys):
+    # 5,000 digits used to reach int(), whose own 4,300-digit limit wrote
+    # the message.
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", corpus_path("addition"), "--strategy", "seed:" + "9" * 5000])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --strategy: invalid seed" in err
+    assert "expected a decimal u64" in err and "Exceeds the limit" not in err
 
 
 # ---------------------------------------------------------------------------

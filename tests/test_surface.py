@@ -1,7 +1,10 @@
 import hashlib
+import importlib.util
 import itertools
 import json
+import pathlib
 import random
+import sys
 
 import pytest
 
@@ -21,6 +24,7 @@ from inetkit import (
     render_rule,
     render_trace,
 )
+from inetkit import surface
 from inetkit.rules import errors_in
 from inetkit.surface import render_term
 
@@ -200,6 +204,20 @@ _LONG_PAIRS = ",\n".join(f"Add(S(Z), r{i})~S(Éta)" for i in range(300))
 )
 def test_diagnostic_spans_are_pinned(text, expected):
     assert [str(d) for d in parse_program(text).diagnostics] == expected
+
+
+@pytest.mark.parametrize(
+    "inserted, expected",
+    [("S(", "expected ';', found 'S' (4:297786)"), ("\n  ~", "expected ';', found '~' (5:3)")],
+    ids=["same_line", "next_line"],
+)
+def test_an_error_at_the_end_of_a_wide_net_keeps_its_span(inserted, expected):
+    # The net is one item of 10,000 equations; the spans are those read
+    # when every token kept its offset.
+    text = program_gen.wide_net(10_000)
+    end = text.rindex(";")
+    diags = parse_program(text[:end] + inserted + text[end:]).diagnostics
+    assert [str(d) for d in diags] == [f"error: E_PARSE: {expected}"]
 
 
 def test_parse_configuration_names_the_first_conflict_in_reading_order():
@@ -406,3 +424,73 @@ def test_name_id_digest_over_corpus_generated_programs_soups_and_hand_cases():
     assert digest.hexdigest() == (
         "e53a0d5e06fbbbc66ba2b507e43367a9ab11cf051c00ddb90007925bb23ec6e9"
     )
+
+
+# ---------------------------------------------------------------------------
+# lexer: the split path against the token-at-a-time path
+# ---------------------------------------------------------------------------
+
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _workload_programs() -> list[str]:
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [text for name in workloads.WORKLOADS for seed in (1, 2, 3)
+            for text in workloads.build(name, seed).files.values()]
+
+
+_LEXER_CASES = [
+    "", "   \n\t", "# only a comment", "A >< B => ();  # trailing comment",
+    "agent A/0; # a ; inside a comment\nagent B/1;", "=><", "A =>< B", "1a", "agent A/1a;",
+    "x1a 1_ _1", "<>", "< A | x~y >", "A >< B => x~y; =", "A>>B", "a;;b; ;",
+    "agent Éta/1;", "ß~x # é", "A\x0bB", "A\x0cB", "A\u2028B", "agent A/٣;",
+]
+
+
+def _lexed(text: str) -> tuple:
+    """What the lexer reads off ``text``: token texts, the recorded item
+    starts and the diagnostics."""
+    tokens = surface._Tokens(text)
+    return tokens.texts, tokens._starts, [str(d) for d in tokens.diags]
+
+
+def _token_starts(text: str) -> list[int]:
+    """Every token's start, read off one pass of the token-at-a-time path."""
+    found = (surface._pieces(m) for m in surface._TOKEN.finditer(text) if m.lastindex)
+    return [offset for pieces in found for is_token, _, offset in pieces if is_token]
+
+
+def test_both_lexer_paths_cut_alike(monkeypatch):
+    corpus = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.inet"))]
+    workload = _workload_programs()
+    # The shipped and benchmarked programs, comments and all, are plain.
+    assert len(corpus) == 4 and all("#" in text for text in corpus)
+    assert all(surface._plain(text) is not None for text in corpus + workload)
+    texts = corpus + workload + _LEXER_CASES
+    for seed in range(375):
+        rng = random.Random(seed)
+        texts += [program_gen.program(rng), program_gen.variadic_program(rng)]
+        texts += [program_gen.soup(rng), program_gen.sprinkle(rng, program_gen.soup(rng))]
+    rng = random.Random(26)
+    alphabet = " \t\n()[],;~|'/<>=#abZ019_x"
+    for _ in range(20_000):
+        texts.append("".join(rng.choices(alphabet, k=rng.randrange(30))))
+    split = [_lexed(text) for text in texts]
+    plain = sum(surface._plain(text) is not None for text in texts)
+    assert len(texts) > plain > len(texts) // 4  # both paths are taken
+    monkeypatch.setattr(surface, "_plain", lambda text: None)
+    for text, cut in zip(texts, split):
+        assert cut == _lexed(text), text
+
+
+def test_a_token_that_opens_no_item_is_found_by_cutting_its_item_again():
+    texts = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.inet"))]
+    texts += _LEXER_CASES + [program_gen.program(random.Random(seed)) for seed in range(100)]
+    texts += [program_gen.soup(random.Random(seed)) for seed in range(100)]
+    for text in texts:
+        every = _token_starts(text)
+        forward, backward = surface._Tokens(text), surface._Tokens(text)
+        assert [forward.start(at) for at in range(len(every))] == every, text
+        assert [backward.start(at) for at in reversed(range(len(every)))] == every[::-1], text
