@@ -25,9 +25,11 @@ Every rule compiles its right-hand side into a flat :class:`RhsProgram` the
 first time its program is read (:attr:`Rule.program`), which builds its net
 equations directly; it serves the engine's interactions and the self-rule
 swap check alike.  It is stamped from a template of the written rule
-(:attr:`Rule.template`), an arity instance's from its written rule's, so
-``check``, ``run`` and ``fuzz`` build no instance's right-hand side; only
-``inet expand``, which prints them, does (:attr:`Rule.rhs`).  The rule
+(:attr:`Rule.template`), an arity instance's from its written rule's.  An
+arity instance's right-hand side (:attr:`Rule.rhs`) is stamped from that
+template too: the program and the printed instance are two stampings of one
+template.  Only ``inet expand``, which prints them, builds an instance's
+right-hand side; ``check``, ``run`` and ``fuzz`` build none.  The rule
 table memoizes lookups per symbol pair.
 """
 
@@ -254,10 +256,10 @@ class Rule:
 
     An arity instance of a variadic rule is made from its patterns alone,
     with the written rule as ``instance_of`` and no ``rhs``: its right-hand
-    side is built by :func:`_expand_at` the first time it is read, the way
-    :attr:`program` is.  Equality, hashing and ``repr`` read it too, but
-    firing does not: the instance's program is stamped from the written
-    rule's :attr:`template`.
+    side is stamped from the written rule's :attr:`template` by
+    :func:`_expand_at` the first time it is read, the way :attr:`program`
+    is stamped from the same template.  Equality, hashing and ``repr`` read
+    the right-hand side, but firing does not.
 
     The checks, the expansion and the rule table read the right-hand side
     through :attr:`summary`, one walk over it, and the wildcard through
@@ -442,11 +444,12 @@ class RhsProgram:
     The program is stamped from a template of the written rule
     (:attr:`Rule.template`).  An ordinary or fixed-generic rule is stamped
     from its own, as written.  An arity instance of a variadic rule is
-    stamped from its written rule's at its ``m`` extra ports, into the
-    program of what :func:`_expand_at` would build: each range splices
-    ``m`` names behind the explicit arguments, and each equation that holds
-    a variadic name is copied once per extra port, with fresh locals per
-    copy.  Stamped as written, a range or variadic name is a fault.
+    stamped from its written rule's at its ``m`` extra ports, as
+    :func:`_expand_at` stamps the instance's right-hand side from it: each
+    range splices ``m`` names behind the explicit arguments, and each
+    equation that holds a variadic name is copied once per extra port, with
+    fresh locals per copy.  Stamped as written, a range or variadic name is
+    a fault.
 
     Values live in numbered slots: first the rule's parameters, in the order
     of ``rule.params``, then its other names, each freshened on first sight
@@ -811,7 +814,9 @@ def expand_variadic(rule: Rule, arities: Iterable[int]) -> list[Rule]:
     partner with ``k`` ports: the left-hand range becomes ``k - f`` explicit
     parameters, fresh names numbered from just above the rule's largest
     name id.  Only the instance's patterns are made here; its right-hand
-    side is built by :func:`_expand_at` the first time it is read.
+    side is stamped from the rule's template by :func:`_expand_at` the
+    first time it is read, and its program from the same template the first
+    time it fires.
     """
     g = rule.generic
     if g is None or not g.is_variadic:
@@ -842,82 +847,70 @@ def _instance_parts(rule: Rule) -> tuple[Rule, GenericPattern, tuple[Name, ...]]
 
 
 def _expand_at(rule: Rule) -> tuple[RuleEquation, ...]:
-    """The right-hand side of the arity instance ``rule``.
+    """The right-hand side of the arity instance ``rule``, stamped from its
+    written rule's template (:attr:`Rule.template`), the ops
+    :class:`RhsProgram` stamps the instance's program from, read as terms.
 
     Each of the instance's ``m`` extra ports stands in for one port of the
     left-hand range; each right-hand-only range becomes ``m`` fresh names
-    (shared across its two occurrences), and every equation holding a
-    variadic name is replicated once per extra port, with fresh copies of
-    its local names.  The fresh names continue the numbering of the ports,
-    in reading order, so that an instance built late equals one built
-    early.
+    (shared across its occurrences), and every equation holding a variadic
+    name is replicated once per extra port, with fresh copies of its local
+    names.  The fresh names continue the numbering of the ports, so that an
+    instance built late equals one built early.  Each copy of a replicated
+    equation draws first for the ranges of its variadic names, in reading
+    order, then for its locals; every equation draws for a range tail as
+    its agent closes.
     """
     src, g, lhs_ports = _instance_parts(rule)
     m = len(lhs_ports)
     # With no extra ports nothing is drawn.
     supply = NameSupply(lhs_ports[-1].id + 1 if m else 0)
-    rhs_vectors: dict[str, tuple[Name, ...]] = {}
-    params = set(src.params)
+    vectors: dict[str, tuple[Name, ...]] = {g.range_name: lhs_ports}
+    wild = GenericRef(g.generic_name)
 
     def vector(rng: str) -> tuple[Name, ...]:
-        if rng == g.range_name:
-            return lhs_ports
-        if rng not in rhs_vectors:
-            rhs_vectors[rng] = tuple(supply.fresh(f"{rng}{i + 1}") for i in range(m))
-        return rhs_vectors[rng]
+        if rng not in vectors:
+            vectors[rng] = tuple(supply.fresh(f"{rng}{i + 1}") for i in range(m))
+        return vectors[rng]
 
-    def conv(t: RhsTerm, vn_map: dict[str, Name], names: dict[Name, Name]) -> RhsTerm:
-        if not isinstance(t, RAgent):
-            return names.get(t, t) if isinstance(t, Name) else vn_map[t.range_name]
-        # Per open agent: the agent, its arguments left to visit and its
-        # converted arguments so far.
-        frames = [(t, iter(t.args), [])]
-        while True:
-            agent, todo, done = frames[-1]
-            for a in todo:
-                if isinstance(a, RAgent):
-                    frames.append((a, iter(a.args), []))
-                    break
-                done.append(names.get(a, a) if isinstance(a, Name) else vn_map[a.range_name])
-            else:
-                frames.pop()
-                args = tuple(done)
-                if agent.range_tail is not None:
-                    # Only now, so that a range's fresh names follow those
-                    # of the explicit arguments.
-                    args += vector(agent.range_tail)
-                out = RAgent(agent.head, args, None)
-                if not frames:
-                    return out
-                frames[-1][2].append(out)
-
-    new_rhs: list[RuleEquation] = []
-    for eq, (_, varnames, eq_names) in zip(src.rhs, src.summary[2]):
-        # In reading order, so that ranges first read here draw their names
-        # in an order that does not depend on string hashing.
-        vns = dict.fromkeys(varnames)
-        if vns:
-            local = [n for n in dict.fromkeys(eq_names) if n not in params]
-            for i in range(m):
-                vn_map = {r: vector(r)[i] for r in vns}
-                names = {n: supply.fresh(n.display) for n in local}
-                new_rhs.append(
-                    RuleEquation(conv(eq.left, vn_map, names), conv(eq.right, vn_map, names))
-                )
-        else:
-            new_rhs.append(RuleEquation(conv(eq.left, {}, {}), conv(eq.right, {}, {})))
-    return tuple(new_rhs)
+    out: list[RuleEquation] = []
+    for replicated, ops in src.template:
+        # Each variadic name, then each local, once, in reading order: the
+        # order a copy draws for them in.
+        named = [*dict.fromkeys(op for op in ops if op.__class__ is tuple and op[0] == _VAR),
+                 *dict.fromkeys(op for op in ops if op.__class__ is tuple and op[0] == _LOCAL)]
+        for i in range(m) if replicated else (None,):
+            vals = {op: vector(op[1])[i] if op[0] == _VAR else supply.fresh(op[1].display)
+                    for op in named}
+            stack: list[RhsTerm] = []
+            push = stack.append
+            for op in ops:
+                if op.__class__ is Name:
+                    push(op)
+                    continue
+                tag, head, n, rng = op
+                if tag == _SHUT:
+                    args = tuple(stack[len(stack) - n:])
+                    del stack[len(stack) - n:]
+                    if rng is not None:
+                        args += vector(rng)
+                    push(RAgent(wild if head is None else head, args, None))
+                elif tag != _OPEN:
+                    push(vals[op])
+            out.append(RuleEquation(*stack))
+    return tuple(out)
 
 
 def _instance_max_name_id(rule: Rule) -> int:
     """The largest name id of the arity instance ``rule``, read off its
     written rule without building its right-hand side.
 
-    :func:`_expand_at` draws the same number of fresh names per extra port,
-    numbered on from the ports: one per right-hand-only range, and the
-    local names of each replicated equation.  So with extra ports the last
-    name drawn is the largest; with none, the instance keeps the written
-    rule's names outside its replicated equations.
+    :func:`_expand_at` stamps the same number of fresh names per extra port
+    from the template, numbered on from the ports: one per right-hand-only
+    range, and the local names of each replicated equation.  So with extra
+    ports the last name drawn is the largest; with none, the instance keeps
+    the written rule's names outside its replicated equations.  This reads
+    the summary, not the template, so ``check`` builds no template.
     """
     src, g, lhs_ports = _instance_parts(rule)
     _, _, eqs, _ = src.summary

@@ -518,7 +518,9 @@ def test_each_fired_instance_is_built_once_per_command(
 
 def test_expand_builds_each_instance_once(builds, tmp_path, capsys):
     """``expand`` prints every instance, from 0 up to the largest arity,
-    and so builds each one's right-hand side once; it compiles nothing."""
+    and so builds each one's right-hand side once, stamped from its written
+    rule's template, which is built once per written rule; it compiles
+    nothing."""
     text = eps_dup_text(64)
     program, _ = compile_text(text)
     variadic = [rule.id for rule in program.rules if rule.kind is RuleKind.VARIADIC]
@@ -530,7 +532,8 @@ def test_expand_builds_each_instance_once(builds, tmp_path, capsys):
     assert main(["expand", str(path)]) == 0
     instances = [f"{rule_id}@{k}" for rule_id in variadic for k in range(65)]
     assert builds["rhs"] == Counter(dict.fromkeys(instances, 1))
-    assert builds["template"] == builds["program"] == Counter()
+    assert builds["template"] == Counter(dict.fromkeys(variadic, 1))
+    assert builds["program"] == Counter()
 
 
 def test_a_self_rule_is_compiled_once_across_analysis_and_reduction(monkeypatch):

@@ -8,14 +8,17 @@ equations, fresh-name ids and display hints included, draw the same number
 of names, and fail with the same error.
 
 An arity instance's program is stamped from its written rule's template,
-without building the instance's right-hand side.  It must equal the program
-compiled from that right-hand side as :func:`inetkit.rules._expand_at`
-builds it, slot for slot.
+without building the instance's right-hand side.  It must equal, slot for
+slot, the program compiled from that right-hand side as
+``expand_oracle.expand_at`` builds it, walking the rule text eagerly.  The
+instance's right-hand side, stamped from the same template, must equal the
+oracle's too.
 """
 
 import ast
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -33,8 +36,9 @@ from inetkit import (
     instantiate_ordinary,
     parse_program,
 )
-from inetkit.rules import _CLOSE, _RANGE, _WILD, RhsProgram, Rule, _expand_at
+from inetkit.rules import _CLOSE, _RANGE, _WILD, RhsProgram, Rule
 
+import expand_oracle
 import program_gen
 from conftest import corpus_text, eps_dup_text, oriented
 from rhs_oracle import instantiate_rhs
@@ -213,14 +217,26 @@ def _fields(program: RhsProgram) -> tuple:
     return program.hints, program.code, program._need, program._faults
 
 
+def _oracle_rhs(rule: Rule) -> tuple:
+    """The right-hand side of the arity instance ``rule`` as the eager
+    oracle expands its written rule.  The oracle recurses once per nesting
+    level, and the deep test program nests 500 agents."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5_000))
+    try:
+        return expand_oracle.expand_at(rule.instance_of, len(rule.right.fixed_params)).rhs
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def _check_stamped(instances) -> int:
     """Each instance's program equals the one compiled from a plain rule
-    that holds the instance's expansion as its right-hand side."""
+    that holds the oracle's expansion as its right-hand side."""
     count = 0
     for rule in instances:
         if rule.instance_of is None:
             continue
-        expanded = Rule(rule.id, rule.left, rule.right, _expand_at(rule))
+        expanded = Rule(rule.id, rule.left, rule.right, _oracle_rhs(rule))
         assert _fields(rule.program) == _fields(RhsProgram(expanded)), rule.id
         count += 1
     return count
@@ -288,6 +304,43 @@ def test_stamped_instances_match_their_expansion_on_the_tests_programs():
         program = parse_program(text)
         arities = range(max([3, *(s.arity for s in program.symbols.values())]) + 1)
         count += _check_stamped(x for r in program.rules for x in expand_variadic(r, arities))
+    assert count > 300
+
+
+# A range-tail agent among the explicit arguments of another: it closes
+# first, so its range draws its fresh names first.
+NESTED_TAILS = (
+    "agent Eps/0; agent Q/2;"
+    "D(r, s) >< ANY(a, [x]) => r~ANY(ANY(a, [z]), [y]), s~Eps, x'~Q(y', z');"
+)
+
+
+def _flat(rhs) -> list[tuple]:
+    """``rhs`` in flat preorder: each agent's head, argument count and range
+    tail, each name's id and display hint.  Unlike ``==`` on the terms, it
+    does not recurse, so it reads the deep test program."""
+    return [
+        (u.id, u.display) if isinstance(u, Name) else (u.head, len(u.args), u.range_tail)
+        for eq in rhs
+        for u in expand_oracle._eq_parts(eq)
+    ]
+
+
+def test_instances_expand_like_the_oracle_on_the_tests_programs():
+    """Accepted or not, at every arity up to their largest and at least 3,
+    each instance's right-hand side, stamped from its written rule's
+    template, equals the oracle's eager expansion, name ids and display
+    hints included."""
+    texts = _variadic_test_programs()
+    assert NESTED_TAILS in texts
+    count = 0
+    for text in texts:
+        program = parse_program(text)
+        arities = range(max([3, *(s.arity for s in program.symbols.values())]) + 1)
+        for rule in (x for r in program.rules for x in expand_variadic(r, arities)):
+            if rule.instance_of is not None:
+                assert _flat(rule.rhs) == _flat(_oracle_rhs(rule)), rule.id
+                count += 1
     assert count > 300
 
 
