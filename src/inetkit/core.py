@@ -10,9 +10,9 @@ occurring twice is an internal wire, a name occurring once is a free port.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator, Optional, Union
 
 
@@ -24,15 +24,67 @@ class IllFormedError(NetError):
     """A configuration breaks the at-most-two-occurrences rule."""
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Record:
+    """A record whose ``==`` and ``repr`` read the fields its class names in
+    ``_fields``, in order, as ``@dataclass`` writes them: equal to another
+    of the same class with equal field values, shown as
+    ``Cls(field=value, ...)``.  Nothing is generated, so a record class
+    costs no ``exec`` at import.  Mutable records are unhashable.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def __init_subclass__(cls) -> None:
+        names = cls._fields
+        # The field values as one tuple; attrgetter gives a single field bare.
+        cls._values = staticmethod(
+            attrgetter(*names) if len(names) > 1 else lambda r: tuple(getattr(r, f) for f in names)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+class FrozenRecord(Record):
+    """A :class:`Record` that hashes its field values and, as a frozen
+    dataclass does, raises ``dataclasses.FrozenInstanceError`` on any
+    assignment or deletion of an attribute.  Its ``__init__`` stores the
+    fields with ``object.__setattr__`` or through slot descriptors."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Symbol(FrozenRecord):
     """An agent label plus its number of auxiliary ports."""
 
-    name: str
-    arity: int
+    _fields = ("name", "arity")
+
+    def __init__(self, name: str, arity: int) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arity", arity)
 
 
-@dataclass(frozen=True, init=False, slots=True)
+# Name, Agent and Equation stay dataclasses, for ``dataclasses.fields``.  The
+# decorator generates each method it is asked for at import, so it is not
+# asked for those they write: Name's equality and hash are written for that.
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class Name:
     """A wire endpoint.  Identity is the id; the display string is cosmetic."""
 
@@ -44,11 +96,17 @@ class Name:
         _NAME_ID(self, id)
         _NAME_DISPLAY(self, display)
 
+    def __eq__(self, other: object) -> bool:
+        return self.id == other.id if other.__class__ is Name else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.id,))
+
     def __repr__(self) -> str:
         return f"Name({self.id}:{self.display})"
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class Agent:
     """An agent symbol applied to exactly ``symbol.arity`` argument terms.
 
@@ -102,26 +160,34 @@ class Agent:
         return hash(_term_key(self))
 
     def __repr__(self) -> str:
-        # The dataclass's text, written with one explicit stack (a str on it
-        # is literal text), so term depth is not bounded here either.
-        out: list[str] = []
-        stack: list = [self]
-        while stack:
-            u = stack.pop()
-            if u.__class__ is str:
-                out.append(u)
-            elif u.__class__ is Agent:
-                out.append(f"Agent(symbol={u.symbol!r}, args=(")
-                args = u.args
-                stack.append(",))" if len(args) == 1 else "))")
-                if args:
-                    stack.append(args[-1])
-                    for a in args[-2::-1]:
-                        stack.append(", ")
-                        stack.append(a)
-            else:
-                out.append(repr(u))
-        return "".join(out)
+        return nested_repr(self, lambda u: f"Agent(symbol={u.symbol!r}, args=(", lambda u: ")")
+
+
+def nested_repr(t, opening, closing) -> str:
+    """The dataclass's text of ``t``, a record whose ``args`` tuple holds
+    records of its own class among other values: ``opening(u)`` is the text
+    of ``u`` up to its ``args`` and ``closing(u)`` the text after them.
+    Written with one explicit stack (a str on it is literal text), so depth
+    is not bounded by the interpreter's recursion limit."""
+    cls = t.__class__
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is str:
+            out.append(u)
+        elif u.__class__ is cls:
+            out.append(opening(u))
+            args = u.args
+            stack.append((",)" if len(args) == 1 else ")") + closing(u))
+            if args:
+                stack.append(args[-1])
+                for a in args[-2::-1]:
+                    stack.append(", ")
+                    stack.append(a)
+        else:
+            out.append(repr(u))
+    return "".join(out)
 
 
 Term = Union[Name, Agent]
@@ -152,12 +218,14 @@ _EQUATION_LEFT = Equation.left.__set__
 _EQUATION_RIGHT = Equation.right.__set__
 
 
-@dataclass
-class Configuration:
+class Configuration(Record):
     """An ordered interface plus an equation multiset."""
 
-    interface: list[Term]
-    equations: list[Equation]
+    _fields = ("interface", "equations")
+
+    def __init__(self, interface: list[Term], equations: list[Equation]) -> None:
+        self.interface = interface
+        self.equations = equations
 
     def copy(self) -> "Configuration":
         return Configuration(list(self.interface), list(self.equations))
@@ -263,16 +331,18 @@ def substitute(t: Term, x: Name, s: Term) -> Term:
 _BRANCH_LIMIT = 20_000
 
 
-@dataclass(frozen=True, eq=False)
-class CanonicalConfiguration:
+class CanonicalConfiguration(FrozenRecord):
     """A configuration renumbered and reordered into a comparable value.
 
     Equality and hashing go through the flat :attr:`sort_key`, computed
     once, so comparing canonical forms does not recurse into deep terms.
     """
 
-    interface: tuple[Term, ...]
-    equations: tuple[Equation, ...]
+    _fields = ("interface", "equations")
+
+    def __init__(self, interface: tuple[Term, ...], equations: tuple[Equation, ...]) -> None:
+        object.__setattr__(self, "interface", interface)
+        object.__setattr__(self, "equations", equations)
 
     @cached_property
     def sort_key(self) -> tuple:

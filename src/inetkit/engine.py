@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .core import (
@@ -78,10 +77,12 @@ from .core import (
     CanonicalConfiguration,
     Configuration,
     Equation,
+    FrozenRecord,
     IllFormedError,
     Name,
     NameSupply,
     NetError,
+    Record,
     Term,
     canonicalize,
     substitute,  # no longer called here; perfbench/tracing.py wraps this name
@@ -99,21 +100,21 @@ KIND_INTERACTION = "interaction"
 # Strategies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fifo:
+class Fifo(FrozenRecord):
     def __str__(self) -> str:
         return "fifo"
 
 
-@dataclass(frozen=True)
-class Lifo:
+class Lifo(FrozenRecord):
     def __str__(self) -> str:
         return "lifo"
 
 
-@dataclass(frozen=True)
-class Seeded:
-    seed: int
+class Seeded(FrozenRecord):
+    _fields = ("seed",)
+
+    def __init__(self, seed: int) -> None:
+        object.__setattr__(self, "seed", seed)
 
     def __str__(self) -> str:
         return f"seed:{self.seed}"
@@ -143,22 +144,28 @@ def strategy_from_spec(spec: str) -> Strategy:
 # Step results
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepResult:
-    kind: str
-    rule_id: Optional[str]
-    equation_before: Equation
-    equations_after: tuple[Equation, ...]
-    fresh_names: tuple[Name, ...]
+class StepResult(FrozenRecord):
+    _fields = ("kind", "rule_id", "equation_before", "equations_after", "fresh_names")
+
+    def __init__(self, kind: str, rule_id: Optional[str], equation_before: Equation,
+                 equations_after: tuple[Equation, ...], fresh_names: tuple[Name, ...]) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rule_id", rule_id)
+        object.__setattr__(self, "equation_before", equation_before)
+        object.__setattr__(self, "equations_after", equations_after)
+        object.__setattr__(self, "fresh_names", fresh_names)
 
 
-@dataclass
-class NormalizeOutcome:
-    status: str  # "normal_form" | "stuck" | "budget_exhausted"
-    final: Configuration
-    steps: int
-    trace: Optional[list[StepResult]]
-    stuck_equations: tuple[Equation, ...] = ()
+class NormalizeOutcome(Record):
+    _fields = ("status", "final", "steps", "trace", "stuck_equations")
+
+    def __init__(self, status: str, final: Configuration, steps: int,
+                 trace: Optional[list[StepResult]], stuck_equations: tuple[Equation, ...] = ()) -> None:
+        self.status = status  # "normal_form" | "stuck" | "budget_exhausted"
+        self.final = final
+        self.steps = steps
+        self.trace = trace
+        self.stuck_equations = stuck_equations
 
 
 # ---------------------------------------------------------------------------
@@ -672,20 +679,27 @@ def normalize(
 # Confluence probing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunSummary:
-    strategy: Strategy
-    status: str
-    steps: int
-    canonical: Optional[CanonicalConfiguration]
+class RunSummary(Record):
+    _fields = ("strategy", "status", "steps", "canonical")
+
+    def __init__(self, strategy: Strategy, status: str, steps: int,
+                 canonical: Optional[CanonicalConfiguration]) -> None:
+        self.strategy = strategy
+        self.status = status
+        self.steps = steps
+        self.canonical = canonical
 
 
-@dataclass
-class ConfluenceReport:
-    consistent: bool
-    runs: list[RunSummary]
-    divergence: Optional[tuple[RunSummary, RunSummary]] = None
-    traces: Optional[tuple[list[StepResult], list[StepResult]]] = None
+class ConfluenceReport(Record):
+    _fields = ("consistent", "runs", "divergence", "traces")
+
+    def __init__(self, consistent: bool, runs: list[RunSummary],
+                 divergence: Optional[tuple[RunSummary, RunSummary]] = None,
+                 traces: Optional[tuple[list[StepResult], list[StepResult]]] = None) -> None:
+        self.consistent = consistent
+        self.runs = runs
+        self.divergence = divergence
+        self.traces = traces
 
     @property
     def terminated(self) -> list[RunSummary]:

@@ -36,7 +36,7 @@ table memoizes lookups per symbol pair.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations, islice
 from operator import attrgetter
@@ -47,12 +47,15 @@ from .core import (
     CanonicalConfiguration,
     Configuration,
     Equation,
+    FrozenRecord,
     Name,
     NameSupply,
     NetError,
+    Record,
     Symbol,
     Term,
     canonicalize,
+    nested_repr,
 )
 
 DEFAULT_ARITY_CAP = 64
@@ -62,10 +65,8 @@ DEFAULT_ARITY_CAP = 64
 # Diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False, slots=True)
-class Span:
-    line: int
-    col: int
+class Span(FrozenRecord):
+    __slots__ = _fields = ("line", "col")
 
     def __init__(self, line: int, col: int) -> None:
         _SPAN_LINE(self, line)
@@ -75,14 +76,11 @@ class Span:
         return f"{self.line}:{self.col}"
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class Diagnostic:
-    severity: str  # "error" | "warning"
-    code: str
-    message: str
-    span: Optional[Span] = None
+class Diagnostic(FrozenRecord):
+    __slots__ = _fields = ("severity", "code", "message", "span")
 
     def __init__(self, severity: str, code: str, message: str, span: Optional[Span] = None) -> None:
+        # severity: "error" | "warning"
         _DIAGNOSTIC_SEVERITY(self, severity)
         _DIAGNOSTIC_CODE(self, code)
         _DIAGNOSTIC_MESSAGE(self, message)
@@ -101,12 +99,10 @@ def errors_in(diags: Iterable[Diagnostic]) -> list[Diagnostic]:
 # Rule shapes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False, slots=True)
-class OrdinaryPattern:
+class OrdinaryPattern(FrozenRecord):
     """A concrete agent pattern: symbol plus one parameter name per port."""
 
-    symbol: Symbol
-    params: tuple[Name, ...]
+    __slots__ = _fields = ("symbol", "params")
 
     def __init__(self, symbol: Symbol, params: tuple[Name, ...]) -> None:
         if len(params) != symbol.arity:
@@ -117,8 +113,7 @@ class OrdinaryPattern:
         _ORDINARY_PARAMS(self, params)
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class GenericPattern:
+class GenericPattern(FrozenRecord):
     """A wildcard agent pattern.
 
     Without a range it matches any agent of arity ``len(fixed_params)``.
@@ -127,9 +122,7 @@ class GenericPattern:
     stands for all remaining ports.
     """
 
-    generic_name: str
-    fixed_params: tuple[Name, ...] = ()
-    range_name: Optional[str] = None
+    __slots__ = _fields = ("generic_name", "fixed_params", "range_name")
 
     def __init__(self, generic_name: str, fixed_params: tuple[Name, ...] = (),
                  range_name: Optional[str] = None) -> None:
@@ -142,37 +135,32 @@ class GenericPattern:
         return self.range_name is not None
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class GenericRef:
+class GenericRef(FrozenRecord):
     """Occurrence of the rule's wildcard agent inside a right-hand side."""
 
-    name: str
+    __slots__ = _fields = ("name",)
 
     def __init__(self, name: str) -> None:
         _GENERIC_REF_NAME(self, name)
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class VarName:
+class VarName(FrozenRecord):
     """One arbitrary port of a range: ``x'`` stands for a single port of [x]."""
 
-    range_name: str
+    __slots__ = _fields = ("range_name",)
 
     def __init__(self, range_name: str) -> None:
         _VAR_NAME_RANGE(self, range_name)
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class RAgent:
+class RAgent(FrozenRecord):
     """Right-hand-side agent application.
 
     ``range_tail`` splices a whole range behind the explicit arguments, so
     ``phi(s, [y])`` is ``RAgent(GenericRef(...), (s,), "y")``.
     """
 
-    head: Union[Symbol, GenericRef]
-    args: tuple["RhsTerm", ...] = ()
-    range_tail: Optional[str] = None
+    __slots__ = _fields = ("head", "args", "range_tail")
 
     def __init__(self, head: Union[Symbol, GenericRef], args: tuple["RhsTerm", ...] = (),
                  range_tail: Optional[str] = None) -> None:
@@ -180,14 +168,43 @@ class RAgent:
         _RAGENT_ARGS(self, args)
         _RAGENT_RANGE_TAIL(self, range_tail)
 
+    # As for core's Agent, equality and hashing go through a flat key and
+    # repr walks one explicit stack, so nesting is not bounded by the
+    # interpreter's recursion limit.
+
+    def _key(self) -> tuple:
+        """Flat preorder: each agent's head, argument count and range tail,
+        and each name and variadic name itself; equal keys mean equal
+        terms, since the class of an item says which it is."""
+        out: list = []
+        stack = [self]
+        while stack:
+            u = stack.pop()
+            if u.__class__ is RAgent:
+                out += (u.head, len(u.args), u.range_tail)
+                stack.extend(reversed(u.args))
+            else:
+                out.append(u)
+        return tuple(out)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return nested_repr(self, lambda u: f"RAgent(head={u.head!r}, args=(",
+                           lambda u: f", range_tail={u.range_tail!r})")
+
 
 RhsTerm = Union[Name, VarName, RAgent]
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class RuleEquation:
-    left: RhsTerm
-    right: RhsTerm
+class RuleEquation(FrozenRecord):
+    __slots__ = _fields = ("left", "right")
 
     def __init__(self, left: RhsTerm, right: RhsTerm) -> None:
         _RULE_EQUATION_LEFT(self, left)
@@ -247,8 +264,7 @@ class _built_once:
         return value
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(FrozenRecord):
     """One interaction rule.
 
     A generic side, when present, is always stored on the right; parsers and
@@ -256,31 +272,38 @@ class Rule:
 
     An arity instance of a variadic rule is made from its patterns alone,
     with the written rule as ``instance_of`` and no ``rhs``: its right-hand
-    side is stamped from the written rule's :attr:`template` by
-    :func:`_expand_at` the first time it is read, the way :attr:`program`
-    is stamped from the same template.  Equality, hashing and ``repr`` read
-    the right-hand side, but firing does not.
+    side (:attr:`rhs`) is stamped from the written rule's :attr:`template`
+    the first time it is read, the way :attr:`program` is stamped from the
+    same template.  Equality, hashing and ``repr`` read the right-hand side,
+    but firing does not; ``instance_of`` takes no part in them.
 
     The checks, the expansion and the rule table read the right-hand side
     through :attr:`summary`, one walk over it, and the wildcard through
     :attr:`generic`, read off the patterns once.
     """
 
-    id: str
-    left: OrdinaryPattern
-    right: Union[OrdinaryPattern, GenericPattern]
-    rhs: tuple[RuleEquation, ...] = _built_once(lambda rule: _expand_at(rule))
-    origin: str = ""
-    instance_of: Optional["Rule"] = field(default=None, compare=False, repr=False)
+    _fields = ("id", "left", "right", "rhs", "origin")
 
-    def __post_init__(self) -> None:
-        # Made without a right-hand side, the builder stood in as the
-        # default: drop it, so that the first read builds one.  Not through
-        # ``__dict__``, which would cost the instance its inline attribute
-        # storage and make every later attribute read slower.
-        if self.rhs is Rule.__dict__["rhs"]:
-            assert self.instance_of is not None, "only an arity instance comes without a RHS"
-            object.__delattr__(self, "rhs")
+    def __init__(self, id: str, left: OrdinaryPattern, right: Union[OrdinaryPattern, GenericPattern],
+                 rhs: Optional[tuple[RuleEquation, ...]] = None, origin: str = "",
+                 instance_of: Optional["Rule"] = None) -> None:
+        # Not stored through ``__dict__``, which would cost the instance its
+        # inline attribute storage and make every later attribute read slower.
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        if rhs is not None:
+            object.__setattr__(self, "rhs", rhs)
+        else:
+            assert instance_of is not None, "only an arity instance comes without a RHS"
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "instance_of", instance_of)
+
+    @_built_once
+    def rhs(self) -> tuple[RuleEquation, ...]:
+        """An arity instance's right-hand side, stamped from its written
+        rule's template by :func:`_expand_at` the first time it is read."""
+        return _expand_at(self)
 
     @_built_once
     def generic(self) -> Optional[GenericPattern]:
@@ -974,8 +997,7 @@ def check_grc(rules: Sequence[Rule]) -> list[Diagnostic]:
 # Rule table and lookup
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Match:
+class Match(FrozenRecord):
     """The rule for an active pair, oriented against the pair's equation.
 
     ``swapped`` means the equation's right term binds the rule's left
@@ -983,12 +1005,14 @@ class Match:
     left term binds the left pattern.
     """
 
-    rule: Rule
-    swapped: bool
+    _fields = ("rule", "swapped")
+
+    def __init__(self, rule: Rule, swapped: bool) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "swapped", swapped)
 
 
-@dataclass
-class RuleTable:
+class RuleTable(Record):
     """The rules of a program, indexed for two-probe lookup.
 
     The indexes hold rules by their patterns and never change once built.
@@ -1001,15 +1025,19 @@ class RuleTable:
     across threads stays safe: each of these is a pure function of its
     key or rule, so a repeated fill writes an equal value.
     ``max_name_id`` is the largest name id in the rules, instances'
-    right-hand sides included, found without building them.
+    right-hand sides included, found without building them.  ``matches``
+    takes no part in equality or ``repr``.
     """
 
-    ordinary: dict[tuple[str, str], Rule]
-    generic: dict[tuple[int, str], Rule]
-    max_name_id: int = -1
-    matches: dict[tuple[str, int, str, int], Optional[Match]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    _fields = ("ordinary", "generic", "max_name_id")
+
+    def __init__(self, ordinary: dict[tuple[str, str], Rule], generic: dict[tuple[int, str], Rule],
+                 max_name_id: int = -1,
+                 matches: Optional[dict[tuple[str, int, str, int], Optional[Match]]] = None) -> None:
+        self.ordinary = ordinary
+        self.generic = generic
+        self.max_name_id = max_name_id
+        self.matches = {} if matches is None else matches
 
 
 def build_rule_table(rules: Sequence[Rule]) -> RuleTable:

@@ -14,7 +14,6 @@ import bisect
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 from .core import (
@@ -24,6 +23,7 @@ from .core import (
     Equation,
     Name,
     NameSupply,
+    Record,
     Term,
     config_names,
     occurrences,
@@ -658,13 +658,16 @@ class _Parser:
 # Programs
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SourceProgram:
-    symbols: dict[str, Symbol]
-    rules: list[Rule]
-    net: Optional[Configuration]
-    supply: NameSupply
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+class SourceProgram(Record):
+    _fields = ("symbols", "rules", "net", "supply", "diagnostics")
+
+    def __init__(self, symbols: dict[str, Symbol], rules: list[Rule], net: Optional[Configuration],
+                 supply: NameSupply, diagnostics: Optional[list[Diagnostic]] = None) -> None:
+        self.symbols = symbols
+        self.rules = rules
+        self.net = net
+        self.supply = supply
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def has_errors(self) -> bool:
