@@ -10,8 +10,7 @@ occurring twice is an internal wire, a name occurring once is a free port.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass, field
-from functools import cached_property
+from dataclasses import FrozenInstanceError
 from operator import attrgetter, itemgetter
 from typing import Iterator, Optional, Union
 
@@ -26,7 +25,7 @@ class IllFormedError(NetError):
 
 class Record:
     """A record whose ``==`` and ``repr`` read the fields its class names in
-    ``_fields``, in order, as ``@dataclass`` writes them: equal to another
+    ``_fields``, in order, as a dataclass writes them: equal to another
     of the same class with equal field values, shown as
     ``Cls(field=value, ...)``.  Nothing is generated, so a record class
     costs no ``exec`` at import.  Mutable records are unhashable.
@@ -57,7 +56,10 @@ class FrozenRecord(Record):
     """A :class:`Record` that hashes its field values and, as a frozen
     dataclass does, raises ``dataclasses.FrozenInstanceError`` on any
     assignment or deletion of an attribute.  Its ``__init__`` stores the
-    fields with ``object.__setattr__`` or through slot descriptors."""
+    fields with ``object.__setattr__`` or, when slotted, through slot
+    descriptors bound once at module level (``_NAME_ID = Name.id.__set__``),
+    since ``object.__setattr__`` looks the field up by name on every call.
+    Copying and unpickling store the state with ``object.__setattr__``."""
 
     __slots__ = ()
 
@@ -70,6 +72,36 @@ class FrozenRecord(Record):
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def __setstate__(self, state) -> None:
+        # What object.__getstate__ gave: the instance dict or, where slots
+        # hold values, a (dict or None, slot values) pair.
+        for part in state if isinstance(state, tuple) else (state,):
+            for name, value in (part or {}).items():
+                object.__setattr__(self, name, value)
+
+
+class _built_once:
+    """A method read as an attribute, built on the first read and stored in
+    the instance's attributes, where later reads find it without calling
+    anything; unlike functools' cached property under Python 3.11, it takes
+    no lock.  It is stored with ``object.__setattr__``, not through
+    ``__dict__``: touching ``__dict__`` costs the instance its inline
+    attribute values, and every later attribute read on it gets slower."""
+
+    def __init__(self, build):
+        self._build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self._name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self._build(obj)
+        object.__setattr__(obj, self._name, value)
+        return value
+
 
 class Symbol(FrozenRecord):
     """An agent label plus its number of auxiliary ports."""
@@ -81,15 +113,10 @@ class Symbol(FrozenRecord):
         object.__setattr__(self, "arity", arity)
 
 
-# Name, Agent and Equation stay dataclasses, for ``dataclasses.fields``.  The
-# decorator generates each method it is asked for at import, so it is not
-# asked for those they write: Name's equality and hash are written for that.
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
-class Name:
+class Name(FrozenRecord):
     """A wire endpoint.  Identity is the id; the display string is cosmetic."""
 
-    id: int
-    display: str = field(compare=False)
+    __slots__ = _fields = ("id", "display")
 
     def __init__(self, id: int, display: str) -> None:
         # Frozen: the fields go in through their slot descriptors, bound below.
@@ -106,18 +133,17 @@ class Name:
         return f"Name({self.id}:{self.display})"
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
-class Agent:
+class Agent(FrozenRecord):
     """An agent symbol applied to exactly ``symbol.arity`` argument terms.
 
     ``holds_names`` says whether a name occurs anywhere below the agent.  It
     is set once, from the arguments' own flags, so walks that look for names
-    skip name-free subterms in O(1).
+    skip name-free subterms in O(1).  It is a slot but not a field: it takes
+    no part in equality, hashing or ``repr``.
     """
 
-    symbol: Symbol
-    args: tuple["Term", ...] = ()
-    holds_names: bool = field(default=False, compare=False, repr=False)
+    __slots__ = ("symbol", "args", "holds_names")
+    _fields = ("symbol", "args")
 
     def __init__(self, symbol: Symbol, args: tuple["Term", ...] = ()) -> None:
         if len(args) != symbol.arity:
@@ -193,12 +219,10 @@ def nested_repr(t, opening, closing) -> str:
 Term = Union[Name, Agent]
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class Equation:
+class Equation(FrozenRecord):
     """An undirected connection between two terms (t=s means the same as s=t)."""
 
-    left: Term
-    right: Term
+    __slots__ = _fields = ("left", "right")
 
     def __init__(self, left: Term, right: Term) -> None:
         # Frozen: the fields go in through their slot descriptors, bound below.
@@ -206,9 +230,6 @@ class Equation:
         _EQUATION_RIGHT(self, right)
 
 
-# Terms are slotted, frozen records.  Their __init__ methods fill the fields
-# through these slot descriptors: frozen forbids plain attribute stores, and
-# object.__setattr__ looks the field up by name on every call.
 _NAME_ID = Name.id.__set__
 _NAME_DISPLAY = Name.display.__set__
 _AGENT_SYMBOL = Agent.symbol.__set__
@@ -344,7 +365,7 @@ class CanonicalConfiguration(FrozenRecord):
         object.__setattr__(self, "interface", interface)
         object.__setattr__(self, "equations", equations)
 
-    @cached_property
+    @_built_once
     def sort_key(self) -> tuple:
         return (
             tuple(_term_key(t) for t in self.interface),

@@ -36,7 +36,6 @@ table memoizes lookups per symbol pair.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations, islice
 from operator import attrgetter
@@ -54,6 +53,7 @@ from .core import (
     Record,
     Symbol,
     Term,
+    _built_once,
     canonicalize,
     nested_repr,
 )
@@ -211,10 +211,6 @@ class RuleEquation(FrozenRecord):
         _RULE_EQUATION_RIGHT(self, right)
 
 
-# Diagnostics and the rule-text records are slotted, frozen records, as
-# core's terms are.  Their __init__ methods fill the fields through these slot
-# descriptors: frozen forbids plain attribute stores, and
-# object.__setattr__ looks the field up by name on every call.
 _SPAN_LINE = Span.line.__set__
 _SPAN_COL = Span.col.__set__
 _DIAGNOSTIC_SEVERITY = Diagnostic.severity.__set__
@@ -239,29 +235,6 @@ class RuleKind(str, Enum):
     ORDINARY = "ordinary"
     FIXED_GENERIC = "fixed-generic"
     VARIADIC = "variadic"
-
-
-class _built_once:
-    """``functools.cached_property`` without the lock that Python 3.11
-    takes on every first read: the value goes into the instance's
-    attributes, where later reads find it without calling anything.  It is
-    stored with ``object.__setattr__``, not through ``__dict__``: touching
-    ``__dict__`` costs the instance its inline attribute values, and every
-    later attribute read on it gets slower."""
-
-    def __init__(self, build):
-        self._build = build
-        self.__doc__ = build.__doc__
-
-    def __set_name__(self, owner, name):
-        self._name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = self._build(obj)
-        object.__setattr__(obj, self._name, value)
-        return value
 
 
 class Rule(FrozenRecord):
@@ -1099,16 +1072,19 @@ def lookup(table: RuleTable, a: Symbol, b: Symbol) -> Optional[Match]:
 # Whole-rule-set analysis pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Analysis:
+class Analysis(Record):
     """What :func:`analyze_rules` found: its diagnostics in order, the rule
     set after expansion (each variadic rule's arity instances in place of
     it, with their right-hand sides not yet built; empty when a check
     before expansion failed), and the table when every check passed."""
 
-    diagnostics: list[Diagnostic]
-    expanded_rules: list[Rule]
-    table: Optional[RuleTable]
+    _fields = ("diagnostics", "expanded_rules", "table")
+
+    def __init__(self, diagnostics: list[Diagnostic], expanded_rules: list[Rule],
+                 table: Optional[RuleTable]) -> None:
+        self.diagnostics = diagnostics
+        self.expanded_rules = expanded_rules
+        self.table = table
 
     @property
     def ok(self) -> bool:

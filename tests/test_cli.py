@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import gc
 import hashlib
 import io
@@ -11,7 +10,13 @@ import sys
 
 import pytest
 
-from inetkit import analyze_rules, build_rule_table, occurrence_violations, parse_configuration
+from inetkit import (
+    Analysis,
+    analyze_rules,
+    build_rule_table,
+    occurrence_violations,
+    parse_configuration,
+)
 from inetkit.cli import build_arg_parser, main
 
 import program_gen
@@ -404,7 +409,8 @@ def test_fuzz_divergence_exits_5(tmp_program, monkeypatch, capsys):
 
     def unchecked(rules, symbols, **options):
         analysis = analyze_rules(rules, symbols, **options)
-        return dataclasses.replace(analysis, diagnostics=[], table=build_rule_table(rules))
+        return Analysis(diagnostics=[], expanded_rules=analysis.expanded_rules,
+                        table=build_rule_table(rules))
 
     monkeypatch.setattr(inetkit.cli, "analyze_rules", unchecked)
     path = tmp_program(SELF_RULE + SEEDED_ONLY_NET)

@@ -1,10 +1,13 @@
-"""The records that are not dataclasses behave as the dataclasses they stand
-for: each is checked against a mirror that ``dataclasses.make_dataclass``
-builds from the field list below, on instances taken from the corpus."""
+"""inetkit's records behave as the dataclasses they stand for: each is
+checked against a mirror that ``dataclasses.make_dataclass`` builds from the
+field list below, on instances taken from the corpus.  Each also survives
+copying, deep copying and pickling."""
 
+import copy
 import dataclasses
 import importlib
 import inspect
+import pickle
 import pkgutil
 import sys
 from collections import defaultdict
@@ -14,15 +17,19 @@ import pytest
 
 import inetkit
 from inetkit import (
+    Agent,
+    Analysis,
     CanonicalConfiguration,
     ConfluenceReport,
     Configuration,
     Diagnostic,
+    Equation,
     Fifo,
     GenericPattern,
     GenericRef,
     Lifo,
     Match,
+    Name,
     NormalizeOutcome,
     OrdinaryPattern,
     RAgent,
@@ -53,6 +60,9 @@ CORPUS_NAMES = ["addition", "dup_erase", "maybe_pick", "map"]
 # name, a (name, default) pair or a (name, dataclasses.field) pair.
 SPECS = {
     Symbol: (True, ["name", "arity"]),
+    Name: (True, ["id", ("display", field(compare=False))]),
+    Agent: (True, ["symbol", ("args", ())]),
+    Equation: (True, ["left", "right"]),
     Configuration: (False, ["interface", "equations"]),
     CanonicalConfiguration: (True, ["interface", "equations"]),
     Fifo: (True, []),
@@ -77,6 +87,7 @@ SPECS = {
                         ("matches", field(default_factory=dict, compare=False, repr=False))]),
     SourceProgram: (False, ["symbols", "rules", "net", "supply",
                             ("diagnostics", field(default_factory=list))]),
+    Analysis: (False, ["diagnostics", "expanded_rules", "table"]),
 }
 
 
@@ -118,6 +129,18 @@ def _rule_text(rule: Rule) -> list:
     return out
 
 
+def _terms(config) -> list:
+    """The equations of ``config`` and every term in it, subterms included."""
+    out: list = list(config.equations)
+    todo = [*config.interface, *(t for eq in config.equations for t in (eq.left, eq.right))]
+    while todo:
+        u = todo.pop()
+        out.append(u)
+        if isinstance(u, Agent):
+            todo.extend(u.args)
+    return out
+
+
 def corpus_records() -> dict[type, list]:
     """Instances of every record class, from parsing, checking, running and
     fuzzing the corpus, and from checking two ill-formed programs."""
@@ -137,13 +160,13 @@ def corpus_records() -> dict[type, list]:
         add(program, *program.symbols.values(), *program.diagnostics)
         add(*(d.span for d in program.diagnostics if d.span is not None))
         analysis = analyze_rules(program.rules, program.symbols.values())
-        add(*analysis.diagnostics)
+        add(analysis, *analysis.diagnostics)
         rules = [*program.rules, *analysis.expanded_rules]
         for r in rules:
             add(r, r.left, r.right, *_rule_text(r))
         if analysis.table is None:
             continue
-        add(analysis.table)
+        add(analysis.table, *_terms(program.net))
         for a in program.symbols.values():
             for b in program.symbols.values():
                 match = lookup(analysis.table, a, b)
@@ -153,7 +176,7 @@ def corpus_records() -> dict[type, list]:
         add(*strategies)
         for s in strategies:
             outcome = normalize(program.net, analysis.table, s, trace=True)
-            add(outcome, outcome.final, *outcome.trace)
+            add(outcome, outcome.final, *outcome.trace, *_terms(outcome.final))
         report = confluence_probe(program.net, analysis.table, strategies)
         add(report, *report.runs, *(run.canonical for run in report.runs))
     return found
@@ -169,8 +192,9 @@ def test_records_compare_hash_and_print_as_their_dataclass_mirrors(cls):
     ms = [mirror(x) for x in xs]
     frozen, _ = SPECS[cls]
     for x, m in zip(xs, ms):
-        assert repr(x) == repr(m)
-        if frozen and cls not in (CanonicalConfiguration, RAgent):
+        if cls is not Name:  # Name(0:x): the id and the display, tersely
+            assert repr(x) == repr(m)
+        if frozen and cls not in (CanonicalConfiguration, Agent, RAgent):
             assert hash(x) == hash(m)
         assert x.__eq__(object()) is NotImplemented
         if frozen:
@@ -188,8 +212,8 @@ def test_records_compare_hash_and_print_as_their_dataclass_mirrors(cls):
                 assert (x != y) == (m != n)
     if not frozen:
         assert cls.__hash__ is None and MIRRORS[cls].__hash__ is None
-    if cls is RAgent:
-        # As core's Agent, it hashes a flat key: equal agents hash equal.
+    if cls in (Agent, RAgent):
+        # Each hashes a flat key: equal agents hash equal.
         for x in xs:
             for y in xs:
                 assert x != y or hash(x) == hash(y)
@@ -199,7 +223,8 @@ def test_records_compare_hash_and_print_as_their_dataclass_mirrors(cls):
 def test_records_take_their_dataclass_mirrors_arguments_and_defaults(cls):
     m = MIRRORS[cls]
     assert list(inspect.signature(cls).parameters) == [f.name for f in dataclasses.fields(m)]
-    sample = RECORDS[cls][0]
+    # An agent takes as many arguments as its symbol's arity: sample a constant.
+    sample = next(x for x in RECORDS[cls] if cls is not Agent or not x.args)
     required = [getattr(sample, f.name) for f in dataclasses.fields(m)
                 if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     x, y, mx = cls(*required), cls(*required), m(*required)
@@ -216,7 +241,7 @@ def test_only_an_arity_instance_is_made_without_a_rhs():
         Rule("r", written.left, written.right)
 
 
-def test_only_name_agent_equation_and_analysis_are_dataclasses():
+def test_no_class_in_inetkit_is_a_dataclass():
     found = set()
     for info in pkgutil.iter_modules(inetkit.__path__):
         if info.name == "__main__":
@@ -226,7 +251,34 @@ def test_only_name_agent_equation_and_analysis_are_dataclasses():
             if isinstance(value, type) and value.__module__ == module.__name__:
                 if dataclasses.is_dataclass(value):
                     found.add(name)
-    assert found == {"Name", "Agent", "Equation", "Analysis"}
+    assert found == set()
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+@pytest.mark.parametrize("how", list(ROUND_TRIPS))
+@pytest.mark.parametrize("cls", list(SPECS), ids=lambda c: c.__name__)
+def test_records_survive_copy_deepcopy_and_pickle(cls, how):
+    # Each corpus program's SourceProgram, Analysis and RuleTable are among
+    # the records, taken after a run has filled the table's and the rules'
+    # lazy parts.
+    for x in RECORDS[cls][:40]:
+        y = ROUND_TRIPS[how](x)
+        assert y.__class__ is cls
+        if cls is SourceProgram:
+            # A name supply compares by identity, so a program's is left out.
+            fields = [f for f in cls._fields if f != "supply"]
+            assert [getattr(y, f) for f in fields] == [getattr(x, f) for f in fields]
+        else:
+            assert y == x
+        # Slots that are not fields, such as an agent's holds_names, too.
+        for name in cls.__slots__:
+            assert getattr(y, name) == getattr(x, name)
 
 
 # A right-hand side that nests 500 agents: rule text as tests/test_rhs_program.py
