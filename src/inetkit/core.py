@@ -253,10 +253,19 @@ class Configuration(Record):
 
 
 class NameSupply:
-    """Hands out names with ids never issued before by this supply."""
+    """Hands out names with ids never issued before by this supply.
+
+    Two supplies are equal when they would issue the same next id.  A
+    supply is mutable, so it is unhashable.
+    """
+
+    __hash__ = None
 
     def __init__(self, start: int = 0):
         self._next = start
+
+    def __eq__(self, other: object) -> bool:
+        return self._next == other._next if other.__class__ is NameSupply else NotImplemented
 
     def fresh(self, hint: str = "x") -> Name:
         name = Name(self._next, hint)
@@ -463,9 +472,12 @@ def _refine(config: Configuration, colors: dict[int, int]) -> dict[int, int]:
 
 
 def _rebuild(t: Term, renamed: dict[int, Name]) -> Term:
-    """``t`` with every name replaced by ``renamed[id]``."""
+    """``t`` with every name replaced by ``renamed[id]``.  A subterm that
+    holds no name is returned as it is, unvisited."""
     if isinstance(t, Name):
         return renamed[t.id]
+    if not t.holds_names:
+        return t
     # Per open agent: the agent, its arguments left to visit and its
     # rebuilt arguments so far.
     frames = [(t, iter(t.args), [])]
@@ -474,6 +486,8 @@ def _rebuild(t: Term, renamed: dict[int, Name]) -> Term:
         for u in todo:
             if isinstance(u, Name):
                 done.append(renamed[u.id])
+            elif not u.holds_names:
+                done.append(u)
             else:
                 frames.append((u, iter(u.args), []))
                 break

@@ -392,16 +392,21 @@ class Reducer:
     def run(self, budget: int, trace: bool = False) -> NormalizeOutcome:
         """Fire up to ``budget`` steps and report how reduction ended."""
         recorded: Optional[list[StepResult]] = [] if trace else None
+        return self._outcome(self._steps(budget, recorded), recorded)
+
+    def _steps(self, budget: int, recorded: Optional[list[StepResult]] = None) -> int:
+        """Fire up to ``budget`` steps, appending their records to
+        ``recorded`` if given, and return how many were fired."""
         steps = 0
         while steps < budget:
             eid = self._agenda.pick()
             if eid is None:
                 break
-            result = self._fire(eid, record=trace)
+            result = self._fire(eid, record=recorded is not None)
             if recorded is not None:
                 recorded.append(result)
             steps += 1
-        return self._outcome(steps, recorded)
+        return steps
 
     def _outcome(self, steps: int, recorded: Optional[list[StepResult]] = None) -> NormalizeOutcome:
         """How reduction ended after ``steps`` steps: out of budget while a
@@ -656,6 +661,34 @@ def _resolve(t: Term, bound: dict[int, Term]) -> Term:
     return done[0]
 
 
+def _resolves_to(t: Term, bound: dict[int, Term], u: Term) -> bool:
+    """Whether ``t`` resolved through ``bound`` equals ``u``, as
+    :func:`_resolve` would build it: name ids compared exactly.
+
+    One walk with an explicit stack over both terms; it follows bindings
+    without consuming them, builds no agent, and compares a subterm that
+    holds no name as a whole.
+    """
+    todo = [(t, u)]
+    while todo:
+        t, u = todo.pop()
+        while t.__class__ is Name:
+            v = bound.get(t.id)
+            if v is None:
+                break
+            t = v
+        if t.__class__ is Name:
+            if u.__class__ is not Name or t.id != u.id:
+                return False
+        elif t.holds_names:
+            if u.__class__ is not Agent or (t.symbol is not u.symbol and t.symbol != u.symbol):
+                return False
+            todo.extend(zip(t.args, u.args))
+        elif t is not u and t != u:
+            return False
+    return True
+
+
 def normalize(
     config: Configuration,
     table: RuleTable,
@@ -730,8 +763,11 @@ def confluence_probe(
     its strategy would.  A seeded strategy ``seed:K`` fires
     ``ids[Random(K).randrange(len(ids))]`` at each step, ``ids`` being the
     reducible equation ids in agenda order; :func:`_draw` makes that draw.
-    The probe keeps the previous run's final configuration, whose canonical
-    form a run that ends in an equal configuration reuses.
+    A seeded run that ends out of budget resolves nothing.  One that ends
+    in a normal form without equations, as the last resolved end did, takes
+    that end's canonical form if its interface, read through its bindings,
+    is literally that end's.  Any other end is resolved, and reuses the last
+    resolved end's canonical form if it equals that end.
     """
     seeded = [(position, random.Random(s.seed)) for position, s in enumerate(strategies)
               if isinstance(s, Seeded)]
@@ -745,8 +781,8 @@ def confluence_probe(
         raise ValueError("budget must be positive")
     # Canonical forms by literal final configuration (name ids included):
     # runs that end in the same configuration share one canonicalization.
-    # The previous end's configuration is kept: an end equal to it, as the
-    # seeded ends of a net mostly are, takes its form without a key.
+    # The last resolved end's configuration is kept: an end equal to it, as
+    # the seeded ends of a net mostly are, takes its form without a key.
     forms: dict[tuple, CanonicalConfiguration] = {}
     previous: Optional[tuple[Configuration, CanonicalConfiguration]] = None
 
@@ -765,9 +801,20 @@ def confluence_probe(
                 previous = final, canonical
         return outcome.status, outcome.steps, canonical
 
+    def end_of(reducer: Reducer, steps: int) -> _End:
+        """A seeded run's end after ``steps`` steps, by the rule above."""
+        if reducer._agenda.how:
+            return "budget_exhausted", steps, None
+        if (previous is not None and not reducer._eqs and not previous[0].equations
+                # Every run of the net keeps its interface's length.
+                and all(_resolves_to(t, reducer._subst, u)
+                        for t, u in zip(reducer._interface, previous[0].interface))):
+            return "normal_form", steps, previous[1]
+        return summarize(reducer._outcome(steps))
+
     ends: dict[int, Union[_End, Exception]] = {}
     if seeded:
-        _walk_schedules(root, seeded, 0, budget, summarize, ends)
+        _walk_schedules(root, seeded, 0, budget, end_of, ends)
     runs: list[RunSummary] = []
     for position, strategy in enumerate(strategies):
         if isinstance(strategy, Seeded):
@@ -804,7 +851,7 @@ def _walk_schedules(
     members: list[tuple[int, random.Random]],
     steps: int,
     budget: int,
-    summarize,
+    end_of,
     ends: dict[int, Union[_End, Exception]],
     pending: Optional[int] = None,
 ) -> None:
@@ -821,11 +868,12 @@ def _walk_schedules(
     one, smallest first, runs to its ends on a fork of the state before the
     walk goes on.  A smaller party has at most half the members, so at most
     floor(log2 k) + 1 reducers are alive for k members, and there are at
-    most k - 1 forks.  A lone member runs on with :meth:`Reducer.run`.  Each
-    end is summarized as soon as it is reached; ``summarize`` may keep its
-    final configuration, but not the reducer.  An error raised on the way is
-    stored as the end of every member that reached it, without its
-    traceback, which would keep the reducer alive.
+    most k - 1 forks.  A lone member runs on with :meth:`Reducer._steps`,
+    which builds no outcome.  Each end is read as soon as it is reached, by
+    ``end_of(reducer, steps)``, which may keep a final configuration but not
+    the reducer.  An error raised on the way is stored as the end of every
+    member that reached it, without its traceback, which would keep the
+    reducer alive.
     """
     try:
         while True:
@@ -834,12 +882,10 @@ def _walk_schedules(
                 steps += 1
             if len(members) == 1:
                 reducer._agenda._rng = members[0][1]
-                outcome = reducer.run(budget - steps)
-                outcome.steps += steps
+                steps += reducer._steps(budget - steps)
                 break
             ids = reducer._agenda._ids
             if steps == budget or not ids:
-                outcome = reducer._outcome(steps)
                 break
             n = len(ids)
             parties: dict[int, list[tuple[int, random.Random]]] = {}
@@ -850,9 +896,9 @@ def _walk_schedules(
                 continue
             *smaller, (pending, largest) = sorted(parties.items(), key=lambda p: len(p[1]))
             for eid, party in smaller:
-                _walk_schedules(reducer._fork(), party, steps, budget, summarize, ends, eid)
+                _walk_schedules(reducer._fork(), party, steps, budget, end_of, ends, eid)
             members = largest
-        end: Union[_End, Exception] = summarize(outcome)
+        end: Union[_End, Exception] = end_of(reducer, steps)
     except Exception as exc:
         end = exc.with_traceback(None)
     for position, _ in members:

@@ -28,7 +28,9 @@ none, and only ``expand`` builds an instance's right-hand side.
 
 A confluence probe fires each interaction of its seeded strategies'
 schedule tree once, and for k seeds makes at most k - 1 reducer forks and
-keeps at most floor(log2 k) + 1 reducers alive.
+keeps at most floor(log2 k) + 1 reducers alive.  Of its seeded runs, one
+that ends out of budget reads no configuration, and one that ends in the
+normal form the last resolved run ended in builds no outcome.
 """
 
 import weakref
@@ -47,12 +49,15 @@ from inetkit import (
     Reducer,
     RuleKind,
     Seeded,
+    build_rule_table,
     confluence_probe,
     normalize,
+    parse_program,
 )
 from inetkit.cli import main
 from inetkit.surface import render_term
 
+import probe_oracle
 from conftest import compile_corpus, compile_text, corpus_rules, dup_text, eps_dup_text
 
 # The slot descriptor of ``Agent.args``, bound before ``agent_nodes``
@@ -652,3 +657,62 @@ def test_fuzz_with_one_seed_makes_no_fork(corpus_dir, reducers, capsys):
     assert main(["fuzz", str(corpus_dir / "map.inet"), "--seeds", "1"]) == 0
     assert capsys.readouterr().out.startswith("confluence: 3 strategies")
     assert reducers["forks"] == 0
+
+
+@pytest.fixture
+def ends(monkeypatch):
+    """Outcomes built and configurations read by reducers."""
+    tally = Counter()
+    outcome, configuration = Reducer._outcome, Reducer.configuration
+
+    def counting_outcome(self, *args, **kwargs):
+        tally["outcomes"] += 1
+        return outcome(self, *args, **kwargs)
+
+    def counting_configuration(self):
+        tally["configurations"] += 1
+        return configuration.fget(self)
+
+    monkeypatch.setattr(Reducer, "_outcome", counting_outcome)
+    monkeypatch.setattr(Reducer, "configuration", property(counting_configuration))
+    return tally
+
+
+@pytest.mark.parametrize("name", ["dup_erase", "map"])
+def test_seeded_runs_that_end_alike_are_resolved_once(name, ends):
+    """Every seeded run of a corpus net ends in the same normal form, so
+    only the first end is resolved; the others read their interfaces
+    against it."""
+    program, analysis = compile_corpus(name)
+    report = confluence_probe(program.net, analysis.table, [Seeded(i) for i in range(200)])
+    assert report.consistent
+    assert {run.status for run in report.runs} == {"normal_form"}
+    assert ends["outcomes"] == 1
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_a_seeded_run_out_of_budget_resolves_nothing(name, ends):
+    program, analysis = compile_corpus(name)
+    report = confluence_probe(program.net, analysis.table, [Seeded(i) for i in range(200)], budget=3)
+    assert {(run.status, run.steps) for run in report.runs} == {("budget_exhausted", 3)}
+    assert ends["configurations"] == 0
+
+
+# A self rule whose instance wires the interface one way or the other
+# depending on which of the two equations around x communicates first: the
+# seeded runs end with no equation, in interfaces that differ only in which
+# names are wired together.
+REWIRING_RULE = "agent G/3; G(a, b, e) >< G(c, d, f) => a~b, c~e, d~f;"
+REWIRING_NET = "net (p, q, s, r, t, u) | x~G(p, q, s), x~G(r, t, u);"
+
+
+def test_seeded_ends_that_differ_only_in_wiring_diverge():
+    program = parse_program(REWIRING_RULE + REWIRING_NET)
+    table = build_rule_table(program.rules)
+    seeds = [Seeded(i) for i in range(8)]
+    report = confluence_probe(program.net, table, seeds)
+    forms = {run.canonical for run in report.runs}
+    assert {run.status for run in report.runs} == {"normal_form"} and len(forms) == 2
+    assert not report.consistent
+    oracle = probe_oracle.confluence_probe(program.net, table, seeds)
+    assert report.runs == oracle.runs

@@ -30,6 +30,7 @@ from inetkit import (
     Lifo,
     Match,
     Name,
+    NameSupply,
     NormalizeOutcome,
     OrdinaryPattern,
     RAgent,
@@ -270,15 +271,22 @@ def test_records_survive_copy_deepcopy_and_pickle(cls, how):
     for x in RECORDS[cls][:40]:
         y = ROUND_TRIPS[how](x)
         assert y.__class__ is cls
-        if cls is SourceProgram:
-            # A name supply compares by identity, so a program's is left out.
-            fields = [f for f in cls._fields if f != "supply"]
-            assert [getattr(y, f) for f in fields] == [getattr(x, f) for f in fields]
-        else:
-            assert y == x
+        assert y == x
         # Slots that are not fields, such as an agent's holds_names, too.
         for name in cls.__slots__:
             assert getattr(y, name) == getattr(x, name)
+
+
+def test_a_program_equals_itself_parsed_again():
+    """A program's name supply compares by the id it would issue next, so
+    a second parse of the same text gives an equal program."""
+    text = corpus_text("map")
+    program = parse_program(text)
+    assert parse_program(text) == program
+    assert program.supply == NameSupply(program.supply.next_id)
+    assert program.supply != NameSupply(program.supply.next_id + 1)
+    with pytest.raises(TypeError):
+        hash(program.supply)
 
 
 # A right-hand side that nests 500 agents: rule text as tests/test_rhs_program.py
