@@ -152,8 +152,8 @@ def cmd_trace(args) -> int:
 def cmd_expand(args) -> int:
     analysis = _analyze(_load(args.input), args.max_arity, all_arities=True)
     # The expansion covers every arity up to the program's maximum, not just
-    # those that occur, and is printed whenever the pre-expansion checks
-    # pass, even if the expanded set then fails the overlap check; seeing the
+    # those that occur, and is printed whenever the checks before the
+    # overlap check pass, even if the overlap check then fails; seeing the
     # expanded rules is exactly what helps diagnose that failure.
     for rule in analysis.expanded_rules:
         origin = "source" if rule.instance_of is None else rule.origin

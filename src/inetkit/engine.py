@@ -12,8 +12,9 @@ calls by name for every step it fires: :func:`step_communication`,
 Interaction dispatch is two-phase: ordinary rules first, then the two
 generic probes, in a fixed order.  The engine deals in rule matches only:
 :func:`~inetkit.rules.lookup` resolves and orients the active pair once,
-and the engine hands the oriented agents to the rule's compiled right-hand
-side (:attr:`~inetkit.rules.Rule.program`), which the rule builds the first
+a variadic rule as its arity instance for the pair, made then, and the
+engine hands the oriented agents to the rule's compiled right-hand side
+(:attr:`~inetkit.rules.Rule.program`), which the rule builds the first
 time it is read.
 
 The calculus itself fixes no reduction order; strategies only choose which

@@ -1,4 +1,4 @@
-"""Interaction rules: patterns, validation, variadic expansion, rule table.
+"""Interaction rules: patterns, validation, generic resolution, rule table.
 
 A rule rewrites an active pair (an equation between two agent terms) into a
 multiset of right-hand-side equations.  Three kinds exist:
@@ -9,28 +9,23 @@ multiset of right-hand-side equations.  Three kinds exist:
                   remainder of its ports covered by a range ``[x]``.
 
 :func:`analyze_rules` is the one checker of a rule set: it runs every
-static check in order and builds the table only if all pass.  The steps it
-calls are plain building blocks: :func:`expand_variadic` expands at the
-arities it is given and :func:`build_rule_table` indexes whatever it is
-given, so tests can build ill-formed tables.  All of them read a written
-rule's right-hand side from one walk over it, its summary
+static check in order and builds the table only if all pass.  The checks
+and the table work over the rules as written; :func:`build_rule_table`
+indexes whatever it is given, so tests can build ill-formed tables.  They
+read a written rule's right-hand side from one walk over it, its summary
 (:attr:`Rule.summary`): name counts, the largest name id, each equation's
 ranges, variadic names and names, and every agent.
 
-Variadic rules never reach the reduction engine directly: they are expanded
-into one fixed generic rule per arity that occurs in the program, which also
-makes the static overlap checks finite.  Analysis makes an arity instance
-from its patterns only, which is all the checks and the rule table read.
-Every rule compiles its right-hand side into a flat :class:`RhsProgram` the
-first time its program is read (:attr:`Rule.program`), which builds its net
-equations directly; it serves the engine's interactions and the self-rule
-swap check alike.  It is stamped from a template of the written rule
-(:attr:`Rule.template`), an arity instance's from its written rule's.  An
-arity instance's right-hand side (:attr:`Rule.rhs`) is stamped from that
-template too: the program and the printed instance are two stampings of one
-template.  Only ``inet expand``, which prints them, builds an instance's
-right-hand side; ``check``, ``run`` and ``fuzz`` build none.  The rule
-table memoizes lookups per symbol pair.
+A variadic rule stands for one fixed generic rule per partner arity, its
+arity instances (:func:`expand_variadic`), made from its patterns only.
+Two written generic rules overlap in at most one pair of instances, so the
+overlap check makes none; the table makes one the first time a lookup
+needs it, and ``inet expand`` makes them all.  Every rule compiles its
+right-hand side into a flat :class:`RhsProgram` the first time its program
+is read (:attr:`Rule.program`), stamped from a template of the written
+rule (:attr:`Rule.template`), as is an instance's right-hand side
+(:attr:`Rule.rhs`), which only ``inet expand`` builds.  The rule table
+memoizes lookups per symbol pair.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from itertools import chain, combinations, islice
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import (
@@ -256,6 +251,7 @@ class Rule(FrozenRecord):
     """
 
     _fields = ("id", "left", "right", "rhs", "origin")
+    _ports: tuple[Name, ...] = ()  # a variadic rule's instances' extra ports
 
     def __init__(self, id: str, left: OrdinaryPattern, right: Union[OrdinaryPattern, GenericPattern],
                  rhs: Optional[tuple[RuleEquation, ...]] = None, origin: str = "",
@@ -809,37 +805,31 @@ def expand_variadic(rule: Rule, arities: Iterable[int]) -> list[Rule]:
     The arity-``k`` instance is the rule instantiated against an abstract
     partner with ``k`` ports: the left-hand range becomes ``k - f`` explicit
     parameters, fresh names numbered from just above the rule's largest
-    name id.  Only the instance's patterns are made here; its right-hand
-    side is stamped from the rule's template by :func:`_expand_at` the
-    first time it is read, and its program from the same template the first
-    time it fires.
+    name id.  Only the instance's patterns are made here (:func:`_instance`);
+    its right-hand side is stamped from the rule's template by
+    :func:`_expand_at` the first time it is read, and its program from the
+    same template the first time it fires.
     """
     g = rule.generic
     if g is None or not g.is_variadic:
         return [rule]
     f = len(g.fixed_params)
-    ks = sorted({k for k in arities if k >= f})
-    first = _rule_max_name_id(rule) + 1
-    extra = max(ks, default=f) - f
-    ports = tuple(Name(first + i, f"{g.range_name}{i + 1}") for i in range(extra))
-    return [
-        Rule(
-            id=f"{rule.id}@{k}",
-            left=rule.left,
-            right=GenericPattern(g.generic_name, g.fixed_params + ports[: k - f], None),
-            origin=f"expanded-from({rule.id}, {k})",
-            instance_of=rule,
-        )
-        for k in ks
-    ]
+    return [_instance(rule, k) for k in sorted({k for k in arities if k >= f})]
 
 
-def _instance_parts(rule: Rule) -> tuple[Rule, GenericPattern, tuple[Name, ...]]:
-    """The written rule of the arity instance ``rule``, its wildcard, and
-    the instance's ports beyond the written fixed ones."""
-    src = rule.instance_of
-    assert src is not None and src.generic is not None
-    return src, src.generic, rule.right.fixed_params[len(src.generic.fixed_params):]
+def _instance(rule: Rule, k: int) -> Rule:
+    """The arity-``k`` instance of the variadic ``rule``, made from its
+    patterns.  Its extra ports are the first ``k - f`` of the rule's
+    ``_ports``, one tuple shared by all its instances and grown as needed."""
+    g = rule.generic
+    m = k - len(g.fixed_params)
+    ports = rule._ports
+    if len(ports) < m:
+        first = _rule_max_name_id(rule) + 1
+        ports += tuple(Name(first + i, f"{g.range_name}{i + 1}") for i in range(len(ports), m))
+        object.__setattr__(rule, "_ports", ports)
+    right = GenericPattern(g.generic_name, g.fixed_params + ports[:m], None)
+    return Rule(f"{rule.id}@{k}", rule.left, right, None, f"expanded-from({rule.id}, {k})", rule)
 
 
 def _expand_at(rule: Rule) -> tuple[RuleEquation, ...]:
@@ -857,7 +847,9 @@ def _expand_at(rule: Rule) -> tuple[RuleEquation, ...]:
     order, then for its locals; every equation draws for a range tail as
     its agent closes.
     """
-    src, g, lhs_ports = _instance_parts(rule)
+    src = rule.instance_of
+    g = src.generic
+    lhs_ports = rule.right.fixed_params[len(g.fixed_params):]
     m = len(lhs_ports)
     # With no extra ports nothing is drawn.
     supply = NameSupply(lhs_ports[-1].id + 1 if m else 0)
@@ -897,23 +889,22 @@ def _expand_at(rule: Rule) -> tuple[RuleEquation, ...]:
     return tuple(out)
 
 
-def _instance_max_name_id(rule: Rule) -> int:
-    """The largest name id of the arity instance ``rule``, read off its
-    written rule without building its right-hand side.
-
-    :func:`_expand_at` stamps the same number of fresh names per extra port
-    from the template, numbered on from the ports: one per right-hand-only
-    range, and the local names of each replicated equation.  So with extra
-    ports the last name drawn is the largest; with none, the instance keeps
-    the written rule's names outside its replicated equations.  This reads
-    the summary, not the template, so ``check`` builds no template.
-    """
-    src, g, lhs_ports = _instance_parts(rule)
-    _, _, eqs, _ = src.summary
-    if not lhs_ports:
+def _instance_max_name_id(rule: Rule, k: int) -> int:
+    """The largest name id of the arity-``k`` instance of the variadic
+    ``rule``, read off its summary without making the instance.  The
+    instance's extra ports are numbered on from the rule's largest name id,
+    and :func:`_expand_at` stamps as many fresh names per port after them:
+    one per right-hand-only range and the locals of each replicated
+    equation.  So with extra ports the last name drawn is the largest; with
+    none, the instance keeps the rule's names outside its replicated
+    equations."""
+    g = rule.generic
+    _, top, eqs, _ = rule.summary
+    m = k - len(g.fixed_params)
+    if not m:
         kept = [n.id for _, varnames, names in eqs if not varnames for n in names]
-        return max([*map(_ID, src.params), *kept], default=-1)
-    params = set(map(_ID, src.params))
+        return max([*map(_ID, rule.params), *kept], default=-1)
+    params = set(map(_ID, rule.params))
     ranges: set[str] = set()
     per_port = 0
     for rngs, varnames, names in eqs:
@@ -921,49 +912,56 @@ def _instance_max_name_id(rule: Rule) -> int:
         if varnames:
             per_port += len(set(map(_ID, names)) - params)
     ranges.discard(g.range_name)
-    return lhs_ports[-1].id + len(lhs_ports) * (len(ranges) + per_port)
+    return top + m * (1 + len(ranges) + per_port)
 
 
 # ---------------------------------------------------------------------------
 # Generic rule constraint
 # ---------------------------------------------------------------------------
 
-def check_grc(rules: Sequence[Rule]) -> list[Diagnostic]:
-    """Generic-overlap check over a fully expanded rule set.
+def check_grc(rules: Sequence[Rule], arities: Iterable[int]) -> list[Diagnostic]:
+    """Generic-overlap check over written rules, a variadic rule standing
+    for its instances at the ``arities`` at or above its fixed-port count.
 
     Two generic rules ``A >< phi_m`` and ``B >< phi_n`` both match the active
     pair (A, B) exactly when arity(A) = n and arity(B) = m; such a pair must
     then be covered by an ordinary rule, which takes priority at run time.
+    So two written rules overlap in at most one pair of instances, and a
+    rule matches its own pair only at m = arity(A).  Instances are named
+    ``r@k``, not made; the diagnostics come in the expansion's order.
     """
-    if any(r.kind is RuleKind.VARIADIC for r in rules):
-        raise ValueError("check_grc expects an expanded rule set (no variadic rules)")
-    diags: list[Diagnostic] = []
-    ordinary_pairs = set()
-    for r in rules:
-        if isinstance(r.right, OrdinaryPattern):
-            ordinary_pairs.add(_pair_key(r.left.symbol.name, r.right.symbol.name))
+    ks = set(arities)
+    covered = {_pair_key(r.left.symbol.name, r.right.symbol.name)
+               for r in rules if r.generic is None}
+    generics = [(r, r.generic, r.left.symbol) for r in rules if r.generic is not None]
 
-    generics = [(r, r.generic) for r in rules if r.generic is not None]
-    for r, g in generics:
-        if r.left.symbol.arity == len(g.fixed_params):
-            a = r.left.symbol.name
-            message = (f"rule {r.id} can match its own symbol pair ({a}, {a}); "
+    def instance_id(r: Rule, g: GenericPattern, m: int) -> Optional[str]:
+        f = len(g.fixed_params)
+        if g.is_variadic:
+            return f"{r.id}@{m}" if m >= f and m in ks else None
+        return r.id if m == f else None
+
+    diags: list[Diagnostic] = []
+    for r, g, a in generics:
+        rule_id = instance_id(r, g, a.arity)
+        if rule_id is not None:
+            message = (f"rule {rule_id} can match its own symbol pair ({a.name}, {a.name}); "
                        f"the two-probe lookup order makes the binding deterministic")
             diags.append(Diagnostic("warning", "W_SELF_GENERIC", message))
-    for (r1, g1), (r2, g2) in combinations(generics, 2):
-        a_sym, b_sym = r1.left.symbol, r2.left.symbol
-        m, n = len(g1.fixed_params), len(g2.fixed_params)
-        if (a_sym.name, m) == (b_sym.name, n):
-            continue  # identical slot: reported as E_DUP_GENERIC elsewhere
-        if a_sym.arity == n and b_sym.arity == m:
-            if _pair_key(a_sym.name, b_sym.name) not in ordinary_pairs:
-                message = (
-                    f"generic rules {r1.id} ({a_sym.name} >< {g1.generic_name}/{m}) "
-                    f"and {r2.id} ({b_sym.name} >< {g2.generic_name}/{n}) both match the "
-                    f"active pair ({a_sym.name}, {b_sym.name}) and no ordinary rule covers it"
-                )
-                diags.append(Diagnostic("error", "E_GRC_OVERLAP", message))
-    return diags
+    overlaps = []  # (where the pair stands in expanded order, its error)
+    for i, (r1, g1, a) in enumerate(generics):
+        for j, (r2, g2, b) in enumerate(generics[i + 1:], i + 1):
+            m, n = b.arity, a.arity
+            id1, id2 = instance_id(r1, g1, m), instance_id(r2, g2, n)
+            # An identical slot is reported as E_DUP_GENERIC elsewhere.
+            if (id1 is None or id2 is None or (a.name, m) == (b.name, n)
+                    or _pair_key(a.name, b.name) in covered):
+                continue
+            message = (f"generic rules {id1} ({a.name} >< {g1.generic_name}/{m}) and {id2} "
+                       f"({b.name} >< {g2.generic_name}/{n}) both match the active pair "
+                       f"({a.name}, {b.name}) and no ordinary rule covers it")
+            overlaps.append(((i, m, j), Diagnostic("error", "E_GRC_OVERLAP", message)))
+    return diags + [d for _, d in sorted(overlaps, key=itemgetter(0))]
 
 
 # ---------------------------------------------------------------------------
@@ -986,64 +984,50 @@ class Match(FrozenRecord):
 
 
 class RuleTable(Record):
-    """The rules of a program, indexed for two-probe lookup.
+    """The written rules of a program, indexed for two-probe lookup: the
+    ordinary ones by symbol pair, the generic ones by concrete symbol.
 
-    The indexes hold rules by their patterns and never change once built.
-    What fills lazily as the table is used: ``matches`` holds the
-    :func:`lookup` result, an oriented :class:`Match` or ``None``, per
-    ordered pair of symbols (the name and arity of each), filled by the
-    reducer; and each rule compiles its program the first time it fires
-    (:attr:`Rule.program`), from the template of its written rule
-    (:attr:`Rule.template`).  Sharing a table
-    across threads stays safe: each of these is a pure function of its
-    key or rule, so a repeated fill writes an equal value.
-    ``max_name_id`` is the largest name id in the rules, instances'
-    right-hand sides included, found without building them.  ``matches``
-    takes no part in equality or ``repr``.
+    The indexes never change once built.  ``slots`` and ``matches`` fill as
+    the table is used: the rule of each generic slot a lookup has probed
+    (:func:`_generic_at`), and the :func:`lookup` result per ordered pair of
+    symbols (the name and arity of each).  Each is a pure function of its
+    key, so a table may be shared across threads, and neither takes part in
+    equality or ``repr``.  ``max_name_id`` is the largest name id in the
+    rules, each variadic one counted as its instance at the widest arity.
     """
 
     _fields = ("ordinary", "generic", "max_name_id")
 
-    def __init__(self, ordinary: dict[tuple[str, str], Rule], generic: dict[tuple[int, str], Rule],
+    def __init__(self, ordinary: dict[tuple[str, str], Rule], generic: dict[str, list[Rule]],
                  max_name_id: int = -1,
                  matches: Optional[dict[tuple[str, int, str, int], Optional[Match]]] = None) -> None:
         self.ordinary = ordinary
         self.generic = generic
         self.max_name_id = max_name_id
         self.matches = {} if matches is None else matches
+        self.slots: dict[tuple[int, str], Optional[Rule]] = {}
 
 
-def build_rule_table(rules: Sequence[Rule]) -> RuleTable:
-    """Index an expanded rule set for two-probe lookup, without checking it.
-
-    Ordinary rules are stored under an unordered symbol-pair key, generic
-    rules under (wildcard arity, concrete partner symbol); where two rules
-    share a key, the first is kept.  :func:`analyze_rules` builds a table
-    only from a rule set that passes every check; tests call this directly
-    to study ill-formed systems.
-    """
-    if any(r.kind is RuleKind.VARIADIC for r in rules):
-        raise ValueError("build_rule_table expects an expanded rule set")
-
+def build_rule_table(rules: Sequence[Rule], arities: Iterable[int]) -> RuleTable:
+    """Index written rules for two-probe lookup, without checking them:
+    ordinary rules under an unordered symbol-pair key, the first kept where
+    two share one, generic rules under their concrete symbol, in order.
+    Only ``max_name_id`` reads ``arities``, the partner arities lookups
+    meet (``()`` if no rule is variadic); tests build ill-formed tables."""
     ordinary: dict[tuple[str, str], Rule] = {}
-    generic: dict[tuple[int, str], Rule] = {}
+    generic: dict[str, list[Rule]] = {}
+    top = max(arities, default=-1)
     max_id = -1
-    widest: dict[int, Rule] = {}  # per written variadic rule, its widest instance
     for r in rules:
-        src = r.instance_of
-        if src is None:
-            max_id = max(max_id, _rule_max_name_id(r))
-        elif len(r.right.fixed_params) >= len(widest.get(id(src), r).right.fixed_params):
-            widest[id(src)] = r
-        if isinstance(r.right, OrdinaryPattern):
+        g = r.generic
+        if g is None:
             ordinary.setdefault(_pair_key(r.left.symbol.name, r.right.symbol.name), r)
         else:
-            g = r.generic
-            assert g is not None and not g.is_variadic
-            generic.setdefault((len(g.fixed_params), r.left.symbol.name), r)
-    # An instance's largest name id grows with its arity.
-    for r in widest.values():
-        max_id = max(max_id, _instance_max_name_id(r))
+            generic.setdefault(r.left.symbol.name, []).append(r)
+        if g is None or not g.is_variadic:
+            max_id = max(max_id, _rule_max_name_id(r))
+        elif top >= len(g.fixed_params):  # the widest instance has the largest
+            max_id = max(max_id, _instance_max_name_id(r, top))
     return RuleTable(ordinary, generic, max_id)
 
 
@@ -1054,18 +1038,35 @@ def lookup(table: RuleTable, a: Symbol, b: Symbol) -> Optional[Match]:
     Ordinary rules take priority, and ``a`` binds the left pattern unless
     the rule's left symbol is ``b``'s.  Otherwise the generic slot with
     ``a`` in the wildcard position (``swapped``) is probed before the one
-    with ``b`` there.  Returns ``None`` when nothing matches.
+    with ``b`` there (:func:`_generic_at`).  Returns ``None`` when nothing
+    matches.
     """
     rule = table.ordinary.get(_pair_key(a.name, b.name))
     if rule is not None:
         return Match(rule, rule.left.symbol.name != a.name)
-    rule = table.generic.get((a.arity, b.name))
+    rule = _generic_at(table, a.arity, b.name)
     if rule is not None:
         return Match(rule, True)
-    rule = table.generic.get((b.arity, a.name))
-    if rule is not None:
-        return Match(rule, False)
-    return None
+    rule = _generic_at(table, b.arity, a.name)
+    return None if rule is None else Match(rule, False)
+
+
+def _generic_at(table: RuleTable, k: int, name: str) -> Optional[Rule]:
+    """The rule of the generic slot for wildcard arity ``k`` and concrete
+    symbol ``name``, or ``None``: the first generic rule on ``name`` that
+    covers ``k``, a variadic one as its arity-``k`` instance, made once per
+    table.  A slot is written only once resolved, never half made."""
+    rules = table.generic.get(name)
+    if rules is None:
+        return None
+    slot = (k, name)
+    if slot in table.slots:
+        return table.slots[slot]
+    rule = table.slots[slot] = next(
+        (_instance(r, k) if r.generic.is_variadic else r for r in rules
+         if k == len(r.generic.fixed_params)
+         or (r.generic.is_variadic and k > len(r.generic.fixed_params))), None)
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -1073,22 +1074,30 @@ def lookup(table: RuleTable, a: Symbol, b: Symbol) -> Optional[Match]:
 # ---------------------------------------------------------------------------
 
 class Analysis(Record):
-    """What :func:`analyze_rules` found: its diagnostics in order, the rule
-    set after expansion (each variadic rule's arity instances in place of
-    it, with their right-hand sides not yet built; empty when a check
-    before expansion failed), and the table when every check passed."""
+    """What :func:`analyze_rules` found: its diagnostics in order, the
+    written rules, the arities the overlap check took (``None`` when a
+    check before it failed), and the table when every check passed."""
 
-    _fields = ("diagnostics", "expanded_rules", "table")
+    _fields = ("diagnostics", "rules", "arities", "table")
 
-    def __init__(self, diagnostics: list[Diagnostic], expanded_rules: list[Rule],
-                 table: Optional[RuleTable]) -> None:
+    def __init__(self, diagnostics: list[Diagnostic], rules: Sequence[Rule],
+                 arities: Optional[Iterable[int]], table: Optional[RuleTable]) -> None:
         self.diagnostics = diagnostics
-        self.expanded_rules = expanded_rules
+        self.rules = rules
+        self.arities = arities
         self.table = table
 
     @property
     def ok(self) -> bool:
         return self.table is not None
+
+    @_built_once
+    def expanded_rules(self) -> list[Rule]:
+        """Each variadic rule's instances at :attr:`arities` in place of it,
+        their right-hand sides not yet built; made when first read, which
+        only ``inet expand`` does."""
+        ks = self.arities
+        return [] if ks is None else [x for r in self.rules for x in expand_variadic(r, ks)]
 
 
 def analyze_rules(
@@ -1100,43 +1109,32 @@ def analyze_rules(
 ) -> Analysis:
     """Run every static check in order and build the table if all pass.
 
-    This is the one checker of a rule set; :func:`expand_variadic` and
-    :func:`build_rule_table` check nothing.  Order: per-rule linearity,
-    ambiguity over the written rules, the expansion cap, variadic
-    expansion, generic-overlap check over the expanded set.  Everything
-    after expansion reads patterns only: no instance's right-hand side is
-    built here, and a firing instance builds its program without one.
+    The one checker of a rule set.  Order: per-rule linearity, ambiguity,
+    the expansion cap, the generic-overlap check; no instance is made here.
 
-    Each variadic rule is expanded at exactly the arities of the given
-    ``symbols`` (those at or above its fixed-port count), so the table
-    covers exactly those arities.  That covers every active pair a net over
-    these symbols can form, since right-hand sides only build agents of
-    these symbols and a wildcard copy takes its partner's symbol.  The
-    diagnostics equal those of a full expansion: an overlap between
-    ``A >< phi_m`` and ``B >< phi_n`` needs ``n = arity(A)`` and
-    ``m = arity(B)``.  ``all_arities`` expands at every arity from 0 to the
-    maximum instead, as ``inet expand`` prints it.  Either way, a maximum
+    Each variadic rule stands for its instances at exactly the arities of
+    the given ``symbols`` (those at or above its fixed-port count), which
+    covers every active pair a net over these symbols can form: right-hand
+    sides only build agents of these symbols, and a wildcard copy takes its
+    partner's symbol.  ``all_arities`` takes every arity from 0 to the
+    maximum instead, as ``inet expand`` prints them.  Either way, a maximum
     arity above ``arity_cap`` is an error, which names that arity, if any
-    rule is variadic; the largest arity is the symbols', so callers read it
-    there.
+    rule is variadic.
     """
     diags: list[Diagnostic] = []
     for r in rules:
         diags.extend(validate_linearity(r))
     diags.extend(check_no_ambiguity(rules))
     if errors_in(diags):
-        return Analysis(diags, [], None)
+        return Analysis(diags, rules, None, None)
 
     arities = {s.arity for s in symbols}
     top = max(arities, default=0)
     if top > arity_cap and any(r.kind is RuleKind.VARIADIC for r in rules):
         message = f"maximum arity {top} exceeds the expansion cap {arity_cap}"
         diags.append(Diagnostic("error", "E_EXPAND_OVERFLOW", message))
-        return Analysis(diags, [], None)
+        return Analysis(diags, rules, None, None)
     ks = range(top + 1) if all_arities else arities
-    expanded = [x for r in rules for x in expand_variadic(r, ks)]
-
-    diags.extend(check_grc(expanded))
-    if errors_in(diags):
-        return Analysis(diags, expanded, None)
-    return Analysis(diags, expanded, build_rule_table(expanded))
+    diags.extend(check_grc(rules, ks))
+    table = None if errors_in(diags) else build_rule_table(rules, ks)
+    return Analysis(diags, rules, ks, table)

@@ -46,7 +46,7 @@ def compile_corpus(name: str):
 def oriented(rule, eq):
     """The two agents of ``eq`` in the order ``lookup`` binds them to
     ``rule``: the one for its left pattern first."""
-    table = build_rule_table([rule])
+    table = build_rule_table([rule], ())
     match = lookup(table, eq.left.symbol, eq.right.symbol)
     assert match is not None and match.rule is rule
     return (eq.right, eq.left) if match.swapped else (eq.left, eq.right)
@@ -65,3 +65,16 @@ Dup(a, b) >< ANY([x]) => a~ANY([y]), b~ANY([z]), x'~Dup(y', z');
 Eps >< Dup(a, b) => Eps~a, Eps~b;
 net (p, q) | Dup(p, q)~W({zeros});
 """
+
+
+def many_instances_text(k: int, top: int) -> str:
+    """``k`` variadic rules over ``top - 1`` arities: ``Ei >< ANY([x])`` on
+    ``k`` constants, an ordinary rule on each pair of them (their instances
+    at arity 0 overlap), and agents ``Pa`` of every arity ``a`` in 2..top.
+    A full expansion makes about ``k * top`` instances; check it with
+    ``--max-arity`` at least ``top``."""
+    lines = [f"agent E{i}/0;" for i in range(k)]
+    lines += [f"E{i} >< ANY([x]) => E{i}~x';" for i in range(k)]
+    lines += [f"E{i} >< E{j} => ();" for i in range(k) for j in range(i + 1, k)]
+    lines += [f"agent P{a}/{a};" for a in range(2, top + 1)]
+    return "\n".join(lines) + "\n"

@@ -4,7 +4,8 @@ The library makes an arity instance of a variadic rule from its patterns
 and builds its right-hand side the first time it is read.  This module
 expands the whole rule at once, patterns and right-hand side together, with
 one name supply per instance, as the library once did; and it runs the
-analysis pipeline on that eager expansion.  The rules it returns carry
+analysis pipeline on that eager expansion, its overlap check the one of
+``grc_oracle`` over every pair of instances.  The rules it returns carry
 their right-hand side from the start, so ``build_rule_table`` walks them to
 find the largest name id.
 """
@@ -23,11 +24,12 @@ from inetkit.rules import (
     RuleTable,
     VarName,
     build_rule_table,
-    check_grc,
     check_no_ambiguity,
     errors_in,
     validate_linearity,
 )
+
+import grc_oracle
 
 
 def _parts(t: RhsTerm):
@@ -130,7 +132,7 @@ def analyze_eagerly(
             return diags, [], None
         ks = range(top + 1) if all_arities else sorted(arities)
         expanded.extend(expand_at(r, k) for k in ks if k >= len(g.fixed_params))
-    diags.extend(check_grc(expanded))
+    diags.extend(grc_oracle.check_grc(expanded))
     if errors_in(diags):
         return diags, expanded, None
-    return diags, expanded, build_rule_table(expanded)
+    return diags, expanded, build_rule_table(expanded, ())

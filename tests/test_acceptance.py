@@ -30,7 +30,7 @@ from inetkit import (
     parse_configuration,
     parse_program,
 )
-from inetkit.rules import errors_in
+from inetkit.rules import _generic_at, errors_in
 
 from conftest import compile_corpus, compile_text, corpus_text
 from variadic_oracle import ArityUnderflowError, instantiate_variadic
@@ -183,7 +183,7 @@ def test_criterion_06_ordinary_priority_observable():
         program, analysis = compile_text(base + "\n" + net)
         # the competing generic slot must actually exist for the priority
         # claim to mean anything
-        assert (aux.arity, ret.name) in analysis.table.generic
+        assert _generic_at(analysis.table, aux.arity, ret.name) is not None
         outcome = normalize(program.net, analysis.table, trace=True)
         applied = [
             s for s in outcome.trace

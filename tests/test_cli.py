@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -409,8 +410,8 @@ def test_fuzz_divergence_exits_5(tmp_program, monkeypatch, capsys):
 
     def unchecked(rules, symbols, **options):
         analysis = analyze_rules(rules, symbols, **options)
-        return Analysis(diagnostics=[], expanded_rules=analysis.expanded_rules,
-                        table=build_rule_table(rules))
+        return Analysis(diagnostics=[], rules=rules, arities=analysis.arities,
+                        table=build_rule_table(rules, ()))
 
     monkeypatch.setattr(inetkit.cli, "analyze_rules", unchecked)
     path = tmp_program(SELF_RULE + SEEDED_ONLY_NET)
@@ -441,6 +442,48 @@ def test_fuzz_divergence_exits_5(tmp_program, monkeypatch, capsys):
         "8. ↪col p2~Z => ()\n",
         "",
     )
+
+
+def test_expand_output_digest_over_corpus_and_generated_programs(tmp_path, capsys):
+    """Exit code, stdout and stderr of ``expand`` on the corpus and on 200
+    generated programs, pinned by one sha256 taken when analysis still
+    expanded every variadic rule up front."""
+    texts = [program_gen.program(random.Random(seed)) for seed in range(100)]
+    texts += [program_gen.variadic_program(random.Random(seed)) for seed in range(100)]
+    paths = [corpus_path(name) for name in CORPUS_NAMES]
+    for i, text in enumerate(texts):
+        path = tmp_path / f"p{i}.inet"
+        path.write_text(text, encoding="utf-8")
+        paths.append(str(path))
+    digest = hashlib.sha256()
+    codes = set()
+    for i, path in enumerate(paths):
+        code = main(["expand", path])
+        out, err = capsys.readouterr()
+        codes.add(code)
+        digest.update(repr((i, code, out, err)).encode())
+    assert codes == {0, 1, 2}
+    assert digest.hexdigest() == (
+        "f5b787d5513f59d903ea9546ff10f4782413323471d0c670af663341733a574d"
+    )
+
+
+def test_expand_of_the_variadic_fanout_program(tmp_path, capsys, monkeypatch):
+    """The benchmark's ``variadic_fanout`` program (seed 3) expands to the
+    same 102,812 bytes as before, sha256 prefix ``af7c99c81e4bcad8``."""
+    # Compiled from source rather than imported, so nothing is written
+    # next to it; its dataclasses look their module up in sys.modules.
+    source = CORPUS.parent.parent.parent / "perfbench" / "workloads.py"
+    workloads = types.ModuleType("perfbench_workloads")
+    monkeypatch.setitem(sys.modules, workloads.__name__, workloads)
+    exec(compile(source.read_text(encoding="utf-8"), str(source), "exec"), workloads.__dict__)
+    ((name, text),) = workloads.build("variadic_fanout", 3).files.items()
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main(["expand", str(path)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 102_812
+    assert hashlib.sha256(out).hexdigest().startswith("af7c99c81e4bcad8")
 
 
 def test_expand_output_reparses_cleanly(capsys):

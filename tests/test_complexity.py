@@ -58,7 +58,15 @@ from inetkit.cli import main
 from inetkit.surface import render_term
 
 import probe_oracle
-from conftest import compile_corpus, compile_text, corpus_rules, dup_text, eps_dup_text
+from conftest import (
+    compile_corpus,
+    compile_text,
+    corpus_rules,
+    corpus_text,
+    dup_text,
+    eps_dup_text,
+    many_instances_text,
+)
 
 # The slot descriptor of ``Agent.args``, bound before ``agent_nodes``
 # replaces it with a counting property, so the counters read the slot itself.
@@ -541,6 +549,61 @@ def test_expand_builds_each_instance_once(builds, tmp_path, capsys):
     assert builds["program"] == Counter()
 
 
+@pytest.fixture
+def instances(monkeypatch):
+    """Counts by id the arity instances made: the rules made with a written
+    rule as their ``instance_of``."""
+    made = Counter()
+    init = inetkit.rules.Rule.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.instance_of is not None:
+            made[self.id] += 1
+
+    monkeypatch.setattr(inetkit.rules.Rule, "__init__", counting_init)
+    return made
+
+
+@pytest.mark.parametrize(
+    "text, options",
+    [(eps_dup_text(64), []), (many_instances_text(20, 120), ["--max-arity", "200"])],
+    ids=["eps_dup_64", "many_instances_20_120"],
+)
+def test_check_makes_no_arity_instance(text, options, instances, tmp_path, capsys):
+    """``check`` works over the written rules: the overlap check names the
+    instances it reasons about, and the table makes none until a lookup."""
+    path = tmp_path / "program.inet"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path), *options]) == 0
+    assert capsys.readouterr().err.count("W_SELF_GENERIC") >= 2
+    assert instances == Counter()
+
+
+@pytest.mark.parametrize("name", ["eps_dup_64", *CORPUS_NAMES])
+@pytest.mark.parametrize(
+    "command, strategies",
+    [
+        (["run"], [Fifo()]),
+        (["fuzz", "--seeds", "20"], [Fifo(), Lifo()] + [Seeded(i) for i in range(20)]),
+    ],
+    ids=["run", "fuzz"],
+)
+def test_each_fired_instance_is_made_once_per_command(
+    command, strategies, name, instances, tmp_path, capsys
+):
+    """``run`` and ``fuzz`` make an arity instance the first time a lookup
+    needs it, once per written rule and arity, and only those that fire."""
+    text = eps_dup_text(64) if name == "eps_dup_64" else corpus_text(name)
+    fired = {rule_id for rule_id in fired_rules(text, strategies) if "@" in rule_id}
+    assert fired or name == "addition"
+    path = tmp_path / "program.inet"
+    path.write_text(text, encoding="utf-8")
+    instances.clear()
+    assert main([command[0], str(path), *command[1:]]) == 0
+    assert instances == Counter(dict.fromkeys(fired, 1))
+
+
 def test_a_self_rule_is_compiled_once_across_analysis_and_reduction(monkeypatch):
     """The swap check of ``analyze_rules`` and the reducer share one program."""
     calls = Counter()
@@ -708,7 +771,7 @@ REWIRING_NET = "net (p, q, s, r, t, u) | x~G(p, q, s), x~G(r, t, u);"
 
 def test_seeded_ends_that_differ_only_in_wiring_diverge():
     program = parse_program(REWIRING_RULE + REWIRING_NET)
-    table = build_rule_table(program.rules)
+    table = build_rule_table(program.rules, ())
     seeds = [Seeded(i) for i in range(8)]
     report = confluence_probe(program.net, table, seeds)
     forms = {run.canonical for run in report.runs}

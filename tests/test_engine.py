@@ -37,7 +37,7 @@ from variadic_oracle import ArityUnderflowError, instantiate_variadic
 S = Symbol("S", 1)
 Z = Symbol("Z", 0)
 ADD = Symbol("Add", 2)
-EMPTY_TABLE = build_rule_table([])
+EMPTY_TABLE = build_rule_table([], ())
 
 
 def nm(i, d="x"):
@@ -555,7 +555,7 @@ def test_reducer_rejects_a_third_occurrence():
 def test_firing_a_rule_that_uses_a_name_three_times_is_ill_formed():
     # Only an unvalidated table can hold such a rule.
     program = parse_program("agent A/0; agent B/0; agent E/0; A >< B => w~E, w~E, w~E;")
-    table = build_rule_table(program.rules)
+    table = build_rule_table(program.rules, ())
     config = Configuration([], [Equation(Agent(Symbol("A", 0)), Agent(Symbol("B", 0)))])
     with pytest.raises(IllFormedError, match="name w occurs more than twice"):
         normalize(config, table)
@@ -770,7 +770,7 @@ def test_confluence_probe_detects_divergence():
         """
     )
     (rule,) = program.rules
-    table = build_rule_table([rule])
+    table = build_rule_table([rule], ())
     report = confluence_probe(program.net, table, [Fifo(), Lifo()])
     assert not report.consistent
     assert report.divergence is not None
@@ -787,7 +787,7 @@ def test_confluence_probe_detects_divergence_behind_an_equal_interface():
         net () | x~G(a, b), x~G(c, d), a~K1, b~K2, c~K3, d~K4;
         """
     )
-    table = build_rule_table(program.rules)
+    table = build_rule_table(program.rules, ())
     report = confluence_probe(program.net, table, [Fifo(), Lifo()])
     assert [run.status for run in report.runs] == ["stuck", "stuck"]
     assert not report.consistent

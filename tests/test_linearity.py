@@ -68,7 +68,8 @@ def _compare(text: str) -> tuple[int, int]:
         for inst in expand_variadic(rule, arities):
             if inst.instance_of is None:
                 continue
-            assert _instance_max_name_id(inst) == oracle.instance_max_name_id(inst), inst.id
+            k = len(inst.right.fixed_params)
+            assert _instance_max_name_id(rule, k) == oracle.instance_max_name_id(inst), inst.id
             assert validate_linearity(inst) == oracle.validate_linearity(inst), inst.id
             instances += 1
     return rules, instances

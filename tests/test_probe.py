@@ -61,7 +61,7 @@ def unvalidated(text: str):
         return None
     arities = {s.arity for s in program.symbols.values()}
     rules = [x for rule in program.rules for x in expand_variadic(rule, arities)]
-    return program.net, build_rule_table(rules)
+    return program.net, build_rule_table(rules, ())
 
 
 def _summary(run) -> tuple:
@@ -113,7 +113,7 @@ def test_generated_programs_probe_as_the_oracle():
 
 def test_a_divergence_that_only_seeded_strategies_find():
     program = parse_program(SELF_RULE + SEEDED_ONLY_NET)
-    table = build_rule_table(program.rules)
+    table = build_rule_table(program.rules, ())
     strategies = [Fifo(), Lifo()] + [Seeded(i) for i in range(10)]
     runs, consistent, divergence, traces = same_as_oracle(program.net, table, strategies)
     assert runs[0][1:] == runs[1][1:] == ("normal_form", 10, runs[0][3])
@@ -138,7 +138,7 @@ def test_duplicate_strategies_are_runs_of_their_own(strategies, net):
         config, table = program.net, analysis.table
     else:
         program = parse_program(SELF_RULE + SEEDED_ONLY_NET)
-        config, table = program.net, build_rule_table(program.rules)
+        config, table = program.net, build_rule_table(program.rules, ())
     runs, _, _, _ = same_as_oracle(config, table, strategies)
     assert [run[0] for run in runs] == strategies
 
@@ -156,14 +156,14 @@ def test_duplicate_strategies_are_runs_of_their_own(strategies, net):
 )
 def test_an_ill_formed_rule_raises_as_the_first_strategy_that_fires_it(strategies, name):
     program = parse_program(ILL_FORMED)
-    table = build_rule_table(program.rules)
+    table = build_rule_table(program.rules, ())
     error = same_as_oracle(program.net, table, strategies)
     assert error == (IllFormedError, f"name {name} occurs more than twice")
 
 
 def test_a_run_that_never_reaches_the_ill_formed_rule_does_not_raise():
     program = parse_program(ILL_FORMED)
-    table = build_rule_table(program.rules)
+    table = build_rule_table(program.rules, ())
     runs, consistent, _, _ = same_as_oracle(program.net, table, [Fifo(), Seeded(0), Seeded(3)])
     assert [run[1] for run in runs] == ["normal_form"] * 3 and not consistent
 
@@ -172,7 +172,7 @@ def test_errors_before_any_step_are_the_oracles():
     x = Name(0, "x")
     a, b, c = (Agent(Symbol(s, 0)) for s in "ABC")
     thrice = Configuration([], [Equation(x, a), Equation(x, b), Equation(x, c)])
-    table = build_rule_table([])
+    table = build_rule_table([], ())
     error = same_as_oracle(thrice, table, [Seeded(0), Seeded(1)])
     assert error == (IllFormedError, "name x occurs more than twice")
     program, analysis = compile_corpus("addition")

@@ -88,7 +88,7 @@ SPECS = {
                         ("matches", field(default_factory=dict, compare=False, repr=False))]),
     SourceProgram: (False, ["symbols", "rules", "net", "supply",
                             ("diagnostics", field(default_factory=list))]),
-    Analysis: (False, ["diagnostics", "expanded_rules", "table"]),
+    Analysis: (False, ["diagnostics", "rules", "arities", "table"]),
 }
 
 

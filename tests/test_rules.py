@@ -1,3 +1,7 @@
+import ast
+import pathlib
+import random
+
 import pytest
 
 from inetkit import (
@@ -18,9 +22,11 @@ from inetkit import (
     parse_program,
     validate_linearity,
 )
-from inetkit.rules import errors_in
+from inetkit.rules import _generic_at, errors_in
 from inetkit.surface import render_rule
 
+import grc_oracle
+import program_gen
 from conftest import compile_corpus, corpus_text, eps_dup_text
 
 ADDITION_RULES = """
@@ -387,7 +393,7 @@ def full_expansion_oracle(program):
     diags += check_no_ambiguity(rules)
     top = max((s.arity for s in program.symbols.values()), default=0)
     full = [x for r in rules for x in expand_variadic(r, range(top + 1))]
-    return diags + check_grc(full), full
+    return diags + grc_oracle.check_grc(full), full
 
 
 def pruned_maybe_pick():
@@ -434,7 +440,7 @@ def test_expanding_at_occurring_arities_matches_full_expansion(name):
     if errors_in(diags):
         assert not analysis.ok
         return
-    table = build_rule_table(full)
+    table = build_rule_table(full, ())
     for a in symbols:
         for b in symbols:
             assert lookup(analysis.table, a, b) == lookup(table, a, b), (a, b)
@@ -489,14 +495,82 @@ def test_grc_leaves_an_identical_slot_to_the_ambiguity_check():
     # Both rules hold A's slot for ANY/1, and A has arity 1, so they would
     # overlap on (A, A); check_grc skips the pair, which is E_DUP_GENERIC.
     rules = rules_of("agent A/1; A(p) >< ANY(x) => p~x; A(q) >< ANY(y) => q~y;")
-    assert [d.code for d in check_grc(rules)] == ["W_SELF_GENERIC", "W_SELF_GENERIC"]
+    assert [d.code for d in check_grc(rules, ())] == ["W_SELF_GENERIC", "W_SELF_GENERIC"]
     assert [d.code for d in check_no_ambiguity(rules)] == ["E_DUP_GENERIC"]
 
 
-def test_grc_requires_expanded_rules():
-    (rule,) = rules_of("Eps >< ANY([x]) => Eps~x';")
-    with pytest.raises(ValueError):
-        check_grc([rule])
+# Overlaps whose expanded order is not their written order: A's rule meets
+# B's at A@2, C's at A@0 and D's at A@1, so C's comes first, then D's, then B's.
+OVERLAP_ORDER = """
+agent A/1; agent B/2; agent C/0; agent D/1;
+A(r) >< ANY([x]) => r~C, C~x';
+B(r, s) >< ANY([x]) => r~C, s~C, C~x';
+C >< ANY([x]) => C~x';
+D(r) >< ANY(p) => r~p;
+"""
+
+
+def assert_grc_as_oracle(text) -> list[str]:
+    """``check_grc`` over the written rules of ``text`` against the oracle
+    over their expansion, at the arities that occur, at 0..max and at the
+    even ones up to max, which some rules' symbols miss; the codes found at
+    the arities that occur."""
+    program = parse_program(text)
+    arities = {s.arity for s in program.symbols.values()}
+    top = max(arities, default=0)
+    found = None
+    for ks in (arities, range(top + 1), range(0, top + 1, 2)):
+        expanded = [x for r in program.rules for x in expand_variadic(r, ks)]
+        got = check_grc(program.rules, ks)
+        assert got == grc_oracle.check_grc(expanded), (text, ks)
+        found = [d.code for d in got] if found is None else found
+    return found
+
+
+def _literal_rule_programs() -> list[str]:
+    """Every string literal in this module that parses to a rule."""
+    tree = ast.parse(pathlib.Path(__file__).read_text(encoding="utf-8"))
+    texts = {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return [text for text in sorted(texts) if parse_program(text).rules]
+
+
+def test_grc_over_written_rules_matches_the_oracle_on_the_expansion():
+    texts = [corpus_text(name) for name in ["addition", "dup_erase", "maybe_pick", "map"]]
+    texts += [*EQUIVALENCE_PROGRAMS.values(), *_literal_rule_programs()]
+    codes = [code for text in texts for code in assert_grc_as_oracle(text)]
+    assert codes.count("E_GRC_OVERLAP") >= 5 and codes.count("W_SELF_GENERIC") >= 10
+    overlaps = [d.message.split()[2:8:5] for d in check_grc(rules_of(OVERLAP_ORDER), range(3))
+                if d.code == "E_GRC_OVERLAP"]
+    assert overlaps == [["r1@0", "r3@1"], ["r1@1", "r4"], ["r1@2", "r2@1"], ["r2@0", "r3@2"]]
+
+
+def generic_rules(rng: random.Random) -> str:
+    """Generic rules, fixed and variadic, on up to six symbols of arity 0..3,
+    and ordinary rules on some of their pairs: many overlaps per program.
+    Only the patterns matter, so every right-hand side is empty."""
+    arities = [rng.randrange(4) for _ in range(rng.randint(2, 6))]
+    lines = [f"agent A{i}/{a};" for i, a in enumerate(arities)]
+    for _ in range(rng.randint(2, 8)):
+        i = rng.randrange(len(arities))
+        f = rng.randrange(4)
+        wild = ", ".join([f"q{j}" for j in range(f)] + (["[x]"] if rng.random() < 0.6 else []))
+        lhs = f"A{i}({', '.join(f'p{j}' for j in range(arities[i]))})"
+        lines.append(f"{lhs} >< ANY({wild}) => ();")
+    for _ in range(rng.randrange(3)):
+        i, j = rng.randrange(len(arities)), rng.randrange(len(arities))
+        lines.append(f"A{i}({', '.join(f'p{k}' for k in range(arities[i]))}) >< "
+                     f"A{j}({', '.join(f'q{k}' for k in range(arities[j]))}) => ();")
+    return "\n".join(lines)
+
+
+def test_grc_over_generated_rules_matches_the_oracle_on_the_expansion():
+    codes = [assert_grc_as_oracle(program_gen.program(random.Random(seed)))
+             for seed in range(1500)]
+    assert sum(c.count("E_GRC_OVERLAP") for c in codes) >= 100
+    assert sum(c.count("W_SELF_GENERIC") for c in codes) >= 900
+    codes = [assert_grc_as_oracle(generic_rules(random.Random(seed))) for seed in range(300)]
+    assert sum(c.count("E_GRC_OVERLAP") > 1 for c in codes) >= 50
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +579,13 @@ def test_grc_requires_expanded_rules():
 
 def test_table_keys_for_addition():
     program = parse_program(ADDITION_RULES)
-    table = build_rule_table(program.rules)
+    table = build_rule_table(program.rules, ())
     assert set(table.ordinary) == {("Add", "S"), ("Add", "Z")}
 
 
 def test_lookup_orientation_flip():
     program = parse_program(ADDITION_RULES)
-    table = build_rule_table(program.rules)
+    table = build_rule_table(program.rules, ())
     add, s = Symbol("Add", 2), Symbol("S", 1)
     straight = lookup(table, add, s)
     flipped = lookup(table, s, add)
@@ -521,7 +595,7 @@ def test_lookup_orientation_flip():
 
 
 def test_empty_rule_set_builds_empty_table():
-    table = build_rule_table([])
+    table = build_rule_table([], ())
     assert table.ordinary == {} and table.generic == {}
 
 
@@ -535,8 +609,8 @@ def test_lookup_ordinary_beats_generic():
     match = lookup(table, jst, bind)
     assert match.rule.generic is None and match.rule.id == "r2"
 
-    # both an ordinary rule and an expanded generic slot exist for this pair
-    assert (aux.arity, ret.name) in table.generic
+    # both an ordinary rule and a generic slot exist for this pair
+    assert _generic_at(table, aux.arity, ret.name) is not None
     match = lookup(table, aux, ret)
     assert match.rule.generic is None and match.rule.id == "r5"
 
@@ -550,7 +624,7 @@ def test_lookup_ordinary_beats_generic():
 
 
 def test_lookup_no_match_is_none():
-    table = build_rule_table([])
+    table = build_rule_table([], ())
     assert lookup(table, Symbol("A", 0), Symbol("B", 0)) is None
 
 
@@ -562,10 +636,49 @@ def test_lookup_probe_order_prefers_left_generic_binding():
     assert match.rule.generic is not None and match.swapped  # the left Eps is the wildcard's
 
 
-def test_table_refuses_variadic_rules():
+def test_table_resolves_a_variadic_rule_at_each_partner_arity():
     (rule,) = rules_of("Eps >< ANY([x]) => Eps~x';")
-    with pytest.raises(ValueError):
-        build_rule_table([rule])
+    table = build_rule_table([rule], (0, 3))
+    assert table.generic == {"Eps": [rule]}
+    eps = Symbol("Eps", 0)
+    for k in (3, 0, 3):
+        match = lookup(table, eps, Symbol(f"P{k}", k))
+        assert match.rule == expand_variadic(rule, [k])[0] and not match.swapped
+    assert table.slots[3, "Eps"] is lookup(table, Symbol("Q", 3), eps).rule
+
+
+def test_a_slot_is_written_only_once_resolved(monkeypatch):
+    # The first lookup of Eps's slot at arity 3 blocks inside _instance until
+    # a second thread has looked up the same slot.  The second must resolve
+    # the slot itself, not read it as resolved to no rule.
+    import threading
+
+    import inetkit.rules
+
+    (rule,) = rules_of("Eps >< ANY([x]) => Eps~x';")
+    table = build_rule_table([rule], (0, 3))
+    eps, p3 = Symbol("Eps", 0), Symbol("P3", 3)
+    making, looked = threading.Event(), threading.Event()
+    make = inetkit.rules._instance
+
+    def blocking(r, k):
+        if not making.is_set():
+            making.set()
+            assert looked.wait(10)
+        return make(r, k)
+
+    monkeypatch.setattr(inetkit.rules, "_instance", blocking)
+    first = []
+    worker = threading.Thread(target=lambda: first.append(lookup(table, eps, p3)))
+    worker.start()
+    assert making.wait(10)
+    second = lookup(table, eps, p3)
+    looked.set()
+    worker.join(10)
+    assert second is not None
+    instance = expand_variadic(rule, [3])[0]
+    assert first[0].rule == second.rule == instance
+    assert table.slots[3, "Eps"] in (first[0].rule, second.rule)
 
 
 def test_table_validation_raises_on_errors():
@@ -576,7 +689,7 @@ def test_table_validation_raises_on_errors():
     assert [d.code for d in analysis.diagnostics] == ["E_SELF_ASYM"]
     assert not analysis.ok
     (rule,) = program.rules
-    assert build_rule_table(program.rules).ordinary == {("G", "G"): rule}
+    assert build_rule_table(program.rules, ()).ordinary == {("G", "G"): rule}
 
 
 def test_at_most_one_rule_per_pair_after_validation():
@@ -590,8 +703,8 @@ def test_at_most_one_rule_per_pair_after_validation():
             if key in table.ordinary:
                 applicable.append(table.ordinary[key])
             for slot in {(a.arity, b.name), (b.arity, a.name)}:
-                if slot in table.generic:
-                    applicable.append(table.generic[slot])
+                if _generic_at(table, *slot) is not None:
+                    applicable.append(_generic_at(table, *slot))
             if len(applicable) > 1:
                 # overlap must be resolved by an ordinary rule (checked), and
                 # lookup must return exactly that rule

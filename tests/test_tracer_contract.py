@@ -84,6 +84,21 @@ def test_traced_check_and_expand_cover_every_analysis_layer(name, capsys):
             "rules.linearity": written, "rules.expand": written,
         }
         assert {layer: spans[layer] for layer in expected} == expected, command
-        g = sum(1 for r in analysis.expanded_rules if r.generic is not None)
+        # Analysis expands nothing: each written rule is expanded once, when
+        # ``expanded_rules`` is first read, by ``expand`` or by the tracer's
+        # count after the analysis has returned.
+        assert not any(_within(tracer.spans, i, "rules.analyze")
+                       for i, span in enumerate(tracer.spans) if span[0] == "rules.expand")
+        g = sum(1 for r in program.rules if r.generic is not None)
         assert tracer.counts["rules.expanded_rules"] == len(analysis.expanded_rules)
         assert tracer.counts["rules.generic_pairs"] == g * (g - 1) // 2
+
+
+def _within(spans, i, name) -> bool:
+    """Whether the span at ``i`` runs inside a span called ``name``."""
+    parent = spans[i][3]
+    while parent >= 0:
+        if spans[parent][0] == name:
+            return True
+        parent = spans[parent][3]
+    return False
