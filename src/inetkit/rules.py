@@ -556,25 +556,7 @@ class RhsProgram:
         need = self._need
         if need != -1 and (partner is None or partner.arity != need):
             self._fail(partner)
-        vals = [*args, *map(supply.fresh, self.hints)]
-        out: list[Equation] = []
-        stack: list[Term] = []
-        push, pop = stack.append, stack.pop
-        for op in self.code:
-            if op.__class__ is int:
-                push(vals[op])
-            elif op is None:
-                right = pop()
-                out.append(Equation(pop(), right))
-            else:
-                symbol, n = op
-                if n:
-                    agent_args = tuple(stack[-n:])
-                    del stack[-n:]
-                else:
-                    agent_args = ()
-                push(Agent(partner if symbol is None else symbol, agent_args))
-        return out
+        return stamp(self.code, [*args, *map(supply.fresh, self.hints)], partner, [])
 
     def _fail(self, partner: Optional[Symbol]) -> None:
         rule_id = self.rule_id
@@ -592,6 +574,29 @@ class RhsProgram:
                     f"agent {symbol.name}/{symbol.arity} applied to {fault[2]} argument(s)"
                 )
         raise AssertionError(f"rule {rule_id}: no fault to report")
+
+
+def stamp(code: Sequence, vals: Sequence[Term], partner: Optional[Symbol],
+          stack: list[Term]) -> list[Equation]:
+    """The equations of postfix ``code`` (:attr:`RhsProgram.code`'s ops), slot ``i`` being
+    ``vals[i]`` and the wildcard ``partner``; terms no equation takes stay on ``stack``."""
+    out: list[Equation] = []
+    push, pop = stack.append, stack.pop
+    for op in code:
+        if op.__class__ is int:
+            push(vals[op])
+        elif op is None:
+            right = pop()
+            out.append(Equation(pop(), right))
+        else:
+            symbol, n = op
+            if n > 1:
+                agent_args = tuple(stack[-n:])
+                del stack[-n:]
+            else:
+                agent_args = (pop(),) if n else ()
+            push(Agent(partner if symbol is None else symbol, agent_args))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ uppercase-initial identifiers, names lowercase-initial.  A rule is written
 ``LhsPattern >< LhsPattern => eq, eq, ...;`` with ``~`` between the two sides
 of an equation; ``ANY`` is the wildcard agent, ``[x]`` a port range and
 ``x'`` one arbitrary port of ``[x]``.  ``net (t, ...) | eq, ...;`` gives the
-initial configuration.
+initial configuration.  :func:`parse_program` reads the net into a flat
+program, built into terms on the first read of :attr:`SourceProgram.net`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import bisect
 import json
 import re
 import sys
+from collections import Counter
 from typing import Callable, Optional, Sequence, Union
 
 from .core import (
@@ -26,8 +28,6 @@ from .core import (
     Record,
     Term,
     config_names,
-    occurrences,
-    term_names,
 )
 from .rules import (
     Diagnostic,
@@ -42,6 +42,7 @@ from .rules import (
     Symbol,
     VarName,
     errors_in,
+    stamp,
 )
 
 GENERIC_KEYWORD = "ANY"
@@ -249,13 +250,14 @@ def _pieces(m: re.Match) -> list[tuple[bool, str, int]]:
 # Parser
 # ---------------------------------------------------------------------------
 #
-# The parser builds typed terms as it reads: ``Agent``s and ``Equation``s in
-# nets, patterns, ``RAgent``s and ``RuleEquation``s in rules.  An agent gets
-# the symbol of the arity it is written with; ``parse_program`` settles the
-# program's symbols once every item is read.  While parsing, each symbol and
-# arity that an agent without a range tail is written at is recorded once per
-# item, with ``at``, the index of the head token of its first use in reading
-# order; then once for the declarations, once for the rules and once per net.
+# The parser builds patterns, ``RAgent``s and ``RuleEquation``s as it reads
+# rules; a net it reads into a postfix program of ``RhsProgram.code``'s ops,
+# which ``rules.stamp`` builds.  An agent gets the symbol of the arity it is
+# written with; ``parse_program`` settles the program's symbols once every
+# item is read.  While parsing, each symbol and arity that an agent without
+# a range tail is written at is recorded once per item, with ``at``, the
+# index of the head token of its first use in reading order; then once for
+# the declarations, once for the rules and once per net.
 #
 # Each rule draws its name ids from where the rules before it stopped: its
 # concrete pattern's parameters first, then the other pattern's, then the
@@ -277,8 +279,8 @@ class _Parser:
         self.diags = tokens.diags
         # Per rule: its patterns, right-hand side, span and the concrete
         # agents of its right-hand side with their head tokens.  Per net:
-        # the configuration (None if it holds what nets forbid), its span,
-        # the id of its first name, its names and its agent uses.
+        # its program (None if it holds what nets forbid), how many names its
+        # interface draws, span, first name's id, names and agent uses.
         self.rules: list[tuple] = []
         self.nets: list[tuple] = []
         # Agent uses, the first ``at`` by (symbol, arity): of the
@@ -288,13 +290,7 @@ class _Parser:
         self.rule_uses: dict[tuple[str, int], int] = {}
         self.interned: dict[tuple[str, int], Symbol] = {}
         self.next_id = 0  # of the first name of the next rule
-        # Of the item being parsed: names by identifier, where they are
-        # drawn from, the concrete agents of a right-hand side, and whether
-        # the item uses a construct it may not.
-        self.scope: dict[str, Name] = {}
-        self.supply = NameSupply()
-        self.heads: list[tuple[RAgent, int]] = []
-        self.forbidden = False
+        self.begin_item()
 
     # -- token helpers ------------------------------------------------------
 
@@ -341,9 +337,15 @@ class _Parser:
     # -- typed construction -------------------------------------------------
 
     def begin_item(self) -> None:
-        self.scope = {}
+        # Of the item being parsed: names by identifier, where they are drawn
+        # from, a right-hand side's concrete agents, a net's program and its
+        # [close op, first ``at``] by (symbol, arity), and whether the item
+        # uses a construct it may not.
+        self.scope: dict[str, Name] = {}
         self.supply = NameSupply(self.next_id)
-        self.heads = []
+        self.heads: list[tuple[RAgent, int]] = []
+        self.code: list = []
+        self.closes: dict[tuple[str, int], list] = {}
         self.forbidden = False
 
     def name(self, ident: str) -> Name:
@@ -359,24 +361,31 @@ class _Parser:
             sym = self.interned[key] = Symbol(*key)
         return sym
 
-    def agent(self, head: int, args: tuple, range_tail: Optional[str], rhs: bool):
-        """The agent headed by token ``head``, made once its arguments are
-        read: an ``RAgent`` in a rule's right-hand side, else an ``Agent``."""
+    def agent(self, head: int, args: Sequence, range_tail: Optional[str], rhs: bool):
+        """The agent headed by token ``head``, made once its arguments are read: an
+        ``RAgent`` in a rule's right-hand side; in a net, its close op, put in its program."""
         text = self.texts[head]
         key = (text, len(args))
         if text == GENERIC_KEYWORD:
             if rhs:
-                return RAgent(_WILDCARD, args, range_tail)
+                return RAgent(_WILDCARD, tuple(args), range_tail)
             self._not_allowed(f"{GENERIC_KEYWORD} is not allowed here", head)
+        elif range_tail is None and not rhs:  # agents close inner first: keep the use read first
+            use = self.closes.get(key)
+            if use is None:
+                use = self.closes[key] = [(self.symbol(key), key[1]), head]
+            elif head < use[1]:
+                use[1] = head
+            self.code.append(use[0])
         elif range_tail is None:
             # An agent is made after the agents inside it: keep the use read first.
             if self.uses.get(key, head) >= head:
                 self.uses[key] = head
-        sym = self.interned.get(key) or self.symbol(key)
         if not rhs:
-            return Agent(sym, args)
+            return key
+        sym = self.interned.get(key) or self.symbol(key)
         # A range-tailed agent's symbol is known once the program is read.
-        agent = RAgent(sym if range_tail is None else None, args, range_tail)
+        agent = RAgent(sym if range_tail is None else None, tuple(args), range_tail)
         self.heads.append((agent, head))
         return agent
 
@@ -439,13 +448,16 @@ class _Parser:
         span = self.span(self.take())  # net
         self.begin_item()
         self.expect_op("(")
-        interface = self.parse_list(lambda: self.parse_term(rhs=False), ")")
+        self.parse_list(lambda: self.parse_term(rhs=False), ")")
         self.expect_op(")")
+        interface = len(self.scope)
         self.expect_op("|")
-        eqs = [] if self.at_op(";") else self.parse_eq_list(rhs=False)
+        if not self.at_op(";"):
+            self.parse_eq_list(rhs=False)
         self.expect_op(";")
-        config = None if self.forbidden else Configuration(interface, eqs)
-        self.nets.append((config, span, self.next_id, self.scope, self.uses))
+        code = None if self.forbidden else self.code
+        uses = {key: at for key, (_, at) in self.closes.items()}
+        self.nets.append((code, interface, span, self.next_id, self.scope, uses))
 
     def parse_pattern(self) -> tuple[str, list[str], Optional[str]]:
         """A pattern's symbol, parameters and range; its names are drawn
@@ -517,19 +529,20 @@ class _Parser:
             return []
         return self.parse_list(lambda: self.parse_equation(rhs), None)
 
-    def parse_equation(self, rhs: bool) -> Union[Equation, RuleEquation]:
+    def parse_equation(self, rhs: bool) -> Optional[RuleEquation]:
         left = self.parse_term(rhs)
         self.expect_op("~")
         right = self.parse_term(rhs)
-        return RuleEquation(left, right) if rhs else Equation(left, right)
+        return RuleEquation(left, right) if rhs else self.code.append(None)
 
-    def parse_term(self, rhs: bool) -> Union[Term, RhsTerm]:
-        """A right-hand-side term with ``rhs``, else a net term."""
+    def parse_term(self, rhs: bool):
+        """A right-hand-side term with ``rhs``, else a net term, read into the net's program."""
         # Agents whose argument lists are open wait on a stack, each as
         # [head, arguments so far], so term depth is not bounded by the
         # interpreter's recursion limit.  The position lives in a local and
-        # is stored back before any call that reads it.
-        texts, scope = self.texts, self.scope
+        # is stored back before any call that reads it.  A net's name op is
+        # its slot, the order it was drawn in.
+        texts, scope, code, base = self.texts, self.scope, self.code, self.next_id
         pos = self.pos
         open_agents: list[list] = []
         while True:
@@ -553,6 +566,8 @@ class _Parser:
                     pos += 1
                 if term is None:
                     term = scope.get(text) or self.name(text)
+                    if not rhs:
+                        code.append(term.id - base)
             else:
                 self.pos = head
                 self.fail("expected a term")
@@ -582,7 +597,7 @@ class _Parser:
                     if texts[pos] != ")":
                         self.fail("expected ')'")
                 pos += 1
-                term = self.agent(head, tuple(args), range_tail, rhs)
+                term = self.agent(head, args, range_tail, rhs)
 
     def _not_allowed(self, message: str, at: int) -> None:
         self.forbidden = True
@@ -629,29 +644,35 @@ class _Parser:
                 object.__setattr__(agent, "head", sym)
         return Rule(rule_id, left, right, rhs, origin=str(span))
 
-    def finish_net(self, symbols: dict[str, Symbol], config: Optional[Configuration],
+    def finish_net(self, symbols: dict[str, Symbol], code: Optional[list], interface: int,
                    span: Span, start: int, scope: dict[str, Name],
-                   uses: dict[tuple[str, int], int]) -> Optional[Configuration]:
-        """The net, its names numbered behind every rule's; None if it
-        holds a construct nets forbid or an agent at a conflicting arity."""
-        if config is None or any(symbols[ident].arity != arity for ident, arity in uses):
+                   uses: dict[tuple[str, int], int]) -> Optional[tuple[list, list[Name]]]:
+        """The net's program and names by slot, numbered behind every rule's;
+        None if it holds a construct nets forbid or an agent at a conflicting arity."""
+        if code is None or any(symbols[ident].arity != arity for ident, arity in uses):
             return None
         shift = self.next_id - start  # ids drawn by rules read after the net
         if shift:
             for name in scope.values():
                 object.__setattr__(name, "id", name.id + shift)
         self.next_id += len(scope)
-        counts = occurrences(config)
-        interface_names = {n for t in config.interface for n in term_names(t)}
-        for name, count in counts.items():
+        # Slots and counts go by first occurrence, the interface's names first.
+        names = list(scope.values())
+        for slot, count in Counter(op for op in code if op.__class__ is int).items():
             if count > 2:
-                message = (f"name {name.display} occurs {count} times in the net "
+                message = (f"name {names[slot].display} occurs {count} times in the net "
                            f"(at most twice allowed)")
                 self.diags.append(Diagnostic("error", "E_NAME_COUNT", message, span))
-            elif count == 1 and name not in interface_names:
-                message = f"name {name.display} occurs once outside the interface"
+            elif count == 1 and slot >= interface:
+                message = f"name {names[slot].display} occurs once outside the interface"
                 self.diags.append(Diagnostic("warning", "W_DANGLING_NAME", message, span))
-        return config
+        return code, names
+
+
+def _build_net(code: list, names: list[Name]) -> Configuration:
+    """A net's program built: what its equations leave on the stack is its interface."""
+    interface: list[Term] = []
+    return Configuration(interface, stamp(code, names, None, interface))
 
 
 # ---------------------------------------------------------------------------
@@ -659,15 +680,24 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 class SourceProgram(Record):
+    """A parsed program; a ``net`` given as a (program, names) pair is built on first read."""
+
     _fields = ("symbols", "rules", "net", "supply", "diagnostics")
 
-    def __init__(self, symbols: dict[str, Symbol], rules: list[Rule], net: Optional[Configuration],
-                 supply: NameSupply, diagnostics: Optional[list[Diagnostic]] = None) -> None:
+    def __init__(self, symbols: dict[str, Symbol], rules: list[Rule],
+                 net: Union[Configuration, tuple, None], supply: NameSupply,
+                 diagnostics: Optional[list[Diagnostic]] = None) -> None:
         self.symbols = symbols
         self.rules = rules
-        self.net = net
+        self._net = net
         self.supply = supply
         self.diagnostics = [] if diagnostics is None else diagnostics
+
+    @property
+    def net(self) -> Optional[Configuration]:
+        if self._net.__class__ is tuple:
+            self._net = _build_net(*self._net)
+        return self._net
 
     @property
     def has_errors(self) -> bool:
@@ -707,7 +737,7 @@ def parse_program(text: str) -> SourceProgram:
 
     if len(parser.nets) > 1:
         message = "a program may declare at most one net"
-        diags.append(Diagnostic("error", "E_PARSE", message, parser.nets[1][1]))
+        diags.append(Diagnostic("error", "E_PARSE", message, parser.nets[1][2]))
     net = parser.finish_net(symbols, *parser.nets[0]) if parser.nets else None
     return SourceProgram(symbols, rules, net, NameSupply(parser.next_id), diags)
 
@@ -796,9 +826,9 @@ def parse_configuration(text: str) -> Configuration:
     parser = _Parser(_Tokens(text))
     try:
         parser.expect_op("<")
-        interface = parser.parse_list(lambda: parser.parse_term(rhs=False), "|")
+        parser.parse_list(lambda: parser.parse_term(rhs=False), "|")
         parser.expect_op("|")
-        eqs = parser.parse_list(lambda: parser.parse_equation(rhs=False), ">")
+        parser.parse_list(lambda: parser.parse_equation(rhs=False), ">")
         parser.expect_op(">")
         if parser.texts[parser.pos]:
             parser.fail("expected end of input")
@@ -807,11 +837,11 @@ def parse_configuration(text: str) -> Configuration:
     if errors_in(parser.diags):
         raise ValueError("; ".join(str(d) for d in errors_in(parser.diags)))
     arities: dict[str, int] = {}
-    uses = parser.uses
-    for ident, arity in sorted(uses, key=uses.get):  # in reading order
+    closes = parser.closes
+    for ident, arity in sorted(closes, key=lambda key: closes[key][1]):  # in reading order
         if arities.setdefault(ident, arity) != arity:
             raise ValueError(f"symbol {ident} used with conflicting arities")
-    return Configuration(interface, eqs)
+    return _build_net(parser.code, list(parser.scope.values()))
 
 
 def render_rule(rule: Rule) -> str:

@@ -26,6 +26,10 @@ every interaction.  An arity instance's program is stamped from its
 written rule's template when the instance first fires, so ``check`` builds
 none, and only ``expand`` builds an instance's right-hand side.
 
+A net's agents are built on the first read of ``SourceProgram.net``:
+``check`` and ``expand`` never read it and build none, and ``run`` builds
+each once.
+
 A confluence probe fires each interaction of its seeded strategies'
 schedule tree once, and for k seeds makes at most k - 1 reducer forks and
 keeps at most floor(log2 k) + 1 reducers alive.  Of its seeded runs, one
@@ -41,6 +45,7 @@ import pytest
 import inetkit.core
 import inetkit.engine
 import inetkit.rules
+import inetkit.surface
 from inetkit import (
     Agent,
     Fifo,
@@ -578,6 +583,62 @@ def test_check_makes_no_arity_instance(text, options, instances, tmp_path, capsy
     assert main(["check", str(path), *options]) == 0
     assert capsys.readouterr().err.count("W_SELF_GENERIC") >= 2
     assert instances == Counter()
+
+
+@pytest.fixture
+def agents_built(monkeypatch):
+    """Counts the ``Agent``s built."""
+    tally = {"agents": 0}
+    init = Agent.__init__
+
+    def counting_init(self, *args, **kwargs):
+        tally["agents"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Agent, "__init__", counting_init)
+    return tally
+
+
+NETS = {"deep_70": (deep_net(70), 1 + 2 * 71), "wide_100": (wide_net(100), 100 * 9)}
+
+
+@pytest.mark.parametrize("command", ["check", "expand"])
+@pytest.mark.parametrize("net", list(NETS))
+def test_check_and_expand_build_no_net_agent(command, net, agents_built, tmp_path, capsys):
+    """``check`` and ``expand`` never read the net, so its agents are
+    never built; the parser reads it into a flat program only."""
+    path = tmp_path / "program.inet"
+    path.write_text(NETS[net][0], encoding="utf-8")
+    assert main([command, str(path)]) == 0
+    assert agents_built == {"agents": 0}
+
+
+@pytest.mark.parametrize("net", list(NETS))
+def test_run_builds_each_net_agent_once(net, agents_built, tmp_path, capsys, monkeypatch):
+    """``run`` builds the net on its first read (``surface._build_net``)
+    and reads the built net the second time: each of its agents is built
+    once, before reduction starts, and nothing else is."""
+    text, agents = NETS[net]
+    path = tmp_path / "program.inet"
+    path.write_text(text, encoding="utf-8")
+    builds, built_before_reduction = [], []
+    build, reduce = inetkit.surface._build_net, inetkit.cli.normalize
+
+    def counting_build(*args):
+        before = agents_built["agents"]
+        net = build(*args)
+        builds.append(agents_built["agents"] - before)
+        return net
+
+    def counting_normalize(*args, **kwargs):
+        built_before_reduction.append(agents_built["agents"])
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(inetkit.surface, "_build_net", counting_build)
+    monkeypatch.setattr(inetkit.cli, "normalize", counting_normalize)
+    assert main(["run", str(path)]) == 0
+    assert builds == [agents]
+    assert built_before_reduction == [agents]
 
 
 @pytest.mark.parametrize("name", ["eps_dup_64", *CORPUS_NAMES])

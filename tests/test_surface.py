@@ -25,6 +25,7 @@ from inetkit import (
     render_trace,
 )
 from inetkit import surface
+from inetkit.cli import main
 from inetkit.rules import errors_in
 from inetkit.surface import render_term
 
@@ -315,6 +316,67 @@ def test_parse_configuration_rejects_trailing_input():
         parse_configuration("< Z | > trailing )( garbage")
     # Whitespace and comments after the closing '>' are still fine.
     assert parse_configuration("< Z | >  # done\n\n") == parse_configuration("< Z | >")
+
+
+# The parser reads a net into a flat program and builds no term of it; the
+# diagnostics it reports about a net are those it reported when it built
+# every agent as it read: code, message, span and order, and the exit code
+# of ``check``.  Name counts run over first occurrences in reading order.
+_NET_DIAGNOSTICS = {
+    "any": ("agent Z/0;\nnet (a) | a~ANY(Z);",
+            ["error: E_PARSE: ANY is not allowed here (2:13)"]),
+    "range": ("agent A/2; agent Z/0;\nnet (a) | A(a, [x])~Z;",
+              ["error: E_PARSE: ranges are not allowed here (2:16)"]),
+    "variadic_name": ("agent Z/0;\nnet (a) | a~Z, x'~Z;",
+                      ["error: E_PARSE: variadic names are not allowed here (2:17)"]),
+    "missing_paren": ("agent S/1; agent Z/0;\nnet (a) | a~S(Z;",
+                      ["error: E_PARSE: expected ')', found ';' (2:16)"]),
+    # The first A/2 in reading order is the net's first; the second
+    # equation's inner A/2 closes before its outer one.
+    "arity_conflict": (
+        "agent Z/0;\nA(x) >< Z => x~Z;\nnet (q) | A(q, Z)~Z, A(Z, A(Z, Z))~Z;",
+        ["error: E_ARITY_CONFLICT: symbol A used with conflicting arities: 1, 2 (3:11)"]),
+    "name_count": (
+        "agent Z/0; agent P/2;\nnet () | P(b, a)~P(a, b), a~Z, b~Z, b~Z;",
+        ["error: E_NAME_COUNT: name b occurs 4 times in the net (at most twice allowed) (2:1)",
+         "error: E_NAME_COUNT: name a occurs 3 times in the net (at most twice allowed) (2:1)"]),
+    "dangling": (
+        "agent Z/0; agent P/2;\nnet (k, i) | P(u, w)~P(w, w), i~Z,\n  w~Z, v~Z;",
+        ["warning: W_DANGLING_NAME: name u occurs once outside the interface (2:1)",
+         "error: E_NAME_COUNT: name w occurs 4 times in the net (at most twice allowed) (2:1)",
+         "warning: W_DANGLING_NAME: name v occurs once outside the interface (2:1)"]),
+    "second_net": ("agent Z/0;\nnet (x) | x~Z;\nnet (y) | y~Z, q~Z;",
+                   ["error: E_PARSE: a program may declare at most one net (3:1)"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_NET_DIAGNOSTICS))
+def test_net_diagnostics_are_pinned(case, tmp_path, capsys):
+    text, expected = _NET_DIAGNOSTICS[case]
+    program = parse_program(text)
+    assert [str(d) for d in program.diagnostics] == expected
+    # A net that holds what nets forbid, or an agent at a conflicting arity, is none.
+    assert (program.net is None) == (case not in ("name_count", "dangling", "second_net"))
+    path = tmp_path / f"{case}.inet"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == expected
+
+
+def test_parse_configuration_reads_every_golden_normal_form():
+    """Pinned by one sha256 of the configurations' ``repr``s."""
+    digest = hashlib.sha256()
+    for path in sorted((CORPUS / "golden").glob("*.run.txt")):
+        text = path.read_text(encoding="utf-8")
+        config = parse_configuration(text)
+        assert render_configuration(config) + "\n" == text
+        digest.update(repr((text, repr(config))).encode())
+    assert digest.hexdigest() == (
+        "53c72724dfe4625c6994b076f229e844758e8200125aa5689a00a9d7bea37b2c"
+    )
+    with pytest.raises(ValueError) as exc:
+        parse_configuration("< ANY | >")
+    assert str(exc.value) == "error: E_PARSE: ANY is not allowed here (1:3)"
 
 
 # ---------------------------------------------------------------------------
