@@ -248,11 +248,6 @@ class Configuration(Record):
         self.interface = interface
         self.equations = equations
 
-    def __eq__(self, other: object) -> bool:  # Record's, without attrgetter's slower reads
-        if other.__class__ is self.__class__:
-            return self.interface == other.interface and self.equations == other.equations
-        return NotImplemented
-
     def copy(self) -> "Configuration":
         return Configuration(list(self.interface), list(self.equations))
 

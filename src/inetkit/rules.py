@@ -495,12 +495,8 @@ class RhsProgram:
             for i in range(m) if replicated and m is not None else (None,):
                 it = iter(ops)
                 for op in it:
-                    if op.__class__ is Name:  # see(), inline for the common op
-                        slot = slots.get(op.id)
-                        if slot is None:
-                            slot = slots[op.id] = n_params + len(hints)
-                            hints.append(op.display)
-                        code.append(slot)
+                    if op.__class__ is Name:
+                        see(op.id, op.display)
                         continue
                     tag, a, b, c = op
                     if tag == _SHUT:

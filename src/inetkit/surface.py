@@ -6,7 +6,8 @@ uppercase-initial identifiers, names lowercase-initial.  A rule is written
 of an equation; ``ANY`` is the wildcard agent, ``[x]`` a port range and
 ``x'`` one arbitrary port of ``[x]``.  ``net (t, ...) | eq, ...;`` gives the
 initial configuration.  :func:`parse_program` reads the net into a flat
-program, built into terms on the first read of :attr:`SourceProgram.net`.
+program whose names are slots; its terms and names are made on the first
+read of :attr:`SourceProgram.net`.
 """
 
 from __future__ import annotations
@@ -255,14 +256,15 @@ def _pieces(m: re.Match) -> list[tuple[bool, str, int]]:
 # which ``rules.stamp`` builds.  An agent gets the symbol of the arity it is
 # written with; ``parse_program`` settles the program's symbols once every
 # item is read.  While parsing, each symbol and arity that an agent without
-# a range tail is written at is recorded once per item, with ``at``, the
-# index of the head token of its first use in reading order; then once for
-# the declarations, once for the rules and once per net.
+# a range tail is written at is recorded once per item, in ``closes``, with
+# ``at``, the index of the head token of its first use in reading order;
+# then once for the declarations, once for the rules and once per net.
 #
 # Each rule draws its name ids from where the rules before it stopped: its
 # concrete pattern's parameters first, then the other pattern's, then the
-# right-hand side in reading order.  A net draws its own from there too, and
-# ``finish_net`` moves them behind the names of the rules read after it.
+# right-hand side in reading order.  A net's names are slots, numbered in
+# reading order; ``finish_net`` gives them the ids behind every rule's
+# names, and each ``Name`` is made once, when the net is built.
 
 class _ParseFail(Exception):
     pass
@@ -279,14 +281,13 @@ class _Parser:
         self.diags = tokens.diags
         # Per rule: its patterns, right-hand side, span and the concrete
         # agents of its right-hand side with their head tokens.  Per net:
-        # its program (None if it holds what nets forbid), how many names its
-        # interface draws, span, first name's id, names and agent uses.
+        # its program (None if it holds what nets forbid), how many slots its
+        # interface takes, span, slots by identifier and agent uses.
         self.rules: list[tuple] = []
         self.nets: list[tuple] = []
         # Agent uses, the first ``at`` by (symbol, arity): of the
-        # declarations, of the item being parsed and of the rules so far.
+        # declarations and of the rules so far.
         self.decls: dict[tuple[str, int], int] = {}
-        self.uses: dict[tuple[str, int], int] = {}
         self.rule_uses: dict[tuple[str, int], int] = {}
         self.interned: dict[tuple[str, int], Symbol] = {}
         self.next_id = 0  # of the first name of the next rule
@@ -337,11 +338,11 @@ class _Parser:
     # -- typed construction -------------------------------------------------
 
     def begin_item(self) -> None:
-        # Of the item being parsed: names by identifier, where they are drawn
-        # from, a right-hand side's concrete agents, a net's program and its
-        # [close op, first ``at``] by (symbol, arity), and whether the item
-        # uses a construct it may not.
-        self.scope: dict[str, Name] = {}
+        # Of the item being parsed: a rule's names or a net's slots by
+        # identifier, where a rule's names are drawn from, a right-hand side's
+        # concrete agents, a net's program, the agent uses as [close op,
+        # first ``at``] by (symbol, arity), and whether it uses what it may not.
+        self.scope: dict[str, Union[Name, int]] = {}
         self.supply = NameSupply(self.next_id)
         self.heads: list[tuple[RAgent, int]] = []
         self.code: list = []
@@ -366,26 +367,23 @@ class _Parser:
         ``RAgent`` in a rule's right-hand side; in a net, its close op, put in its program."""
         text = self.texts[head]
         key = (text, len(args))
+        sym = None  # a range-tailed agent's symbol is known once the program is read
         if text == GENERIC_KEYWORD:
             if rhs:
                 return RAgent(_WILDCARD, tuple(args), range_tail)
             self._not_allowed(f"{GENERIC_KEYWORD} is not allowed here", head)
-        elif range_tail is None and not rhs:  # agents close inner first: keep the use read first
+        elif range_tail is None:  # agents close inner first: keep the use read first
             use = self.closes.get(key)
             if use is None:
                 use = self.closes[key] = [(self.symbol(key), key[1]), head]
             elif head < use[1]:
                 use[1] = head
-            self.code.append(use[0])
-        elif range_tail is None:
-            # An agent is made after the agents inside it: keep the use read first.
-            if self.uses.get(key, head) >= head:
-                self.uses[key] = head
+            if not rhs:
+                self.code.append(use[0])
+            sym = use[0][0]
         if not rhs:
             return key
-        sym = self.interned.get(key) or self.symbol(key)
-        # A range-tailed agent's symbol is known once the program is read.
-        agent = RAgent(sym if range_tail is None else None, tuple(args), range_tail)
+        agent = RAgent(sym, tuple(args), range_tail)
         self.heads.append((agent, head))
         return agent
 
@@ -393,7 +391,6 @@ class _Parser:
 
     def parse_program(self) -> None:
         while self.texts[self.pos]:
-            self.uses = {}
             try:
                 self.parse_item()
             except _ParseFail:
@@ -429,18 +426,18 @@ class _Parser:
 
     def parse_rule_decl(self) -> None:
         span = self.span(self.pos)
+        self.begin_item()
         first = self.parse_pattern()
         self.expect_op("><")
         second = self.parse_pattern()
         self.expect_op("=>")
         if first[0] == GENERIC_KEYWORD:  # the wildcard goes on the right
             first, second = second, first
-        self.begin_item()
         left, right = self.pattern(*first), self.pattern(*second)
         rhs = self.parse_eq_list(rhs=True)
         self.expect_op(";")
         self.rules.append((left, right, tuple(rhs), span, self.heads))
-        for key, at in self.uses.items():
+        for key, (_, at) in self.closes.items():
             self.rule_uses.setdefault(key, at)
         self.next_id = self.supply.next_id
 
@@ -457,7 +454,7 @@ class _Parser:
         self.expect_op(";")
         code = None if self.forbidden else self.code
         uses = {key: at for key, (_, at) in self.closes.items()}
-        self.nets.append((code, interface, span, self.next_id, self.scope, uses))
+        self.nets.append((code, interface, span, self.scope, uses))
 
     def parse_pattern(self) -> tuple[str, list[str], Optional[str]]:
         """A pattern's symbol, parameters and range; its names are drawn
@@ -493,7 +490,8 @@ class _Parser:
                 self.take()
                 params.append(self.parse_pattern_name())
             self.expect_op(")")
-        self.uses.setdefault((text, len(params)), head)
+        key = (text, len(params))
+        self.closes.setdefault(key, [(self.symbol(key), key[1]), head])  # read first in the item
         return text, params, None
 
     def pattern(self, text: str, params: list[str], range_name: Optional[str]):
@@ -541,8 +539,8 @@ class _Parser:
         # [head, arguments so far], so term depth is not bounded by the
         # interpreter's recursion limit.  The position lives in a local and
         # is stored back before any call that reads it.  A net's name op is
-        # its slot, the order it was drawn in.
-        texts, scope, code, base = self.texts, self.scope, self.code, self.next_id
+        # its slot, the order it was first read in.
+        texts, scope, code = self.texts, self.scope, self.code
         pos = self.pos
         open_agents: list[list] = []
         while True:
@@ -564,10 +562,11 @@ class _Parser:
                     else:
                         self._not_allowed("variadic names are not allowed here", pos)
                     pos += 1
-                if term is None:
+                if term is None and rhs:
                     term = scope.get(text) or self.name(text)
-                    if not rhs:
-                        code.append(term.id - base)
+                elif term is None:
+                    term = scope.setdefault(text, len(scope))
+                    code.append(term)
             else:
                 self.pos = head
                 self.fail("expected a term")
@@ -645,32 +644,32 @@ class _Parser:
         return Rule(rule_id, left, right, rhs, origin=str(span))
 
     def finish_net(self, symbols: dict[str, Symbol], code: Optional[list], interface: int,
-                   span: Span, start: int, scope: dict[str, Name],
-                   uses: dict[tuple[str, int], int]) -> Optional[tuple[list, list[Name]]]:
-        """The net's program and names by slot, numbered behind every rule's;
-        None if it holds a construct nets forbid or an agent at a conflicting arity."""
+                   span: Span, scope: dict[str, int],
+                   uses: dict[tuple[str, int], int]) -> Optional[tuple[list, list[str], int]]:
+        """The net's program, its names' identifiers by slot and the id of the
+        first, numbered behind every rule's; None if it holds a construct nets
+        forbid or an agent at a conflicting arity."""
         if code is None or any(symbols[ident].arity != arity for ident, arity in uses):
             return None
-        shift = self.next_id - start  # ids drawn by rules read after the net
-        if shift:
-            for name in scope.values():
-                object.__setattr__(name, "id", name.id + shift)
+        first = self.next_id
         self.next_id += len(scope)
         # Slots and counts go by first occurrence, the interface's names first.
-        names = list(scope.values())
+        idents = list(scope)
         for slot, count in Counter(op for op in code if op.__class__ is int).items():
             if count > 2:
-                message = (f"name {names[slot].display} occurs {count} times in the net "
+                message = (f"name {idents[slot]} occurs {count} times in the net "
                            f"(at most twice allowed)")
                 self.diags.append(Diagnostic("error", "E_NAME_COUNT", message, span))
             elif count == 1 and slot >= interface:
-                message = f"name {names[slot].display} occurs once outside the interface"
+                message = f"name {idents[slot]} occurs once outside the interface"
                 self.diags.append(Diagnostic("warning", "W_DANGLING_NAME", message, span))
-        return code, names
+        return code, idents, first
 
 
-def _build_net(code: list, names: list[Name]) -> Configuration:
-    """A net's program built: what its equations leave on the stack is its interface."""
+def _build_net(code: list, idents: list[str], first: int) -> Configuration:
+    """A net's program built, slot ``i`` a new name ``idents[i]`` of id ``first + i``:
+    what its equations leave on the stack is its interface."""
+    names = [Name(i, ident) for i, ident in enumerate(idents, first)]
     interface: list[Term] = []
     return Configuration(interface, stamp(code, names, None, interface))
 
@@ -680,7 +679,7 @@ def _build_net(code: list, names: list[Name]) -> Configuration:
 # ---------------------------------------------------------------------------
 
 class SourceProgram(Record):
-    """A parsed program; a ``net`` given as a (program, names) pair is built on first read."""
+    """A parsed program; a ``net`` given as ``finish_net``'s triple is built on first read."""
 
     _fields = ("symbols", "rules", "net", "supply", "diagnostics")
 
@@ -841,7 +840,7 @@ def parse_configuration(text: str) -> Configuration:
     for ident, arity in sorted(closes, key=lambda key: closes[key][1]):  # in reading order
         if arities.setdefault(ident, arity) != arity:
             raise ValueError(f"symbol {ident} used with conflicting arities")
-    return _build_net(parser.code, list(parser.scope.values()))
+    return _build_net(parser.code, list(parser.scope), 0)
 
 
 def render_rule(rule: Rule) -> str:

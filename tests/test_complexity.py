@@ -30,6 +30,10 @@ A net's agents are built on the first read of ``SourceProgram.net``:
 ``check`` and ``expand`` never read it and build none, and ``run`` builds
 each once.
 
+A net's names are made on that first read too: ``parse_program``,
+``check`` and ``expand`` make the rules' ``Name``s only, however wide the
+net, and ``run`` makes each net name once.
+
 A confluence probe fires each interaction of its seeded strategies'
 schedule tree once, and for k seeds makes at most k - 1 reducer forks and
 keeps at most floor(log2 k) + 1 reducers alive.  Of its seeded runs, one
@@ -639,6 +643,69 @@ def test_run_builds_each_net_agent_once(net, agents_built, tmp_path, capsys, mon
     assert main(["run", str(path)]) == 0
     assert builds == [agents]
     assert built_before_reduction == [agents]
+
+
+@pytest.fixture
+def names_made(monkeypatch):
+    """Counts the ``Name``s made."""
+    tally = {"names": 0}
+    init = Name.__init__
+
+    def counting_init(self, *args, **kwargs):
+        tally["names"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Name, "__init__", counting_init)
+    return tally
+
+
+RULE_NAMES = 6  # y, r, x and w of ADD_RULES' first rule; y and r of its second
+NAME_NETS = {"deep_70": (deep_net(70), 1), "wide_100": (wide_net(100), 100),
+             "wide_1000": (wide_net(1000), 1000)}
+
+
+@pytest.mark.parametrize("command", ["parse_program", "check", "expand"])
+@pytest.mark.parametrize("net", list(NAME_NETS))
+def test_the_front_end_makes_no_net_name(command, net, names_made, tmp_path, capsys):
+    """A net's names are slots until ``SourceProgram.net`` is first read:
+    parsing, ``check`` and ``expand`` make the rules' names only, as many
+    for a net of 1,000 names as for one of 1."""
+    text = NAME_NETS[net][0]
+    if command == "parse_program":
+        assert not parse_program(text).has_errors
+    else:
+        path = tmp_path / "program.inet"
+        path.write_text(text, encoding="utf-8")
+        assert main([command, str(path)]) == 0
+    assert names_made == {"names": RULE_NAMES}
+
+
+@pytest.mark.parametrize("net", ["deep_70", "wide_100"])
+def test_run_makes_each_net_name_once(net, names_made, tmp_path, capsys, monkeypatch):
+    """``run`` makes each of the net's names once, when it builds the net
+    on the first read of ``SourceProgram.net``, and no other name before
+    reduction starts."""
+    text, names = NAME_NETS[net]
+    path = tmp_path / "program.inet"
+    path.write_text(text, encoding="utf-8")
+    builds, made_before_reduction = [], []
+    build, reduce = inetkit.surface._build_net, inetkit.cli.normalize
+
+    def counting_build(*args):
+        before = names_made["names"]
+        net = build(*args)
+        builds.append(names_made["names"] - before)
+        return net
+
+    def counting_normalize(*args, **kwargs):
+        made_before_reduction.append(names_made["names"])
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(inetkit.surface, "_build_net", counting_build)
+    monkeypatch.setattr(inetkit.cli, "normalize", counting_normalize)
+    assert main(["run", str(path)]) == 0
+    assert builds == [names]
+    assert made_before_reduction == [RULE_NAMES + names]
 
 
 @pytest.mark.parametrize("name", ["eps_dup_64", *CORPUS_NAMES])
